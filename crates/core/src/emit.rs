@@ -42,6 +42,27 @@ pub enum Expansion {
     ScalarExpand,
 }
 
+impl Expansion {
+    /// Stable wire and CLI label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Expansion::Off => "off",
+            Expansion::Mve => "mve",
+            Expansion::ScalarExpand => "scalar",
+        }
+    }
+
+    /// Inverse of [`Expansion::label`].
+    pub fn from_label(s: &str) -> Option<Expansion> {
+        Some(match s {
+            "off" => Expansion::Off,
+            "mve" => Expansion::Mve,
+            "scalar" => Expansion::ScalarExpand,
+            _ => return None,
+        })
+    }
+}
+
 /// A scalar selected for expansion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExpandVar {

@@ -63,6 +63,25 @@ pub enum SchedulerKind {
     Exact,
 }
 
+impl SchedulerKind {
+    /// Stable wire and CLI label.
+    pub fn label(&self) -> &'static str {
+        match self {
+            SchedulerKind::Heuristic => "heuristic",
+            SchedulerKind::Exact => "exact",
+        }
+    }
+
+    /// Inverse of [`SchedulerKind::label`].
+    pub fn from_label(s: &str) -> Option<SchedulerKind> {
+        Some(match s {
+            "heuristic" => SchedulerKind::Heuristic,
+            "exact" => SchedulerKind::Exact,
+            _ => return None,
+        })
+    }
+}
+
 /// Configuration of the SLMS driver.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlmsConfig {

@@ -122,11 +122,9 @@ pub struct ShardStats {
     pub shard: usize,
     /// cells this shard evaluated and reported
     pub cells: u64,
-    /// work ranges dispatched to it (initial partition + steals)
+    /// work ranges dispatched to it
     pub chunks: u64,
-    /// in-flight ranges trimmed away from this shard for idle peers
-    pub steals_donated: u64,
-    /// ranges this shard received that another shard gave up
+    /// ranges it took over from a dead shard
     pub steals_received: u64,
     /// false when the shard died mid-run and its work was reassigned
     pub alive: bool,
@@ -144,7 +142,7 @@ pub struct ShardStats {
     pub workers: Vec<WorkerStats>,
     /// the dead shard's last flight-recorder snapshot (`slc-flight-v1`
     /// JSONL), captured by the dispatcher's quarantine path from the tail
-    /// the worker ships with every `cells` message; `None` while alive
+    /// the worker ships with every `deltas` message; `None` while alive
     pub flight: Option<String>,
 }
 
@@ -178,7 +176,7 @@ pub struct TimingReport {
     /// per-worker queue accounting for this run (scheduling-dependent, so
     /// sidecar-only), worker-ordered
     pub workers: Vec<WorkerStats>,
-    /// per-shard dispatch/steal accounting, shard-ordered (empty for
+    /// per-shard dispatch accounting, shard-ordered (empty for
     /// in-process runs; filled by `slc batch --shards N`)
     pub shards: Vec<ShardStats>,
     /// wall-clock histograms of per-miss stage latencies (`wall.*`
@@ -308,7 +306,6 @@ impl BatchReport {
                     .field("shard", s.shard)
                     .field("cells", s.cells)
                     .field("chunks", s.chunks)
-                    .field("steals_donated", s.steals_donated)
                     .field("steals_received", s.steals_received)
                     .field("alive", s.alive)
                     .field("chunk_ms_p50", s.chunk_ms_p50)

@@ -60,6 +60,5 @@ pub use service::{
     StageNs, VerifyOutcome, VerifySummary,
 };
 pub use shard::{
-    chunk_ranges, partition, run_sharded, shard_worker, ShardFault, ShardOptions,
-    SHARD_BENCH_SCHEMA, SHARD_PROTO_SCHEMA,
+    run_sharded, shard_worker, ShardFault, ShardOptions, SHARD_BENCH_SCHEMA, SHARD_PROTO_SCHEMA,
 };

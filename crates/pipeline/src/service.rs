@@ -61,6 +61,16 @@ impl CompilerKind {
         }
     }
 
+    /// Inverse of [`CompilerKind::label`].
+    pub fn from_label(s: &str) -> Option<CompilerKind> {
+        Some(match s {
+            "weak" => CompilerKind::Weak,
+            "opt" => CompilerKind::Optimizing,
+            "ms" => CompilerKind::OptimizingMs,
+            _ => return None,
+        })
+    }
+
     /// Stable code for fingerprinting.
     pub(crate) fn code(&self) -> u64 {
         match self {

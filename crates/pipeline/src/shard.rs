@@ -3,16 +3,19 @@
 //! `slc batch --shards N` fork/execs `N` copies of the running binary in a
 //! hidden `batch-shard` mode and drives them over an NDJSON pipe protocol
 //! (`slc-shard-proto-v1`, one JSON object per line — the same framing the
-//! `slc serve` daemon speaks). The parent is a work-stealing dispatcher:
-//! the matrix is cut into contiguous cell ranges by [`partition`] and
-//! [`chunk_ranges`], each shard drains its own chunk deque, idle shards
-//! steal whole chunks from the longest peer deque, and when every deque is
-//! dry the dispatcher asks the busiest in-flight shard to *trim* — give
-//! back the untouched half of its current range. Contiguous ranges over
-//! the canonical workload-major matrix order are already cache-affine:
-//! plan artifacts are keyed per workload and a workload's cells are
-//! adjacent, so each shard computes a plan artifact at most once instead
-//! of every shard re-deriving every workload's.
+//! `slc serve` daemon speaks). The parent keeps one shared queue of
+//! unassigned cell ranges over the canonical workload-major matrix order,
+//! and an idle shard takes ⌈unassigned ÷ (2·shards)⌉ cells from its front
+//! (`next_slice`, guided self-scheduling). Early slices are long and
+//! later ones shrink, so the shards finish close together without ever
+//! taking work back from a busy shard. Contiguous slices are also
+//! cache-affine: plan artifacts are keyed per workload and a workload's
+//! cells are adjacent, so a shard rarely re-derives a plan artifact.
+//!
+//! Parent → shard: `init` (the batch config), `run {lo, hi}`, `shutdown`.
+//! Shard → parent: `ready`; per range one `deltas` message followed by one
+//! `cells` message that answers and closes the whole range; and a final
+//! `stats` reply to `shutdown`.
 //!
 //! **Determinism contract.** The reduced [`BatchReport`] is byte-identical
 //! to the in-process engine's for every shard count:
@@ -32,17 +35,17 @@
 //!   shards that both missed the same key computed identical deltas) and
 //!   sums — which is precisely the single-process registry, where each
 //!   distinct key misses exactly once;
-//! * wall-clock, queue depths and steal counts are scheduling-dependent,
-//!   so they live only in the `slc-batch-timing-v4` sidecar
-//!   ([`crate::batch::ShardStats`]) — never in the canonical report.
+//! * wall-clock, range latencies and reassignment counts are
+//!   scheduling-dependent, so they live only in the `slc-batch-timing-v4`
+//!   sidecar ([`crate::batch::ShardStats`]) — never in the canonical report.
 //!
 //! **Fault degradation.** A shard that dies mid-run (EOF on its pipe) or
-//! emits a malformed line is marked dead; the unreceived remainder of its
-//! in-flight range and its queued chunks are redistributed to the
-//! survivors. Because deltas are flushed *before* the cells they explain,
-//! a dead shard can never have reported a cell whose counter deltas were
-//! lost. If every shard dies while work remains, the dispatcher respawns a
-//! replacement (bounded by a respawn budget) before giving up.
+//! emits a malformed line is marked dead, and its in-flight range goes
+//! back to the front of the queue, ahead of every untouched cell. Because
+//! deltas are flushed *before* the cells they explain, a dead shard can
+//! never have reported a cell whose counter deltas were lost. If every
+//! shard dies while work remains, the dispatcher appends a replacement
+//! shard (bounded by a respawn budget) before giving up.
 
 use crate::batch::{BatchConfig, BatchReport, ShardStats, TimingReport};
 use crate::cache::{CacheReport, StoreStats};
@@ -59,10 +62,11 @@ use slc_machine::mach::{CacheConfig, IssueModel, MachineDesc};
 use slc_sim::cycle::FfStats;
 use slc_trace::{CounterRegistry, FlightRecorder, HistogramRegistry, Span, TraceCtx, Tracer};
 use slc_workloads::{enumerate_matrix, MatrixCell, Suite, Workload};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write as _};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::mpsc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Schema tag of the parent↔shard NDJSON wire protocol.
@@ -75,10 +79,11 @@ pub const SHARD_BENCH_SCHEMA: &str = "slc-shard-bench-v1";
 /// CLI path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardFault {
-    /// the shard aborts itself after evaluating this many cells
+    /// the shard aborts itself once it has evaluated this many cells, at
+    /// the end of that range and before the range's `cells` message ships
     KillAfterCells(usize),
-    /// the shard prints one malformed NDJSON line to the dispatcher after
-    /// evaluating this many cells
+    /// the shard prints one malformed NDJSON line to the dispatcher once it
+    /// has evaluated this many cells
     GarbageFromShard(usize),
     /// the dispatcher sends the shard one malformed NDJSON line instead of
     /// its first work range (the shard must exit with code 4)
@@ -92,44 +97,25 @@ pub struct ShardOptions {
     pub shards: usize,
     /// in-process map threads *per shard* (`None` = all cores)
     pub threads_per_shard: Option<usize>,
-    /// dispatch granularity in cells (`None` = ¼ of an even split, so each
-    /// shard starts with ~4 chunks to steal from)
-    pub chunk: Option<usize>,
     /// how to exec a shard (`None` = the running binary + `batch-shard`);
     /// tests point this at `CARGO_BIN_EXE_slc`
     pub worker_cmd: Option<Vec<String>>,
-    /// per-shard fault injections, `(shard index, fault)`
+    /// per-shard fault injections, `(shard index, fault)`; replacement
+    /// shards are appended past the original fleet and run fault-free
     pub faults: Vec<(usize, ShardFault)>,
 }
 
-/// Split `0..n` into `shards` contiguous ranges whose sizes differ by at
-/// most one (remainder cells go to the front ranges). Ranges may be empty
-/// when `n < shards`.
-pub fn partition(n: usize, shards: usize) -> Vec<(usize, usize)> {
-    let shards = shards.max(1);
-    let base = n / shards;
-    let rem = n % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut lo = 0;
-    for s in 0..shards {
-        let len = base + usize::from(s < rem);
-        out.push((lo, lo + len));
-        lo += len;
+/// Guided self-scheduling: take ⌈unassigned ÷ (2·shards)⌉ cells off the
+/// front range of `queue` (fewer when that range is shorter). Ranges a dead
+/// shard gave back sit at the front, so they go out before untouched cells.
+fn next_slice(queue: &mut VecDeque<(usize, usize)>, shards: usize) -> Option<(usize, usize)> {
+    let unassigned: usize = queue.iter().map(|(lo, hi)| hi - lo).sum();
+    let (lo, hi) = queue.pop_front().filter(|(lo, hi)| hi > lo)?;
+    let end = hi.min(lo + unassigned.div_ceil(2 * shards.max(1)));
+    if end < hi {
+        queue.push_front((end, hi));
     }
-    out
-}
-
-/// Cut `lo..hi` into consecutive chunks of at most `chunk` cells.
-pub fn chunk_ranges(lo: usize, hi: usize, chunk: usize) -> Vec<(usize, usize)> {
-    let chunk = chunk.max(1);
-    let mut out = Vec::new();
-    let mut cur = lo;
-    while cur < hi {
-        let end = (cur + chunk).min(hi);
-        out.push((cur, end));
-        cur = end;
-    }
-    out
+    Some((lo, end))
 }
 
 // ---------------------------------------------------------------------------
@@ -183,6 +169,12 @@ fn want_arr<'a>(j: &'a Json, k: &str) -> Result<&'a [Json], String> {
     want(j, k)?
         .as_arr()
         .ok_or_else(|| format!("field `{k}` is not an array"))
+}
+
+/// A string field decoded through an enum's `from_label`.
+fn want_label<T>(j: &Json, k: &str, from_label: fn(&str) -> Option<T>) -> Result<T, String> {
+    let label = want_s(j, k)?;
+    from_label(label).ok_or_else(|| format!("unknown {k} `{label}`"))
 }
 
 fn opt_u(j: &Json, k: &str) -> Option<u64> {
@@ -270,24 +262,11 @@ fn slms_json(s: &SlmsConfig) -> Json {
             s.filter.min_arith_per_ref.map(|r| ju(r.to_bits())),
         )
         .field("apply_filter", s.apply_filter)
-        .field(
-            "expansion",
-            match s.expansion {
-                Expansion::Off => "off",
-                Expansion::Mve => "mve",
-                Expansion::ScalarExpand => "scalar",
-            },
-        )
+        .field("expansion", s.expansion.label())
         .field("if_conversion", s.if_conversion)
         .field("max_decompositions", s.max_decompositions)
         .field("allow_symbolic_guard", s.allow_symbolic_guard)
-        .field(
-            "scheduler",
-            match s.scheduler {
-                SchedulerKind::Heuristic => "heuristic",
-                SchedulerKind::Exact => "exact",
-            },
-        )
+        .field("scheduler", s.scheduler.label())
 }
 
 fn decode_slms(j: &Json) -> Result<SlmsConfig, String> {
@@ -297,20 +276,11 @@ fn decode_slms(j: &Json) -> Result<SlmsConfig, String> {
             min_arith_per_ref: opt_u(j, "min_arith_per_ref").map(f64::from_bits),
         },
         apply_filter: want_b(j, "apply_filter")?,
-        expansion: match want_s(j, "expansion")? {
-            "off" => Expansion::Off,
-            "mve" => Expansion::Mve,
-            "scalar" => Expansion::ScalarExpand,
-            other => return Err(format!("unknown expansion `{other}`")),
-        },
+        expansion: want_label(j, "expansion", Expansion::from_label)?,
         if_conversion: want_b(j, "if_conversion")?,
         max_decompositions: want_usize(j, "max_decompositions")?,
         allow_symbolic_guard: want_b(j, "allow_symbolic_guard")?,
-        scheduler: match want_s(j, "scheduler")? {
-            "heuristic" => SchedulerKind::Heuristic,
-            "exact" => SchedulerKind::Exact,
-            other => return Err(format!("unknown scheduler `{other}`")),
-        },
+        scheduler: want_label(j, "scheduler", SchedulerKind::from_label)?,
     })
 }
 
@@ -338,7 +308,7 @@ fn init_json(cfg: &BatchConfig, threads: Option<usize>, ctx: Option<TraceCtx>) -
                     .map(|w| {
                         Json::obj()
                             .field("name", w.name)
-                            .field("suite", w.suite.to_string())
+                            .field("suite", w.suite.label())
                             .field("source", w.source)
                     })
                     .collect(),
@@ -357,17 +327,6 @@ fn init_json(cfg: &BatchConfig, threads: Option<usize>, ctx: Option<TraceCtx>) -
                     .collect(),
             ),
         )
-}
-
-fn decode_suite(label: &str) -> Result<Suite, String> {
-    Ok(match label {
-        "livermore" => Suite::Livermore,
-        "linpack" => Suite::Linpack,
-        "nas" => Suite::Nas,
-        "stone" => Suite::Stone,
-        "paper" => Suite::Paper,
-        other => return Err(format!("unknown suite `{other}`")),
-    })
 }
 
 fn decode_init(j: &Json) -> Result<(BatchConfig, Option<usize>, Option<TraceCtx>), String> {
@@ -391,7 +350,7 @@ fn decode_init(j: &Json) -> Result<(BatchConfig, Option<usize>, Option<TraceCtx>
         // them is bounded and buys us the unmodified Workload type.
         workloads.push(Workload {
             name: Box::leak(want_s(w, "name")?.to_string().into_boxed_str()),
-            suite: decode_suite(want_s(w, "suite")?)?,
+            suite: want_label(w, "suite", Suite::from_label)?,
             source: Box::leak(want_s(w, "source")?.to_string().into_boxed_str()),
         });
     }
@@ -401,12 +360,12 @@ fn decode_init(j: &Json) -> Result<(BatchConfig, Option<usize>, Option<TraceCtx>
     }
     let mut compilers = Vec::new();
     for c in want_arr(j, "compilers")? {
-        compilers.push(match c.as_str() {
-            Some("weak") => CompilerKind::Weak,
-            Some("opt") => CompilerKind::Optimizing,
-            Some("ms") => CompilerKind::OptimizingMs,
-            other => return Err(format!("unknown compiler label {other:?}")),
-        });
+        let label = c.as_str();
+        compilers.push(
+            label
+                .and_then(CompilerKind::from_label)
+                .ok_or_else(|| format!("unknown compiler label {label:?}"))?,
+        );
     }
     let plan_text = want_s(j, "plan")?;
     let plan = PassPlan::parse(plan_text).map_err(|e| format!("bad plan `{plan_text}`: {e}"))?;
@@ -768,30 +727,171 @@ enum Ev {
 struct Slot {
     child: Option<Child>,
     stdin: Option<ChildStdin>,
-    token: usize,
-    alive: bool,
+    /// the thread forwarding the child's stdout lines to the dispatcher
+    reader: Option<JoinHandle<()>>,
     ready: bool,
     poison_next: bool,
     inflight: Option<(usize, usize, Instant)>,
     span: Option<Span>,
-    pending: VecDeque<(usize, usize)>,
-    trim_outstanding: bool,
     chunk_ms: Vec<f64>,
     stats: ShardStats,
-    pass_merged: bool,
-    /// newest flight-recorder tail the worker shipped with a `cells`
+    /// newest flight-recorder tail the worker shipped with a `deltas`
     /// message — becomes `stats.flight` if the shard dies
     last_flight: Option<String>,
 }
 
 impl Slot {
-    fn send(&mut self, line: &str) -> bool {
-        let Some(stdin) = self.stdin.as_mut() else {
-            return false;
+    /// Best effort: a shard whose pipe is gone surfaces as EOF on its
+    /// stdout, and the dispatcher quarantines it there.
+    fn send(&mut self, line: &str) {
+        if let Some(stdin) = self.stdin.as_mut() {
+            let _ = writeln!(stdin, "{line}").and_then(|_| stdin.flush());
+        }
+    }
+
+    fn reap(&mut self) {
+        self.stdin = None;
+        if let Some(mut child) = self.child.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+        // the child's stdout is closed now, so the reader is at EOF
+        if let Some(reader) = self.reader.take() {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// No shard outlives its dispatcher, on error paths too.
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.reap();
+    }
+}
+
+/// Every shard slot ever spawned plus the one queue of unassigned cell
+/// ranges. A replacement shard is appended, so a slot index names one
+/// process for the whole run and late lines from a dead one are ignored.
+struct Fleet<'t> {
+    slots: Vec<Slot>,
+    queue: VecDeque<(usize, usize)>,
+    /// the original fleet size, the divisor of the slicing rule
+    shards: usize,
+    /// end of the highest range handed out so far: a slice below it is
+    /// work taken over from a dead shard
+    handed_out: usize,
+    tracer: &'t Tracer,
+}
+
+impl Fleet<'_> {
+    /// Hand every alive, ready and idle shard its next slice.
+    fn dispatch(&mut self) {
+        for (s, slot) in self.slots.iter_mut().enumerate() {
+            if !slot.stats.alive || !slot.ready || slot.inflight.is_some() {
+                continue;
+            }
+            let Some((lo, hi)) = next_slice(&mut self.queue, self.shards) else {
+                return;
+            };
+            if lo < self.handed_out {
+                slot.stats.steals_received += 1;
+            }
+            self.handed_out = self.handed_out.max(hi);
+            let tracer = self.tracer;
+            if tracer.is_enabled() {
+                tracer.set_process_track(s as u32 + 2, &format!("shard-{s}"));
+                let mut span = tracer.span_dyn("shard", || format!("cells {lo}..{hi}"));
+                span.arg("shard", s);
+                span.arg("cells", hi - lo);
+                tracer.set_process_track(1, "slc");
+                slot.span = Some(span);
+            }
+            slot.inflight = Some((lo, hi, Instant::now()));
+            slot.stats.chunks += 1;
+            if std::mem::take(&mut slot.poison_next) {
+                // fault injection: an unparseable line in place of the
+                // range; the shard must exit(4), which surfaces as EOF
+                slot.send("{\"type\":");
+            } else {
+                let run = Json::obj()
+                    .field("type", "run")
+                    .field("lo", lo)
+                    .field("hi", hi);
+                slot.send(&run.to_string());
+            }
+        }
+    }
+
+    /// Quarantine shard `s`: its last flight tail becomes its black box,
+    /// the process is reaped, and its in-flight range (none of which was
+    /// reported — a range's cells come back in one message) returns to the
+    /// front of the queue.
+    fn kill(&mut self, s: usize) {
+        let slot = &mut self.slots[s];
+        slot.stats.alive = false;
+        slot.stats.flight = slot.last_flight.take();
+        slot.span = None;
+        slot.reap();
+        if let Some((lo, hi, _)) = slot.inflight.take() {
+            self.queue.push_front((lo, hi));
+        }
+    }
+}
+
+type Outcome = (Result<CellMetrics, String>, CellKeys);
+
+/// Record a `cells` message, which must answer the shard's in-flight range
+/// exactly, in order, and closes it. Returns the number of cells recorded,
+/// or `None` on a protocol fault.
+fn close_range(msg: &Json, slot: &mut Slot, results: &mut [Option<Outcome>]) -> Option<usize> {
+    let (lo, hi, t_disp) = slot.inflight?;
+    let cells = want_arr(msg, "cells")
+        .ok()?
+        .iter()
+        .map(decode_cell)
+        .collect::<Result<Vec<_>, _>>()
+        .ok()?;
+    if cells.len() != hi - lo || cells.iter().zip(lo..hi).any(|(c, i)| c.0 != i) {
+        return None;
+    }
+    for (i, outcome, keys) in cells {
+        results[i] = Some((outcome, keys));
+    }
+    slot.inflight = None;
+    slot.span = None;
+    slot.chunk_ms.push(t_disp.elapsed().as_secs_f64() * 1e3);
+    slot.stats.cells += (hi - lo) as u64;
+    Some(hi - lo)
+}
+
+/// Merge a `deltas` message: per-key counter deltas (first writer wins —
+/// two shards that missed one key computed the same delta) and verify
+/// verdicts.
+fn absorb_deltas(
+    msg: &Json,
+    delta_map: &mut BTreeMap<(u8, u64), CounterRegistry>,
+    verify_map: &mut BTreeMap<String, VerifySummary>,
+) {
+    for e in want_arr(msg, "entries").unwrap_or_default() {
+        let (Ok(stage), Ok(key), Ok(counters)) =
+            (want_u(e, "stage"), want_u(e, "key"), want(e, "counters"))
+        else {
+            continue;
         };
-        writeln!(stdin, "{line}")
-            .and_then(|_| stdin.flush())
-            .is_ok()
+        delta_map.entry((stage as u8, key)).or_insert_with(|| {
+            let mut reg = CounterRegistry::new();
+            for (name, v) in counters.as_obj().unwrap_or_default() {
+                if let Some(x) = v.as_i64() {
+                    reg.add(name, x as u64);
+                }
+            }
+            reg
+        });
+    }
+    for v in want_arr(msg, "verify").unwrap_or_default() {
+        if let Ok(sum) = decode_verify(v) {
+            verify_map.entry(sum.workload.clone()).or_insert(sum);
+        }
     }
 }
 
@@ -820,9 +920,6 @@ pub fn run_sharded(
             "batch-shard".into(),
         ],
     };
-    let chunk = opts
-        .chunk
-        .unwrap_or_else(|| n.div_ceil(opts.shards.max(1) * 4).max(1));
     // bind (or mint) the trace context so every worker's spans share one
     // trace id with the dispatcher's
     let ctx = if tracer.is_enabled() {
@@ -841,30 +938,19 @@ pub fn run_sharded(
     let t0 = Instant::now();
 
     let (tx, rx) = mpsc::channel::<(usize, Ev)>();
-    let mut next_token = 0usize;
-    let mut token_slot: HashMap<usize, usize> = HashMap::new();
-    let mut slots: Vec<Slot> = Vec::with_capacity(opts.shards);
-
-    let spawn = |slot_idx: usize,
-                 token: usize,
-                 first_spawn: bool,
-                 tx: &mpsc::Sender<(usize, Ev)>|
-     -> Result<(Child, ChildStdin), String> {
+    let spawn = |s: usize| -> Result<Slot, String> {
         let mut c = Command::new(&cmd[0]);
         c.args(&cmd[1..]);
-        if first_spawn {
-            for (idx, fault) in &opts.faults {
-                if *idx == slot_idx {
-                    match fault {
-                        ShardFault::KillAfterCells(k) => {
-                            c.arg("--fail-after").arg(k.to_string());
-                        }
-                        ShardFault::GarbageFromShard(k) => {
-                            c.arg("--garbage-after").arg(k.to_string());
-                        }
-                        ShardFault::GarbageToShard => {}
-                    }
+        let faults = opts.faults.iter().filter(|(idx, _)| *idx == s);
+        for (_, fault) in faults.clone() {
+            match fault {
+                ShardFault::KillAfterCells(k) => {
+                    c.arg("--fail-after").arg(k.to_string());
                 }
+                ShardFault::GarbageFromShard(k) => {
+                    c.arg("--garbage-after").arg(k.to_string());
+                }
+                ShardFault::GarbageToShard => {}
             }
         }
         let mut child = c
@@ -872,207 +958,58 @@ pub fn run_sharded(
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
-            .map_err(|e| format!("spawning shard {slot_idx} ({}): {e}", cmd[0]))?;
-        let stdin = child.stdin.take().expect("piped stdin");
+            .map_err(|e| format!("spawning shard {s} ({}): {e}", cmd[0]))?;
+        let stdin = child.stdin.take();
         let stdout = child.stdout.take().expect("piped stdout");
         let tx = tx.clone();
-        std::thread::spawn(move || {
-            let reader = BufReader::new(stdout);
-            for line in reader.lines() {
-                match line {
-                    Ok(l) => {
-                        if tx.send((token, Ev::Line(l))).is_err() {
-                            return;
-                        }
-                    }
-                    Err(_) => break,
+        let reader = std::thread::spawn(move || {
+            for line in BufReader::new(stdout).lines() {
+                let Ok(l) = line else { break };
+                if tx.send((s, Ev::Line(l))).is_err() {
+                    return;
                 }
             }
-            let _ = tx.send((token, Ev::Eof));
+            let _ = tx.send((s, Ev::Eof));
         });
-        Ok((child, stdin))
-    };
-
-    for (s, (lo, hi)) in partition(n, opts.shards).into_iter().enumerate() {
-        let token = next_token;
-        next_token += 1;
-        let (child, stdin) = spawn(s, token, true, &tx)?;
-        token_slot.insert(token, s);
         let mut slot = Slot {
             child: Some(child),
-            stdin: Some(stdin),
-            token,
-            alive: true,
+            stdin,
+            reader: Some(reader),
             ready: false,
-            poison_next: opts
-                .faults
-                .iter()
-                .any(|(idx, f)| *idx == s && *f == ShardFault::GarbageToShard),
+            poison_next: faults
+                .clone()
+                .any(|(_, f)| *f == ShardFault::GarbageToShard),
             inflight: None,
             span: None,
-            pending: chunk_ranges(lo, hi, chunk).into(),
-            trim_outstanding: false,
             chunk_ms: Vec::new(),
             stats: ShardStats {
                 shard: s,
                 alive: true,
                 ..ShardStats::default()
             },
-            pass_merged: false,
             last_flight: None,
         };
-        if !slot.send(&init_line) {
-            slot.alive = false;
-            slot.stats.alive = false;
-        }
-        slots.push(slot);
-    }
+        slot.send(&init_line);
+        Ok(slot)
+    };
 
-    let mut results: Vec<Option<(Result<CellMetrics, String>, CellKeys)>> = vec![None; n];
+    let mut fleet = Fleet {
+        slots: (0..opts.shards).map(&spawn).collect::<Result<_, _>>()?,
+        queue: VecDeque::from([(0, n)]),
+        shards: opts.shards,
+        handed_out: 0,
+        tracer,
+    };
+    let mut results: Vec<Option<Outcome>> = vec![None; n];
     let mut done_cells = 0usize;
-    let mut spare: VecDeque<(usize, usize)> = VecDeque::new();
     let mut delta_map: BTreeMap<(u8, u64), CounterRegistry> = BTreeMap::new();
     let mut verify_map: BTreeMap<String, VerifySummary> = BTreeMap::new();
-    let mut pass_map: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     let mut respawns_left = 2 * opts.shards;
-    let mut to_kill: Vec<usize> = Vec::new();
-
-    fn remaining_of(
-        slot: &Slot,
-        results: &[Option<(Result<CellMetrics, String>, CellKeys)>],
-    ) -> usize {
-        match slot.inflight {
-            None => 0,
-            Some((lo, hi, _)) => (lo..hi).filter(|&i| results[i].is_none()).count(),
-        }
-    }
-
-    // Hand the next range to an idle shard: its own deque first, then the
-    // spare pool, then a whole-chunk steal from the longest peer deque,
-    // and as a last resort a trim request to the busiest in-flight peer.
-    fn dispatch(
-        slots: &mut [Slot],
-        spare: &mut VecDeque<(usize, usize)>,
-        results: &[Option<(Result<CellMetrics, String>, CellKeys)>],
-        tracer: &Tracer,
-        s: usize,
-        dead: &mut Vec<usize>,
-    ) {
-        if !slots[s].alive || !slots[s].ready || slots[s].inflight.is_some() {
-            return;
-        }
-        if slots[s].poison_next {
-            slots[s].poison_next = false;
-            // fault injection: feed the shard one unparseable line; it must
-            // exit(4), which surfaces as EOF and triggers reassignment
-            if !slots[s].send("{\"type\":") {
-                dead.push(s);
-                return;
-            }
-        }
-        let range = if let Some(r) = slots[s].pending.pop_front() {
-            Some(r)
-        } else if let Some(r) = spare.pop_front() {
-            slots[s].stats.steals_received += 1;
-            Some(r)
-        } else {
-            let victim = (0..slots.len())
-                .filter(|&t| t != s && !slots[t].pending.is_empty())
-                .max_by_key(|&t| slots[t].pending.len());
-            match victim {
-                Some(t) => {
-                    let r = slots[t].pending.pop_back().expect("non-empty deque");
-                    slots[t].stats.steals_donated += 1;
-                    slots[s].stats.steals_received += 1;
-                    Some(r)
-                }
-                None => None,
-            }
-        };
-        let Some((lo, hi)) = range else {
-            // nothing queued anywhere: ask the busiest in-flight peer to
-            // give back the untouched half of its range
-            let busiest = (0..slots.len())
-                .filter(|&t| {
-                    t != s
-                        && slots[t].alive
-                        && slots[t].inflight.is_some()
-                        && !slots[t].trim_outstanding
-                })
-                .max_by_key(|&t| remaining_of(&slots[t], results));
-            if let Some(t) = busiest {
-                if remaining_of(&slots[t], results) >= 4 {
-                    if slots[t].send("{\"type\":\"trim\"}") {
-                        slots[t].trim_outstanding = true;
-                    } else {
-                        dead.push(t);
-                    }
-                }
-            }
-            return;
-        };
-        let line = Json::obj()
-            .field("type", "run")
-            .field("lo", lo)
-            .field("hi", hi)
-            .to_string();
-        if !slots[s].send(&line) {
-            spare.push_front((lo, hi));
-            dead.push(s);
-            return;
-        }
-        if tracer.is_enabled() {
-            tracer.set_process_track(s as u32 + 2, &format!("shard-{s}"));
-            let mut span = tracer.span_dyn("shard", || format!("cells {lo}..{hi}"));
-            span.arg("shard", s);
-            span.arg("cells", hi - lo);
-            tracer.set_process_track(1, "slc");
-            slots[s].span = Some(span);
-        }
-        slots[s].inflight = Some((lo, hi, Instant::now()));
-        slots[s].stats.chunks += 1;
-    }
-
-    fn handle_death(
-        slots: &mut [Slot],
-        spare: &mut VecDeque<(usize, usize)>,
-        results: &[Option<(Result<CellMetrics, String>, CellKeys)>],
-        s: usize,
-    ) {
-        if !slots[s].alive {
-            return;
-        }
-        slots[s].alive = false;
-        slots[s].stats.alive = false;
-        // quarantine capture: preserve the dead worker's last flight ring
-        // (shipped with its final `cells` message) in the timing sidecar
-        slots[s].stats.flight = slots[s].last_flight.take();
-        slots[s].span = None;
-        slots[s].stdin = None;
-        if let Some(mut child) = slots[s].child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-        // cells stream back front-to-back, so the unreceived remainder of
-        // the in-flight range starts at the first missing index
-        if let Some((lo, hi, _)) = slots[s].inflight.take() {
-            if let Some(f) = (lo..hi).find(|&i| results[i].is_none()) {
-                spare.push_back((f, hi));
-            }
-        }
-        while let Some(r) = slots[s].pending.pop_front() {
-            spare.push_back(r);
-        }
-    }
 
     while done_cells < n {
-        // deaths noticed while dispatching (broken pipes)
-        while let Some(s) = to_kill.pop() {
-            handle_death(&mut slots, &mut spare, &results, s);
-        }
-        if !slots.iter().any(|sl| sl.alive) {
-            // every shard is gone with work outstanding: spawn a recovery
-            // shard (without fault injections) or give up
+        if !fleet.slots.iter().any(|sl| sl.stats.alive) {
+            // every shard is gone with work outstanding: append a recovery
+            // shard or give up
             if respawns_left == 0 {
                 return Err(format!(
                     "all shards died with {} of {n} cells outstanding",
@@ -1080,191 +1017,76 @@ pub fn run_sharded(
                 ));
             }
             respawns_left -= 1;
-            let s = 0;
-            let token = next_token;
-            next_token += 1;
-            let (child, stdin) = spawn(s, token, false, &tx)?;
-            token_slot.insert(token, s);
-            slots[s].child = Some(child);
-            slots[s].stdin = Some(stdin);
-            slots[s].token = token;
-            slots[s].alive = true;
-            slots[s].stats.alive = true;
-            slots[s].ready = false;
-            slots[s].trim_outstanding = false;
-            if !slots[s].send(&init_line) {
-                handle_death(&mut slots, &mut spare, &results, s);
-                continue;
-            }
+            let replacement = spawn(fleet.slots.len())?;
+            fleet.slots.push(replacement);
         }
-        let (token, ev) = match rx.recv_timeout(Duration::from_secs(120)) {
-            Ok(e) => e,
-            Err(_) => return Err("shard dispatcher stalled waiting for worker output".into()),
-        };
-        let Some(&s) = token_slot.get(&token) else {
-            continue;
-        };
-        if token != slots[s].token || !slots[s].alive {
-            continue; // stale generation or already-dead shard
+        let (s, ev) = rx
+            .recv_timeout(Duration::from_secs(120))
+            .map_err(|_| "shard dispatcher stalled waiting for worker output".to_string())?;
+        if !fleet.slots[s].stats.alive {
+            continue; // a quarantined shard's late output
         }
-        let line = match ev {
-            Ev::Eof => {
-                handle_death(&mut slots, &mut spare, &results, s);
-                for t in 0..slots.len() {
-                    dispatch(&mut slots, &mut spare, &results, tracer, t, &mut to_kill);
-                }
-                continue;
-            }
-            Ev::Line(l) => l,
+        // EOF or a malformed line quarantines the shard
+        let msg = match ev {
+            Ev::Line(l) => Json::parse(&l).ok(),
+            Ev::Eof => None,
         };
-        let msg = match Json::parse(&line) {
-            Ok(j) => j,
-            Err(_) => {
-                // malformed shard output: quarantine the shard, reassign
-                handle_death(&mut slots, &mut spare, &results, s);
-                for t in 0..slots.len() {
-                    dispatch(&mut slots, &mut spare, &results, tracer, t, &mut to_kill);
-                }
-                continue;
-            }
-        };
-        match msg_type(&msg) {
+        let healthy = msg.is_some_and(|msg| match msg_type(&msg) {
             "ready" => {
-                slots[s].ready = true;
-                dispatch(&mut slots, &mut spare, &results, tracer, s, &mut to_kill);
+                fleet.slots[s].ready = true;
+                true
             }
             "deltas" => {
-                if let Ok(entries) = want_arr(&msg, "entries") {
-                    for e in entries {
-                        let (Ok(stage), Ok(key), Ok(counters)) =
-                            (want_u(e, "stage"), want_u(e, "key"), want(e, "counters"))
-                        else {
-                            continue;
-                        };
-                        delta_map.entry((stage as u8, key)).or_insert_with(|| {
-                            let mut reg = CounterRegistry::new();
-                            if let Some(members) = counters.as_obj() {
-                                for (name, v) in members {
-                                    if let Some(x) = v.as_i64() {
-                                        reg.add(name, x as u64);
-                                    }
-                                }
-                            }
-                            reg
-                        });
-                    }
-                }
-                if let Ok(vs) = want_arr(&msg, "verify") {
-                    for v in vs {
-                        if let Ok(sum) = decode_verify(v) {
-                            verify_map.entry(sum.workload.clone()).or_insert(sum);
-                        }
-                    }
-                }
-            }
-            "cells" => {
+                absorb_deltas(&msg, &mut delta_map, &mut verify_map);
                 if let Some(f) = msg.get("flight").and_then(Json::as_str) {
-                    slots[s].last_flight = Some(f.to_string());
+                    fleet.slots[s].last_flight = Some(f.to_string());
                 }
-                if let Ok(arr) = want_arr(&msg, "cells") {
-                    for c in arr {
-                        match decode_cell(c) {
-                            Ok((idx, outcome, keys)) if idx < n => {
-                                if results[idx].is_none() {
-                                    results[idx] = Some((outcome, keys));
-                                    done_cells += 1;
-                                    slots[s].stats.cells += 1;
-                                }
-                            }
-                            _ => {
-                                handle_death(&mut slots, &mut spare, &results, s);
-                                break;
-                            }
-                        }
-                    }
-                }
+                true
             }
-            "done" => {
-                if let Some((_, _, t_disp)) = slots[s].inflight.take() {
-                    slots[s].chunk_ms.push(t_disp.elapsed().as_secs_f64() * 1e3);
+            "cells" => match close_range(&msg, &mut fleet.slots[s], &mut results) {
+                Some(k) => {
+                    done_cells += k;
+                    true
                 }
-                slots[s].span = None;
-                slots[s].trim_outstanding = false;
-                dispatch(&mut slots, &mut spare, &results, tracer, s, &mut to_kill);
-            }
-            "trimmed" => {
-                slots[s].trim_outstanding = false;
-                let (lo, hi) = (
-                    opt_u(&msg, "lo").unwrap_or(0) as usize,
-                    opt_u(&msg, "hi").unwrap_or(0) as usize,
-                );
-                if hi > lo {
-                    if let Some((ilo, _, t_disp)) = slots[s].inflight {
-                        slots[s].inflight = Some((ilo, lo, t_disp));
-                    }
-                    slots[s].stats.steals_donated += 1;
-                    spare.push_back((lo, hi));
-                    for t in 0..slots.len() {
-                        dispatch(&mut slots, &mut spare, &results, tracer, t, &mut to_kill);
-                    }
-                }
-            }
-            _ => {}
+                None => false,
+            },
+            _ => true,
+        });
+        if !healthy {
+            fleet.kill(s);
         }
+        fleet.dispatch();
     }
     let wall_ns = t0.elapsed().as_nanos() as u64;
     drop(batch_span);
 
     // graceful shutdown: collect per-shard wall-clock stats
-    for s in 0..slots.len() {
-        if slots[s].alive && !slots[s].send("{\"type\":\"shutdown\"}") {
-            handle_death(&mut slots, &mut spare, &results, s);
-        }
+    let mut slots = fleet.slots;
+    let mut awaiting: BTreeSet<usize> =
+        (0..slots.len()).filter(|&s| slots[s].stats.alive).collect();
+    for &s in &awaiting {
+        slots[s].send("{\"type\":\"shutdown\"}");
     }
-    let mut awaiting: BTreeSet<usize> = (0..slots.len()).filter(|&s| slots[s].alive).collect();
+    let mut pass_map: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     while !awaiting.is_empty() {
-        let (token, ev) = match rx.recv_timeout(Duration::from_secs(30)) {
-            Ok(e) => e,
-            Err(_) => break,
+        let Ok((s, ev)) = rx.recv_timeout(Duration::from_secs(30)) else {
+            break;
         };
-        let Some(&s) = token_slot.get(&token) else {
+        let Ev::Line(l) = ev else {
+            awaiting.remove(&s);
             continue;
         };
-        if token != slots[s].token {
-            continue;
-        }
-        match ev {
-            Ev::Eof => {
-                awaiting.remove(&s);
-            }
-            Ev::Line(l) => {
-                if let Ok(msg) = Json::parse(&l) {
-                    if msg_type(&msg) == "stats" {
-                        apply_stats(&mut slots[s], &msg, &mut pass_map);
-                        // merge the worker's span dump into the one
-                        // timeline: its spans land under this shard's
-                        // synthetic process, tids shifted past the
-                        // dispatcher's own tid-0 chunk row
-                        if let Some(dump) = msg.get("span_dump").and_then(Json::as_str) {
-                            let _ = tracer.import_process_dump(
-                                dump,
-                                s as u32 + 2,
-                                &format!("shard-{s}"),
-                            );
-                        }
-                    }
-                }
+        let Ok(msg) = Json::parse(&l) else { continue };
+        if msg_type(&msg) == "stats" && awaiting.remove(&s) {
+            apply_stats(&mut slots[s].stats, &msg, &mut pass_map);
+            // merge the worker's span dump into the one timeline: its
+            // spans land under this shard's synthetic process, tids
+            // shifted past the dispatcher's own tid-0 range row
+            if let Some(dump) = msg.get("span_dump").and_then(Json::as_str) {
+                let _ = tracer.import_process_dump(dump, s as u32 + 2, &format!("shard-{s}"));
             }
         }
     }
-    for slot in &mut slots {
-        slot.stdin = None;
-        if let Some(mut child) = slot.child.take() {
-            let _ = child.kill();
-            let _ = child.wait();
-        }
-    }
-
     // reduce
     let mut out_cells = Vec::with_capacity(n);
     let mut keyed = Vec::with_capacity(n);
@@ -1333,9 +1155,9 @@ fn decode_verify(j: &Json) -> Result<VerifySummary, String> {
     })
 }
 
-fn apply_stats(slot: &mut Slot, msg: &Json, pass_map: &mut BTreeMap<String, (u64, u64)>) {
+fn apply_stats(stats: &mut ShardStats, msg: &Json, pass_map: &mut BTreeMap<String, (u64, u64)>) {
     if let Ok(ws) = want_arr(msg, "workers") {
-        slot.stats.workers = ws
+        stats.workers = ws
             .iter()
             .filter_map(|w| {
                 Some(WorkerStats {
@@ -1348,7 +1170,7 @@ fn apply_stats(slot: &mut Slot, msg: &Json, pass_map: &mut BTreeMap<String, (u64
             .collect();
     }
     if let Ok(st) = want(msg, "stage") {
-        slot.stats.stage = StageNs {
+        stats.stage = StageNs {
             parse: opt_u(st, "parse").unwrap_or(0),
             slms: opt_u(st, "slms").unwrap_or(0),
             lower: opt_u(st, "lower").unwrap_or(0),
@@ -1356,19 +1178,14 @@ fn apply_stats(slot: &mut Slot, msg: &Json, pass_map: &mut BTreeMap<String, (u64
             sim: opt_u(st, "sim").unwrap_or(0),
         };
     }
-    slot.stats.cpu_ms = opt_u(msg, "cpu").unwrap_or(0) as f64 / 1e6;
-    if !slot.pass_merged {
-        if let Ok(ps) = want_arr(msg, "passes") {
-            for p in ps {
-                if let (Ok(name), Some(ns), Some(runs)) =
-                    (want_s(p, "pass"), opt_u(p, "ns"), opt_u(p, "runs"))
-                {
-                    let e = pass_map.entry(name.to_string()).or_insert((0, 0));
-                    e.0 += ns;
-                    e.1 += runs;
-                }
-            }
-            slot.pass_merged = true;
+    stats.cpu_ms = opt_u(msg, "cpu").unwrap_or(0) as f64 / 1e6;
+    for p in want_arr(msg, "passes").unwrap_or_default() {
+        if let (Ok(name), Some(ns), Some(runs)) =
+            (want_s(p, "pass"), opt_u(p, "ns"), opt_u(p, "runs"))
+        {
+            let e = pass_map.entry(name.to_string()).or_insert((0, 0));
+            e.0 += ns;
+            e.1 += runs;
         }
     }
 }
@@ -1390,7 +1207,6 @@ struct WorkerState {
     workers: BTreeMap<usize, WorkerStats>,
     evaluated: u64,
     verify_sent: BTreeSet<String>,
-    garbage_done: bool,
     /// enabled (and bound to the dispatcher's trace context) when the init
     /// message carried trace fields; its span dump rides the shutdown
     /// stats reply back to the dispatcher
@@ -1398,6 +1214,29 @@ struct WorkerState {
 }
 
 impl WorkerState {
+    fn new(cfg: BatchConfig, threads: Option<usize>, ctx: Option<TraceCtx>) -> WorkerState {
+        let svc = CompileService::new();
+        svc.enable_attribution();
+        let tracer = match ctx {
+            Some(c) => {
+                let t = Tracer::enabled();
+                t.set_ctx(c);
+                t
+            }
+            None => Tracer::disabled(),
+        };
+        WorkerState {
+            svc,
+            cells: enumerate_matrix(cfg.workloads.len(), cfg.machines.len(), cfg.compilers.len()),
+            threads: effective_threads(threads, usize::MAX / 2),
+            cfg,
+            workers: BTreeMap::new(),
+            evaluated: 0,
+            verify_sent: BTreeSet::new(),
+            tracer,
+        }
+    }
+
     fn stats_reply(&self) -> Json {
         let workers: Vec<WorkerStats> = self.workers.values().cloned().collect();
         stats_json(
@@ -1408,13 +1247,12 @@ impl WorkerState {
             self.tracer.export_process_dump("shard-worker"),
         )
     }
-}
 
-impl WorkerState {
-    /// Ship pending counter deltas (and any newly recorded verify
-    /// verdicts) *before* the cells they explain, so the dispatcher never
-    /// holds a reported cell whose deltas died with this process.
-    fn flush_deltas(&mut self) -> bool {
+    /// The counter deltas and newly recorded verify verdicts of the range
+    /// just evaluated, plus a bounded flight-recorder tail: the dispatcher
+    /// keeps only the newest, and if this process dies (abort, OOM-kill)
+    /// that snapshot is its black box.
+    fn deltas_reply(&mut self) -> Json {
         let entries = self.svc.take_attribution();
         let mut fresh = Vec::new();
         for v in self.svc.verify_summaries() {
@@ -1422,10 +1260,7 @@ impl WorkerState {
                 fresh.push(v);
             }
         }
-        if entries.is_empty() && fresh.is_empty() {
-            return true;
-        }
-        emit(&deltas_json(&entries, &fresh))
+        deltas_json(&entries, &fresh).field("flight", FlightRecorder::global().dump_jsonl_tail(64))
     }
 }
 
@@ -1433,93 +1268,38 @@ impl WorkerState {
 /// stdin/stdout until the dispatcher shuts us down or the pipe closes.
 /// Returns the process exit code (0 = clean, 4 = malformed input line).
 /// The fault hooks drive the degradation tests: `fail_after` aborts the
-/// process after that many cells, `garbage_after` prints one unparseable
-/// stdout line after that many cells.
+/// process once that many cells are evaluated, `garbage_after` then prints
+/// one unparseable stdout line.
 pub fn shard_worker(fail_after: Option<u64>, garbage_after: Option<u64>) -> i32 {
     // a panicking worker leaves its flight ring on stderr (the dispatcher
-    // inherits it), in addition to the tails shipped with cells messages
+    // inherits it), in addition to the tails shipped with deltas messages
     slc_trace::install_panic_hook();
-    let (tx, rx) = mpsc::channel::<Result<Json, String>>();
-    std::thread::spawn(move || {
-        let stdin = std::io::stdin();
-        for line in stdin.lock().lines() {
-            let Ok(line) = line else { break };
-            if line.trim().is_empty() {
-                continue;
-            }
-            if tx
-                .send(Json::parse(&line).map_err(|e| e.to_string()))
-                .is_err()
-            {
-                return;
-            }
-        }
-        // EOF: channel closes when tx drops
-    });
     let mut state: Option<WorkerState> = None;
-    loop {
-        let msg = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => return 0, // parent closed the pipe
-        };
-        let msg = match msg {
-            Ok(j) => j,
-            Err(_) => return 4, // malformed dispatcher line
+    for line in std::io::stdin().lock().lines() {
+        let Ok(line) = line else { break };
+        if line.trim().is_empty() {
+            continue;
+        }
+        let Ok(msg) = Json::parse(&line) else {
+            return 4; // malformed dispatcher line
         };
         match msg_type(&msg) {
-            "init" => match decode_init(&msg) {
-                Ok((cfg, threads, ctx)) => {
-                    let svc = CompileService::new();
-                    svc.enable_attribution();
-                    let cells = enumerate_matrix(
-                        cfg.workloads.len(),
-                        cfg.machines.len(),
-                        cfg.compilers.len(),
-                    );
-                    let tracer = match ctx {
-                        Some(c) => {
-                            let t = Tracer::enabled();
-                            t.set_ctx(c);
-                            t
-                        }
-                        None => Tracer::disabled(),
-                    };
-                    state = Some(WorkerState {
-                        svc,
-                        threads: effective_threads(threads, usize::MAX / 2),
-                        cfg,
-                        cells,
-                        workers: BTreeMap::new(),
-                        evaluated: 0,
-                        verify_sent: BTreeSet::new(),
-                        garbage_done: false,
-                        tracer,
-                    });
-                    if !emit(&Json::obj().field("type", "ready")) {
-                        return 0;
-                    }
+            "init" => {
+                let Ok((cfg, threads, ctx)) = decode_init(&msg) else {
+                    return 4;
+                };
+                state = Some(WorkerState::new(cfg, threads, ctx));
+                if !emit(&Json::obj().field("type", "ready")) {
+                    return 0;
                 }
-                Err(_) => return 4,
-            },
+            }
             "run" => {
                 let (Some(st), Some(lo), Some(hi)) =
                     (state.as_mut(), opt_u(&msg, "lo"), opt_u(&msg, "hi"))
                 else {
                     return 4;
                 };
-                if let Some(code) =
-                    run_range(st, lo as usize, hi as usize, &rx, fail_after, garbage_after)
-                {
-                    return code;
-                }
-            }
-            "trim" => {
-                // no range in flight: nothing to give back
-                let reply = Json::obj()
-                    .field("type", "trimmed")
-                    .field("lo", 0u64)
-                    .field("hi", 0u64);
-                if !emit(&reply) {
+                if !run_range(st, lo as usize, hi as usize, fail_after, garbage_after) {
                     return 0;
                 }
             }
@@ -1532,134 +1312,75 @@ pub fn shard_worker(fail_after: Option<u64>, garbage_after: Option<u64>) -> i32 
             _ => {}
         }
     }
+    0 // parent closed the pipe
 }
 
-/// Evaluate `lo..hi` in sub-batches of `threads` cells, flushing deltas
-/// then cells after each sub-batch and answering trim requests at
-/// sub-batch boundaries. Returns `Some(exit_code)` on a fatal condition.
+/// Evaluate `lo..hi` in one parallel map, then reply with the range's
+/// `deltas` followed by one `cells` message that closes it. Returns false
+/// once the dispatcher's pipe is gone.
 fn run_range(
     st: &mut WorkerState,
     lo: usize,
     hi: usize,
-    rx: &mpsc::Receiver<Result<Json, String>>,
     fail_after: Option<u64>,
     garbage_after: Option<u64>,
-) -> Option<i32> {
-    let mut cur = lo;
-    let mut end = hi.min(st.cells.len());
-    loop {
-        // control poll between sub-batches
-        while let Ok(m) = rx.try_recv() {
-            let Ok(msg) = m else { return Some(4) };
-            // the dispatcher may decide the matrix is complete (every cell
-            // reported by someone) while we are still mid-range; honour the
-            // shutdown here or we'd drop it and block forever on the next recv
-            if msg_type(&msg) == "shutdown" {
-                let _ = emit(&st.stats_reply());
-                return Some(0);
-            }
-            if msg_type(&msg) == "trim" {
-                let rem = end - cur;
-                let (give_lo, give_hi) = if rem >= 2 {
-                    let mid = cur + rem.div_ceil(2);
-                    (mid, end)
-                } else {
-                    (0, 0)
-                };
-                if !emit(
-                    &Json::obj()
-                        .field("type", "trimmed")
-                        .field("lo", give_lo)
-                        .field("hi", give_hi),
-                ) {
-                    return Some(0);
-                }
-                if give_hi > give_lo {
-                    end = give_lo;
-                }
-            }
+) -> bool {
+    let hi = hi.min(st.cells.len());
+    let lo = lo.min(hi);
+    let (svc, cfg, cells, tracer) = (&st.svc, &st.cfg, &st.cells, &st.tracer);
+    let (evaluated, wstats) = par_map_indexed_stats(hi - lo, st.threads, |worker, k| {
+        if tracer.is_enabled() {
+            tracer.set_thread_track(worker as u32, &format!("worker {worker}"));
         }
-        if cur >= end {
-            break;
-        }
-        let batch = st.threads.max(1).min(end - cur);
-        let svc = &st.svc;
-        let cfg = &st.cfg;
-        let cells = &st.cells;
-        let tracer = &st.tracer;
-        let (evaluated, wstats) = par_map_indexed_stats(batch, st.threads, |worker, k| {
-            if tracer.is_enabled() {
-                tracer.set_thread_track(worker as u32, &format!("worker {worker}"));
-            }
-            let cell = cells[cur + k];
-            svc.eval_cell_keyed(
-                &CellSpec {
-                    workload: &cfg.workloads[cell.workload],
-                    machine: &cfg.machines[cell.machine],
-                    compiler: cfg.compilers[cell.compiler],
-                    variant: cell.variant,
-                    plan: &cfg.plan,
-                    slms: &cfg.slms,
-                    verify: cfg.verify,
-                },
-                tracer,
-            )
+        let cell = cells[lo + k];
+        svc.eval_cell_keyed(
+            &CellSpec {
+                workload: &cfg.workloads[cell.workload],
+                machine: &cfg.machines[cell.machine],
+                compiler: cfg.compilers[cell.compiler],
+                variant: cell.variant,
+                plan: &cfg.plan,
+                slms: &cfg.slms,
+                verify: cfg.verify,
+            },
+            tracer,
+        )
+    });
+    for w in wstats {
+        let acc = st.workers.entry(w.worker).or_insert(WorkerStats {
+            worker: w.worker,
+            claimed: 0,
+            empty_polls: 0,
+            busy_ns: 0,
         });
-        for w in wstats {
-            let acc = st.workers.entry(w.worker).or_insert(WorkerStats {
-                worker: w.worker,
-                claimed: 0,
-                empty_polls: 0,
-                busy_ns: 0,
-            });
-            acc.claimed += w.claimed;
-            acc.empty_polls += w.empty_polls;
-            acc.busy_ns = acc.busy_ns.saturating_add(w.busy_ns);
-        }
-        st.evaluated += batch as u64;
-        if !st.flush_deltas() {
-            return Some(0);
-        }
-        if let Some(g) = garbage_after {
-            if st.evaluated >= g && !st.garbage_done {
-                st.garbage_done = true;
-                let mut out = std::io::stdout().lock();
-                let _ = writeln!(out, "{{\"type\": garbage");
-                let _ = out.flush();
-            }
-        }
-        let wire: Vec<Json> = evaluated
-            .iter()
-            .enumerate()
-            .map(|(k, (res, keys))| cell_json(cur + k, res, keys))
-            .collect();
-        // every cells message carries a bounded flight-recorder tail: the
-        // dispatcher keeps only the newest, and if this process dies
-        // (abort, OOM-kill) that snapshot is its black box
-        if !emit(
-            &Json::obj()
-                .field("type", "cells")
-                .field("cells", Json::Arr(wire))
-                .field("flight", FlightRecorder::global().dump_jsonl_tail(64)),
-        ) {
-            return Some(0);
-        }
-        if let Some(f) = fail_after {
-            if st.evaluated >= f {
-                std::process::abort();
-            }
-        }
-        cur += batch;
+        acc.claimed += w.claimed;
+        acc.empty_polls += w.empty_polls;
+        acc.busy_ns = acc.busy_ns.saturating_add(w.busy_ns);
     }
-    if !emit(
+    st.evaluated += (hi - lo) as u64;
+    // deltas go out *before* the cells they explain
+    if !emit(&st.deltas_reply()) {
+        return false;
+    }
+    let reached = |limit: Option<u64>| limit.is_some_and(|k| st.evaluated >= k);
+    if reached(garbage_after) {
+        let mut out = std::io::stdout().lock();
+        let _ = writeln!(out, "{{\"type\": garbage");
+        let _ = out.flush();
+    }
+    if reached(fail_after) {
+        std::process::abort();
+    }
+    let wire: Vec<Json> = evaluated
+        .iter()
+        .enumerate()
+        .map(|(k, (res, keys))| cell_json(lo + k, res, keys))
+        .collect();
+    emit(
         &Json::obj()
-            .field("type", "done")
-            .field("lo", lo)
-            .field("hi", end),
-    ) {
-        return Some(0);
-    }
-    None
+            .field("type", "cells")
+            .field("cells", Json::Arr(wire)),
+    )
 }
 
 #[cfg(test)]
@@ -1668,29 +1389,27 @@ mod tests {
     use slc_sim::presets::{arm7tdmi, itanium2, pentium, power4};
 
     #[test]
-    fn partition_covers_and_balances() {
-        for n in [0, 1, 7, 24, 100] {
+    fn guided_slices_cover_in_order_and_shrink() {
+        for n in [0, 1, 7, 24, 1104] {
             for shards in [1, 2, 4, 7] {
-                let parts = partition(n, shards);
-                assert_eq!(parts.len(), shards);
-                assert_eq!(parts[0].0, 0);
-                assert_eq!(parts[shards - 1].1, n);
-                let mut total = 0;
-                for (i, (lo, hi)) in parts.iter().enumerate() {
-                    assert!(lo <= hi);
-                    total += hi - lo;
-                    if i > 0 {
-                        assert_eq!(*lo, parts[i - 1].1, "contiguous");
-                    }
+                let mut queue = VecDeque::from([(0, n)]);
+                let (mut next, mut last) = (0, usize::MAX);
+                while let Some((lo, hi)) = next_slice(&mut queue, shards) {
+                    assert_eq!(lo, next, "n={n} shards={shards}: gap or overlap");
+                    assert!(lo < hi && hi - lo <= last, "n={n} shards={shards}: grew");
+                    (next, last) = (hi, hi - lo);
                 }
-                assert_eq!(total, n);
-                let sizes: Vec<usize> = parts.iter().map(|(l, h)| h - l).collect();
-                let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-                assert!(max - min <= 1, "balanced: {sizes:?}");
+                assert_eq!(next, n, "n={n} shards={shards}: cells left over");
+                assert!(queue.is_empty());
             }
         }
-        assert_eq!(chunk_ranges(3, 11, 3), vec![(3, 6), (6, 9), (9, 11)]);
-        assert_eq!(chunk_ranges(5, 5, 3), vec![]);
+        // a dead shard's returned suffix goes out before any untouched cell
+        let mut queue = VecDeque::from([(0, 100)]);
+        assert_eq!(next_slice(&mut queue, 2), Some((0, 25)));
+        assert_eq!(next_slice(&mut queue, 2), Some((25, 44)));
+        queue.push_front((30, 44));
+        assert_eq!(next_slice(&mut queue, 2), Some((30, 44)));
+        assert_eq!(next_slice(&mut queue, 2), Some((44, 58)));
     }
 
     #[test]

@@ -392,26 +392,13 @@ fn opts_fields(obj: Json, opts: &RequestOpts) -> Json {
         obj = obj.field("passes", p.as_str());
     }
     if let Some(x) = opts.expansion {
-        obj = obj.field(
-            "expansion",
-            match x {
-                Expansion::Mve => "mve",
-                Expansion::ScalarExpand => "scalar",
-                Expansion::Off => "off",
-            },
-        );
+        obj = obj.field("expansion", x.label());
     }
     if !opts.filter {
         obj = obj.field("filter", false);
     }
     if let Some(s) = opts.scheduler {
-        obj = obj.field(
-            "scheduler",
-            match s {
-                SchedulerKind::Heuristic => "heuristic",
-                SchedulerKind::Exact => "exact",
-            },
-        );
+        obj = obj.field("scheduler", s.label());
     }
     if opts.paper_style {
         obj = obj.field("paper_style", true);
@@ -433,12 +420,11 @@ fn parse_opts(obj: &Json) -> Result<RequestOpts, String> {
         opts.passes = Some(p.as_str().ok_or("`passes` must be a string")?.to_string());
     }
     if let Some(x) = obj.get("expansion") {
-        opts.expansion = Some(match x.as_str() {
-            Some("mve") => Expansion::Mve,
-            Some("scalar") => Expansion::ScalarExpand,
-            Some("off") => Expansion::Off,
-            _ => return Err("`expansion` must be mve|scalar|off".to_string()),
-        });
+        opts.expansion = Some(
+            x.as_str()
+                .and_then(Expansion::from_label)
+                .ok_or("`expansion` must be mve|scalar|off")?,
+        );
     }
     if let Some(f) = obj.get("filter") {
         opts.filter = match f {
@@ -447,11 +433,11 @@ fn parse_opts(obj: &Json) -> Result<RequestOpts, String> {
         };
     }
     if let Some(s) = obj.get("scheduler") {
-        opts.scheduler = Some(match s.as_str() {
-            Some("heuristic") => SchedulerKind::Heuristic,
-            Some("exact") => SchedulerKind::Exact,
-            _ => return Err("`scheduler` must be heuristic|exact".to_string()),
-        });
+        opts.scheduler = Some(
+            s.as_str()
+                .and_then(SchedulerKind::from_label)
+                .ok_or("`scheduler` must be heuristic|exact")?,
+        );
     }
     if let Some(p) = obj.get("paper_style") {
         opts.paper_style = match p {

@@ -136,6 +136,9 @@ impl FlightRecorder {
     /// Record one event. Steady state (ring full) overwrites the oldest
     /// slot in place: one clock read, one mutex lock, zero allocations.
     pub fn record(&self, kind: RecKind, name: &'static str, a: u64, b: u64) {
+        let mut ring = self.ring.lock().unwrap();
+        // the clock is read under the lock so that ring order is timestamp
+        // order even when several threads record at once
         let ts_ns = u64::try_from(self.t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let ev = RecEvent {
             ts_ns,
@@ -144,7 +147,6 @@ impl FlightRecorder {
             a,
             b,
         };
-        let mut ring = self.ring.lock().unwrap();
         if ring.buf.len() < self.capacity {
             ring.buf.push(ev);
         } else {
@@ -191,7 +193,7 @@ impl FlightRecorder {
     }
 
     /// Like [`FlightRecorder::dump_jsonl`] but keeping only the newest
-    /// `max` events — what the shard worker ships with each `cells`
+    /// `max` events — what the shard worker ships with each `deltas`
     /// message to bound the wire cost.
     pub fn dump_jsonl_tail(&self, max: usize) -> String {
         let snap = self.snapshot();
@@ -355,6 +357,22 @@ mod tests {
         assert_eq!(seq, vec![6, 7, 8, 9], "oldest-first tail survives");
         // timestamps monotone oldest→newest
         assert!(snap.windows(2).all(|w| w[0].ts_ns <= w[1].ts_ns));
+    }
+
+    #[test]
+    fn concurrent_recording_keeps_timestamps_in_ring_order() {
+        let r = FlightRecorder::new(1 << 16);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let r = &r;
+                s.spawn(move || {
+                    for i in 0..5000 {
+                        r.record(RecKind::Mark, "tick", t, i);
+                    }
+                });
+            }
+        });
+        validate_flight_dump(&r.dump_jsonl()).expect("ring order must be timestamp order");
     }
 
     #[test]

@@ -35,16 +35,34 @@ pub enum Suite {
     Paper,
 }
 
-impl std::fmt::Display for Suite {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
+impl Suite {
+    /// Stable report and wire label.
+    pub fn label(&self) -> &'static str {
+        match self {
             Suite::Livermore => "livermore",
             Suite::Linpack => "linpack",
             Suite::Nas => "nas",
             Suite::Stone => "stone",
             Suite::Paper => "paper",
-        };
-        f.write_str(s)
+        }
+    }
+
+    /// Inverse of [`Suite::label`].
+    pub fn from_label(s: &str) -> Option<Suite> {
+        Some(match s {
+            "livermore" => Suite::Livermore,
+            "linpack" => Suite::Linpack,
+            "nas" => Suite::Nas,
+            "stone" => Suite::Stone,
+            "paper" => Suite::Paper,
+            _ => return None,
+        })
+    }
+}
+
+impl std::fmt::Display for Suite {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
     }
 }
 

@@ -251,29 +251,18 @@ fn parse_machine(flag: &str, got: Option<&str>) -> slc::machine::mach::MachineDe
 }
 
 fn parse_compiler(flag: &str, got: Option<&str>) -> CompilerKind {
-    match got {
-        Some("weak") => CompilerKind::Weak,
-        Some("opt") => CompilerKind::Optimizing,
-        Some("ms") => CompilerKind::OptimizingMs,
-        other => die_invalid(flag, other, COMPILERS),
-    }
+    got.and_then(CompilerKind::from_label)
+        .unwrap_or_else(|| die_invalid(flag, got, COMPILERS))
 }
 
 fn parse_expansion(flag: &str, got: Option<&str>) -> Expansion {
-    match got {
-        Some("mve") => Expansion::Mve,
-        Some("scalar") => Expansion::ScalarExpand,
-        Some("off") => Expansion::Off,
-        other => die_invalid(flag, other, EXPANSIONS),
-    }
+    got.and_then(Expansion::from_label)
+        .unwrap_or_else(|| die_invalid(flag, got, EXPANSIONS))
 }
 
 fn parse_scheduler(flag: &str, got: Option<&str>) -> SchedulerKind {
-    match got {
-        Some("heuristic") => SchedulerKind::Heuristic,
-        Some("exact") => SchedulerKind::Exact,
-        other => die_invalid(flag, other, SCHEDULERS),
-    }
+    got.and_then(SchedulerKind::from_label)
+        .unwrap_or_else(|| die_invalid(flag, got, SCHEDULERS))
 }
 
 fn parse_plan(flag: &str, got: Option<&str>) -> PassPlan {
@@ -1434,7 +1423,6 @@ fn bench_shards_main(mut args: impl Iterator<Item = String>) -> ! {
                     .field("shard", s.shard as u64)
                     .field("cells", s.cells)
                     .field("chunks", s.chunks)
-                    .field("steals_donated", s.steals_donated)
                     .field("steals_received", s.steals_received)
                     .field("chunk_ms_p50", s.chunk_ms_p50)
                     .field("chunk_ms_p99", s.chunk_ms_p99)

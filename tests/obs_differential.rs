@@ -26,7 +26,6 @@ fn opts(shards: usize) -> ShardOptions {
     ShardOptions {
         shards,
         threads_per_shard: Some(1),
-        chunk: None,
         worker_cmd: Some(worker_cmd()),
         faults: Vec::new(),
     }

@@ -23,7 +23,6 @@ fn opts(shards: usize) -> ShardOptions {
     ShardOptions {
         shards,
         threads_per_shard: Some(1),
-        chunk: None,
         worker_cmd: Some(worker_cmd()),
         faults: Vec::new(),
     }
@@ -69,12 +68,14 @@ fn sharded_report_identical_across_shard_counts() {
 }
 
 /// The full paper matrix — the exact configuration behind
-/// BENCH_batch.json — reduces byte-identically at 4 shards.
+/// BENCH_batch.json — reduces byte-identically at 4 shards, and the
+/// in-process report is the checked-in BENCH_batch.json byte for byte.
 #[test]
 fn full_matrix_sharded_identical() {
     let mut cfg = BatchConfig::full_matrix();
     cfg.threads = Some(1);
     let reference = run_batch(&cfg);
+    assert_eq!(reference.to_json(), include_str!("../BENCH_batch.json"));
     let rep = run_with(&cfg, &opts(4));
     assert_eq!(rep.to_json(), reference.to_json());
     assert_eq!(rep.counters_json(), reference.counters_json());
@@ -98,6 +99,39 @@ fn killed_shard_degrades_without_losing_cells() {
         !rep.timing.shards[1].alive,
         "the killed shard must be reported dead in the sidecar"
     );
+    assert!(
+        rep.timing
+            .shards
+            .iter()
+            .any(|s| s.alive && s.steals_received >= 1),
+        "a survivor must take over the killed shard's range"
+    );
+}
+
+/// With a single shard that aborts, the dispatcher appends a fault-free
+/// replacement: the report and counters stay byte-identical, the dead row
+/// keeps its flight dump, and the replacement is a separate live row.
+#[test]
+fn killed_sole_shard_is_replaced_in_a_new_row() {
+    let cfg = small_config();
+    let reference = run_batch(&cfg);
+    let mut o = opts(1);
+    o.faults = vec![(0, ShardFault::KillAfterCells(3))];
+    let rep = run_with(&cfg, &o);
+    assert_eq!(rep.to_json(), reference.to_json());
+    assert_eq!(rep.counters_json(), reference.counters_json());
+    assert_eq!(rep.failed(), 0);
+    let rows = &rep.timing.shards;
+    assert_eq!(rows.len(), 2, "dead row plus one replacement row");
+    assert!(!rows[0].alive);
+    let flight = rows[0]
+        .flight
+        .as_ref()
+        .expect("dead row keeps its flight dump");
+    slc_trace::validate_flight_dump(flight).expect("flight dump must validate");
+    assert!(rows[1].alive && rows[1].flight.is_none());
+    assert_eq!(rows[1].shard, 1);
+    assert!(rows[1].steals_received >= 1);
 }
 
 /// A shard that emits a malformed NDJSON line is treated as dead from
