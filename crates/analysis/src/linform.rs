@@ -75,6 +75,26 @@ impl LinForm {
         }
     }
 
+    /// The constant `self − other` with variable `skip` (if any) dropped
+    /// from both sides, or `None` when that difference mentions a variable.
+    /// Equal to `self.sub(other)` (after `split_var(skip)` on each side)
+    /// followed by `is_const()`/`konst`, but compares terms in place instead
+    /// of building the difference.
+    pub fn const_diff(&self, other: &LinForm, skip: Option<&str>) -> Option<i64> {
+        let kept = |v: &String| Some(v.as_str()) != skip;
+        // a term of `self` survives the subtraction unless `other` cancels
+        // it exactly; a term only in `other` survives unless it is zero
+        let cancels = self
+            .terms
+            .iter()
+            .all(|(v, c)| !kept(v) || other.terms.get(v) == Some(c));
+        let vanishes = other
+            .terms
+            .iter()
+            .all(|(v, c)| !kept(v) || *c == 0 || self.terms.contains_key(v));
+        (cancels && vanishes).then(|| self.konst - other.konst)
+    }
+
     /// Drop variable `v` from the form, returning (coefficient, remainder).
     pub fn split_var(&self, v: &str) -> (i64, LinForm) {
         let mut rest = self.clone();
@@ -114,6 +134,36 @@ mod tests {
 
     fn lf(src: &str) -> Option<LinForm> {
         linearize(&parse_expr(src).unwrap())
+    }
+
+    #[test]
+    fn const_diff_matches_sub() {
+        let forms = [
+            LinForm::constant(4),
+            LinForm::var("i"),
+            lf("i + 3").unwrap(),
+            lf("2 * i - 1").unwrap(),
+            lf("i + j").unwrap(),
+            lf("j - 2").unwrap(),
+            LinForm {
+                terms: [("k".to_string(), 0)].into(),
+                konst: 1,
+            },
+        ];
+        for a in &forms {
+            for b in &forms {
+                let d = a.sub(b);
+                assert_eq!(a.const_diff(b, None), d.is_const().then_some(d.konst));
+                let (_, ra) = a.split_var("i");
+                let (_, rb) = b.split_var("i");
+                let d = ra.sub(&rb);
+                assert_eq!(
+                    a.const_diff(b, Some("i")),
+                    d.is_const().then_some(d.konst),
+                    "{a:?} - {b:?}"
+                );
+            }
+        }
     }
 
     #[test]

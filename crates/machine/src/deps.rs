@@ -26,18 +26,45 @@ pub struct IrEdge {
     pub dist: i64,
 }
 
+/// Edge indices grouped by one endpoint, each group in edge order
+/// (compressed rows: group `u` is `idx[start[u]..start[u + 1]]`).
+pub(crate) struct Adjacency {
+    start: Vec<usize>,
+    idx: Vec<usize>,
+}
+
+impl Adjacency {
+    /// Group the edges of an `n`-node graph by `key` (`|e| e.from` for
+    /// successor lists, `|e| e.to` for predecessor lists).
+    pub(crate) fn new(n: usize, edges: &[IrEdge], key: impl Fn(&IrEdge) -> usize) -> Adjacency {
+        let mut start = vec![0usize; n + 1];
+        for e in edges {
+            start[key(e) + 1] += 1;
+        }
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        let mut fill = start.clone();
+        let mut idx = vec![0usize; edges.len()];
+        for (k, e) in edges.iter().enumerate() {
+            idx[fill[key(e)]] = k;
+            fill[key(e)] += 1;
+        }
+        Adjacency { start, idx }
+    }
+
+    /// Indices of the edges whose key is `u`, in edge order.
+    pub(crate) fn of(&self, u: usize) -> &[usize] {
+        &self.idx[self.start[u]..self.start[u + 1]]
+    }
+}
+
 /// Memory disambiguation verdict for two address forms evaluated in the
 /// *same* iteration.
 fn same_iter_alias(a: Option<&LinForm>, b: Option<&LinForm>) -> bool {
     match (a, b) {
-        (Some(x), Some(y)) => {
-            let d = x.sub(y);
-            if d.is_const() {
-                d.konst == 0
-            } else {
-                true // symbolic difference: conservative
-            }
-        }
+        // a symbolic difference is conservatively an alias
+        (Some(x), Some(y)) => x.const_diff(y, None).is_none_or(|d| d == 0),
         _ => true, // unknown address: conservative
     }
 }
@@ -48,7 +75,7 @@ pub fn intra_deps(ops: &[Op], m: &MachineDesc) -> Vec<IrEdge> {
     let n = ops.len();
     // register dependences
     for v in 0..n {
-        for r in ops[v].srcs() {
+        ops[v].visit_srcs(|r| {
             // latest def before v → flow
             if let Some(u) = (0..v).rev().find(|&u| ops[u].dst() == Some(r)) {
                 edges.push(IrEdge {
@@ -67,7 +94,7 @@ pub fn intra_deps(ops: &[Op], m: &MachineDesc) -> Vec<IrEdge> {
                     dist: 0,
                 });
             }
-        }
+        });
         if let Some(r) = ops[v].dst() {
             // next def of same reg → output (must stay ordered)
             if let Some(u) = (v + 1..n).find(|&u| ops[u].dst() == Some(r)) {
@@ -136,9 +163,9 @@ pub fn cross_deps(ops: &[Op], m: &MachineDesc, var: &str, step: i64) -> Option<V
     // register flow into the next iteration: use at v whose reaching def is
     // at u >= v (no def earlier in the block)
     for v in 0..n {
-        for r in ops[v].srcs() {
+        ops[v].visit_srcs(|r| {
             if (0..v).any(|u| ops[u].dst() == Some(r)) {
-                continue; // same-iteration def reaches it
+                return; // same-iteration def reaches it
             }
             if let Some(u) = (v..n).rev().find(|&u| ops[u].dst() == Some(r)) {
                 edges.push(IrEdge {
@@ -148,7 +175,7 @@ pub fn cross_deps(ops: &[Op], m: &MachineDesc, var: &str, step: i64) -> Option<V
                     dist: 1,
                 });
             }
-        }
+        });
     }
     // loop-carried memory dependences
     for u in 0..n {
@@ -165,40 +192,31 @@ pub fn cross_deps(ops: &[Op], m: &MachineDesc, var: &str, step: i64) -> Option<V
             let (Some(la), Some(lb)) = (addr_u, addr_v) else {
                 return None; // unknown address: cannot modulo schedule
             };
-            let (ca, ra) = la.split_var(var);
-            let (cb, rb) = lb.split_var(var);
+            let (ca, cb) = (la.coeff(var), lb.coeff(var));
             if ca != cb {
                 return None;
             }
+            // the addresses' difference apart from `var`; a symbolic one
+            // cannot be disambiguated
+            let diff = la.const_diff(lb, Some(var))?;
             if ca == 0 {
-                let d = ra.sub(&rb);
-                if d.is_const() && d.konst != 0 {
-                    continue; // distinct fixed addresses
+                // same fixed address every iteration: serialize fully
+                if diff == 0 && (v > u || (v == u && w_u)) {
+                    edges.push(IrEdge {
+                        from: u,
+                        to: v,
+                        lat: 1,
+                        dist: 1,
+                    });
                 }
-                if d.is_const() {
-                    // same fixed address every iteration: serialize fully
-                    if v > u || (v == u && w_u) {
-                        edges.push(IrEdge {
-                            from: u,
-                            to: v,
-                            lat: 1,
-                            dist: 1,
-                        });
-                    }
-                    continue;
-                }
-                return None;
-            }
-            let diff = ra.sub(&rb);
-            if !diff.is_const() {
-                return None;
+                continue; // (or distinct fixed addresses)
             }
             // u@i aliases v@(i+d): ca*i + ra == ca*(i+d)*…  → d = (ra-rb)/(ca*step)
             let denom = ca * step;
-            if diff.konst % denom != 0 {
+            if diff % denom != 0 {
                 continue;
             }
-            let d = diff.konst / denom;
+            let d = diff / denom;
             // d == 0 is intra-iteration (handled by `intra_deps`); d < 0 is
             // covered when the loop visits the symmetric pair (v, u).
             if d > 0 {

@@ -11,7 +11,7 @@
 //! register-pressure failure mode).
 
 #![allow(clippy::needless_range_loop)] // index loops mirror the papers' pseudo-code
-use crate::deps::{cross_deps, intra_deps, IrEdge};
+use crate::deps::{cross_deps, intra_deps, Adjacency, IrEdge};
 use crate::ir::{Bundle, Op, OpClass, ALL_CLASSES};
 use crate::listsched::heights;
 use crate::mach::MachineDesc;
@@ -69,37 +69,50 @@ pub fn res_mii(ops: &[Op], m: &MachineDesc) -> i64 {
 }
 
 /// Recurrence-constrained MII: smallest II with no positive cycle of
-/// `lat − II·dist`. `None` when none exists below `max_ii`.
+/// `lat − II·dist`. `None` when none exists up to `max_ii`.
+///
+/// Every edge has `dist ≥ 0`, so each cycle's weight is non-increasing in
+/// II and feasibility is monotone: a binary search over `[1, max_ii]` with
+/// an O(n·E) Bellman–Ford positive-cycle test finds the same II as a linear
+/// scan.
 pub fn rec_mii(n: usize, edges: &[IrEdge], max_ii: i64) -> Option<i64> {
-    'next: for ii in 1..=max_ii {
-        const NEG: i64 = i64::MIN / 4;
-        let mut d = vec![vec![NEG; n]; n];
-        for e in edges {
-            let w = e.lat as i64 - ii * e.dist;
-            if w > d[e.from][e.to] {
-                d[e.from][e.to] = w;
-            }
-        }
-        for k in 0..n {
-            for i in 0..n {
-                if d[i][k] == NEG {
-                    continue;
-                }
-                for j in 0..n {
-                    if d[k][j] != NEG && d[i][k] + d[k][j] > d[i][j] {
-                        d[i][j] = d[i][k] + d[k][j];
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            if d[i][i] > 0 {
-                continue 'next;
-            }
-        }
-        return Some(ii);
+    debug_assert!(edges.iter().all(|e| e.dist >= 0), "negative distance");
+    if max_ii < 1 || has_positive_cycle(n, edges, max_ii) {
+        return None;
     }
-    None
+    // invariant: `hi` is feasible, everything below `lo` is infeasible
+    let (mut lo, mut hi) = (1, max_ii);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if has_positive_cycle(n, edges, mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(hi)
+}
+
+/// Does the graph hold a cycle of positive `lat − ii·dist` weight? Longest
+/// path relaxation from a virtual source reaching every node: without a
+/// positive cycle it settles within `n − 1` rounds, so a change in round
+/// `n + 1` proves one.
+fn has_positive_cycle(n: usize, edges: &[IrEdge], ii: i64) -> bool {
+    let mut d = vec![0i64; n];
+    for _ in 0..=n {
+        let mut changed = false;
+        for e in edges {
+            let w = d[e.from] + e.lat as i64 - ii * e.dist;
+            if w > d[e.to] {
+                d[e.to] = w;
+                changed = true;
+            }
+        }
+        if !changed {
+            return false;
+        }
+    }
+    true
 }
 
 /// Modulo-schedule a loop body. Returns `None` when the loop cannot be
@@ -123,6 +136,9 @@ pub fn modulo_schedule(
     let cmii = rec_mii(n, &edges, max_ii)?;
     let mii = rmii.max(cmii);
     let h = heights(n, &edges);
+    let class: Vec<usize> = ops.iter().map(|o| class_idx(o.class())).collect();
+    let preds = Adjacency::new(n, &edges, |e| e.to);
+    let succs = Adjacency::new(n, &edges, |e| e.from);
 
     'try_ii: for ii in mii..=max_ii {
         let iiu = ii as usize;
@@ -132,18 +148,6 @@ pub fn modulo_schedule(
         // modulo reservation table: per row, per class usage + issue count
         let mut rt_class = vec![[0usize; 7]; iiu];
         let mut rt_issue = vec![0usize; iiu];
-
-        let place = |sigma: &Vec<Option<i64>>,
-                     rt_class: &Vec<[usize; 7]>,
-                     rt_issue: &Vec<usize>,
-                     u: usize,
-                     t: i64|
-         -> bool {
-            let _ = sigma;
-            let row = (t.rem_euclid(ii)) as usize;
-            let ci = class_idx(ops[u].class());
-            rt_class[row][ci] < m.units[ci].max(1) && rt_issue[row] < m.issue_width
-        };
 
         while let Some(u) = (0..n)
             .filter(|&u| sigma[u].is_none())
@@ -155,22 +159,18 @@ pub fn modulo_schedule(
             budget -= 1;
             // earliest start from scheduled predecessors
             let mut estart = 0i64;
-            for e in &edges {
-                if e.to == u {
-                    if let Some(sp) = sigma[e.from] {
-                        estart = estart.max(sp + e.lat as i64 - ii * e.dist);
-                    }
+            for &k in preds.of(u) {
+                let e = &edges[k];
+                if let Some(sp) = sigma[e.from] {
+                    estart = estart.max(sp + e.lat as i64 - ii * e.dist);
                 }
             }
-            estart = estart.max(0);
             // find a resource-feasible slot in [estart, estart+II)
-            let mut slot = None;
-            for t in estart..estart + ii {
-                if place(&sigma, &rt_class, &rt_issue, u, t) {
-                    slot = Some(t);
-                    break;
-                }
-            }
+            let ci = class[u];
+            let slot = (estart..estart + ii).find(|t| {
+                let row = t.rem_euclid(ii) as usize;
+                rt_class[row][ci] < m.units[ci].max(1) && rt_issue[row] < m.issue_width
+            });
             let t = slot.unwrap_or_else(|| {
                 // forced placement with progress guarantee
                 if estart > prev_try[u] {
@@ -182,7 +182,6 @@ pub fn modulo_schedule(
             prev_try[u] = t;
             // evict resource conflicts at the target row
             let row = (t.rem_euclid(ii)) as usize;
-            let ci = class_idx(ops[u].class());
             loop {
                 let class_over = rt_class[row][ci] >= m.units[ci].max(1);
                 let issue_over = rt_issue[row] >= m.issue_width;
@@ -194,25 +193,24 @@ pub fn modulo_schedule(
                 let victim = (0..n)
                     .filter(|&v| {
                         sigma[v].is_some_and(|sv| (sv.rem_euclid(ii)) as usize == row)
-                            && (!class_over || class_idx(ops[v].class()) == ci)
+                            && (!class_over || class[v] == ci)
                     })
                     .min_by_key(|&v| h[v]);
                 let Some(v) = victim else { break };
                 let sv = sigma[v].take().unwrap();
                 let vrow = (sv.rem_euclid(ii)) as usize;
-                rt_class[vrow][class_idx(ops[v].class())] -= 1;
+                rt_class[vrow][class[v]] -= 1;
                 rt_issue[vrow] -= 1;
             }
             // evict dependence violations where u is the source
-            for e in &edges {
-                if e.from == u {
-                    if let Some(sv) = sigma[e.to] {
-                        if sv < t + e.lat as i64 - ii * e.dist {
-                            let vrow = (sv.rem_euclid(ii)) as usize;
-                            rt_class[vrow][class_idx(ops[e.to].class())] -= 1;
-                            rt_issue[vrow] -= 1;
-                            sigma[e.to] = None;
-                        }
+            for &k in succs.of(u) {
+                let e = &edges[k];
+                if let Some(sv) = sigma[e.to] {
+                    if sv < t + e.lat as i64 - ii * e.dist {
+                        let vrow = (sv.rem_euclid(ii)) as usize;
+                        rt_class[vrow][class[e.to]] -= 1;
+                        rt_issue[vrow] -= 1;
+                        sigma[e.to] = None;
                     }
                 }
             }
@@ -250,7 +248,9 @@ pub fn modulo_schedule(
             let su = sigma[u].unwrap();
             let mut life: i64 = 1;
             for (v, op_v) in ops.iter().enumerate() {
-                if !op_v.srcs().contains(&r) {
+                let mut reads_r = false;
+                op_v.visit_srcs(|s| reads_r |= s == r);
+                if !reads_r {
                     continue;
                 }
                 let dist = if reaches_same_iter(ops, u, v) { 0 } else { 1 };
@@ -309,6 +309,62 @@ mod tests {
             a: Operand::Reg(a),
             b: Operand::Reg(b),
         })
+    }
+
+    /// The linear-scan Floyd–Warshall RecMII that [`rec_mii`] replaced,
+    /// kept as its oracle.
+    fn rec_mii_reference(n: usize, edges: &[IrEdge], max_ii: i64) -> Option<i64> {
+        'next: for ii in 1..=max_ii {
+            const NEG: i64 = i64::MIN / 4;
+            let mut d = vec![vec![NEG; n]; n];
+            for e in edges {
+                let w = e.lat as i64 - ii * e.dist;
+                if w > d[e.from][e.to] {
+                    d[e.from][e.to] = w;
+                }
+            }
+            for k in 0..n {
+                for i in 0..n {
+                    if d[i][k] == NEG {
+                        continue;
+                    }
+                    for j in 0..n {
+                        if d[k][j] != NEG && d[i][k] + d[k][j] > d[i][j] {
+                            d[i][j] = d[i][k] + d[k][j];
+                        }
+                    }
+                }
+            }
+            for i in 0..n {
+                if d[i][i] > 0 {
+                    continue 'next;
+                }
+            }
+            return Some(ii);
+        }
+        None
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 512, ..Default::default() })]
+        #[test]
+        fn rec_mii_binary_search_matches_linear_scan(
+            n in 0usize..9,
+            raw in proptest::collection::vec((0usize..64, 0usize..64, 0u32..12, 0i64..6), 0..16),
+            max_ii in 0i64..16,
+        ) {
+            let edges: Vec<IrEdge> = raw
+                .iter()
+                .filter(|_| n > 0)
+                .map(|&(from, to, lat, dist)| IrEdge { from: from % n, to: to % n, lat, dist })
+                .collect();
+            proptest::prop_assert_eq!(
+                rec_mii(n, &edges, max_ii),
+                rec_mii_reference(n, &edges, max_ii),
+                "edges {:?}",
+                edges
+            );
+        }
     }
 
     #[test]

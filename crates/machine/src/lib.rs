@@ -33,5 +33,5 @@ pub use ir::{Bundle, Lir, LirLoop, LirProgram, Op, OpClass, OpKind, Operand, VRe
 pub use lirinterp::{exec_lir, exec_lir_spanned, LirExecError, LirState, RVal};
 pub use listsched::{list_schedule, Schedule};
 pub use lower::{lower_program, LowerError};
-pub use mach::{CacheConfig, IssueModel, MachineDesc};
+pub use mach::{CacheConfig, IssueModel, MachineDesc, MachineError};
 pub use regalloc::{max_pressure, spills, SpillInfo};

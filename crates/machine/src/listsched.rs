@@ -6,8 +6,8 @@
 //! into issue groups. Priority is critical-path height; resources are the
 //! per-class unit counts and the global issue width of the machine model.
 
-use crate::deps::{intra_deps, IrEdge};
-use crate::ir::{Bundle, Op, OpClass, ALL_CLASSES};
+use crate::deps::{intra_deps, Adjacency, IrEdge};
+use crate::ir::{Bundle, Op, ALL_CLASSES};
 use crate::mach::MachineDesc;
 
 /// Result of list scheduling: bundles (possibly empty = stall cycles) and
@@ -64,10 +64,18 @@ pub fn list_schedule(ops: &[Op], m: &MachineDesc) -> Schedule {
     }
     let edges = intra_deps(ops, m);
     let h = heights(n, &edges);
-    let mut preds: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
+    let succs = Adjacency::new(n, &edges, |e| e.from);
+    // readiness: predecessor edges still unplaced, and the earliest cycle
+    // the placed ones allow
+    let mut waiting = vec![0usize; n];
+    let mut earliest = vec![0u32; n];
     for e in &edges {
-        preds[e.to].push((e.from, e.lat));
+        waiting[e.to] += 1;
     }
+    let class_of: Vec<usize> = ops
+        .iter()
+        .map(|o| ALL_CLASSES.iter().position(|&x| x == o.class()).unwrap())
+        .collect();
     let mut cycle_of = vec![u32::MAX; n];
     let mut scheduled = vec![false; n];
     let mut bundles: Vec<Bundle> = Vec::new();
@@ -76,7 +84,6 @@ pub fn list_schedule(ops: &[Op], m: &MachineDesc) -> Schedule {
     while remaining > 0 {
         let mut used = [0usize; 7];
         let mut issued = 0usize;
-        let class_idx = |c: OpClass| ALL_CLASSES.iter().position(|&x| x == c).unwrap();
         let mut bundle: Bundle = Vec::new();
         // repeatedly pick the best ready op this cycle (0-lat preds may be
         // satisfied by ops placed earlier in this same bundle)
@@ -86,19 +93,12 @@ pub fn list_schedule(ops: &[Op], m: &MachineDesc) -> Schedule {
             }
             let mut best: Option<usize> = None;
             for v in 0..n {
-                if scheduled[v] {
-                    continue;
-                }
                 // 0-latency predecessors may share this cycle: VLIW bundle
                 // semantics read all operands before any write lands.
-                let ready = preds[v]
-                    .iter()
-                    .all(|&(u, lat)| scheduled[u] && cycle_of[u] + lat <= cycle);
-                if !ready {
+                if scheduled[v] || waiting[v] > 0 || earliest[v] > cycle {
                     continue;
                 }
-                let ci = class_idx(ops[v].class());
-                if used[ci] >= m.units_of(ops[v].class()) {
+                if used[class_of[v]] >= m.units[class_of[v]] {
                     continue;
                 }
                 match best {
@@ -108,11 +108,15 @@ pub fn list_schedule(ops: &[Op], m: &MachineDesc) -> Schedule {
                 }
             }
             let Some(v) = best else { break };
-            let ci = class_idx(ops[v].class());
-            used[ci] += 1;
+            used[class_of[v]] += 1;
             issued += 1;
             scheduled[v] = true;
             cycle_of[v] = cycle;
+            for &k in succs.of(v) {
+                let e = &edges[k];
+                waiting[e.to] -= 1;
+                earliest[e.to] = earliest[e.to].max(cycle + e.lat);
+            }
             bundle.push(ops[v].clone());
             remaining -= 1;
         }

@@ -31,6 +31,50 @@ pub struct CacheConfig {
     pub miss_penalty: u32,
 }
 
+impl CacheConfig {
+    /// Number of sets: `size / line / ways` (0 when the geometry is
+    /// degenerate; [`MachineDesc::validate`] rejects that).
+    pub fn sets(&self) -> usize {
+        self.size
+            .checked_div(self.line)
+            .and_then(|s| s.checked_div(self.ways))
+            .unwrap_or(0)
+    }
+}
+
+/// Why [`MachineDesc::validate`] rejected a machine description.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MachineError {
+    /// the field must be a nonzero power of two
+    NotPowerOfTwo {
+        /// field name (`cache.line`, `cache.sets`)
+        field: &'static str,
+        /// offending value
+        value: usize,
+    },
+    /// the field must be at least 1
+    Zero {
+        /// field name (`cache.ways`, `issue_width`, `elem_bytes`, `units[k]`)
+        field: String,
+    },
+}
+
+impl std::fmt::Display for MachineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            MachineError::NotPowerOfTwo { field, value } => {
+                write!(
+                    f,
+                    "machine {field} must be a nonzero power of two, got {value}"
+                )
+            }
+            MachineError::Zero { field } => write!(f, "machine {field} must be at least 1"),
+        }
+    }
+}
+
+impl std::error::Error for MachineError {}
+
 /// A machine description.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineDesc {
@@ -82,6 +126,36 @@ impl MachineDesc {
     pub fn with_latency(mut self, c: OpClass, l: u32) -> Self {
         self.latency[Self::class_index(c)] = l;
         self
+    }
+
+    /// Check the geometry the schedulers and the simulator rely on: the
+    /// cache line size and set count are nonzero powers of two (the
+    /// simulator splits addresses with shifts and masks), and the cache
+    /// ways, issue width, element size and every unit count are at least 1
+    /// (a zero would divide by zero or never issue).
+    pub fn validate(&self) -> Result<(), MachineError> {
+        let zero = |field: String| Err(MachineError::Zero { field });
+        if self.cache.ways == 0 {
+            return zero("cache.ways".into());
+        }
+        for (field, value) in [
+            ("cache.line", self.cache.line),
+            ("cache.sets", self.cache.sets()),
+        ] {
+            if !value.is_power_of_two() {
+                return Err(MachineError::NotPowerOfTwo { field, value });
+            }
+        }
+        if self.issue_width == 0 {
+            return zero("issue_width".into());
+        }
+        if self.elem_bytes == 0 {
+            return zero("elem_bytes".into());
+        }
+        if let Some(k) = self.units.iter().position(|&u| u == 0) {
+            return zero(format!("units[{k}]"));
+        }
+        Ok(())
     }
 
     /// Stable content fingerprint of the machine description, part of the

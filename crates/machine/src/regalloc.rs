@@ -21,10 +21,10 @@ pub fn max_pressure(bundles: &[Bundle]) -> usize {
     let mut last_use: HashMap<u32, usize> = HashMap::new();
     for (c, b) in bundles.iter().enumerate() {
         for op in b {
-            for r in op.srcs() {
+            op.visit_srcs(|r| {
                 last_use.insert(r, c);
                 first_def.entry(r).or_insert(0); // live-in if undefined
-            }
+            });
             if let Some(d) = op.dst() {
                 first_def.entry(d).or_insert(c);
                 last_use.entry(d).or_insert(c);

@@ -18,6 +18,7 @@ use slc_machine::lower::{lower_program, LowerError};
 use slc_machine::mach::MachineDesc;
 use slc_machine::{list_schedule, max_pressure, modulo_schedule, spills};
 use slc_sim::cycle::{CompiledProgram, Seg, SimLoop};
+use std::borrow::Cow;
 
 /// Final-compiler personality.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,19 +80,22 @@ fn build_loop(l: &LirLoop, m: &MachineDesc, kind: CompilerKind, infos: &mut Vec<
     let arch_regs = m.int_regs + m.fp_regs;
     if is_innermost(l) {
         // innermost: single block body (lowering guarantees one block)
-        let ops: Vec<Op> = l
-            .body
-            .iter()
-            .flat_map(|it| match it {
-                Lir::Block(b) => b.clone(),
-                Lir::Loop(_) => unreachable!(),
-            })
-            .collect();
-        // try machine-level modulo scheduling
+        let ops: Cow<[Op]> = match l.body.as_slice() {
+            [Lir::Block(b)] => Cow::Borrowed(b),
+            body => Cow::Owned(
+                body.iter()
+                    .flat_map(|it| match it {
+                        Lir::Block(b) => b.clone(),
+                        Lir::Loop(_) => unreachable!(),
+                    })
+                    .collect(),
+            ),
+        };
+        let bundles = schedule_block(&ops, m, kind);
+        // try machine-level modulo scheduling against the list schedule
         if kind == CompilerKind::OptimizingMs {
             if let Some(ms) = modulo_schedule(&ops, m, &l.var, l.step) {
-                let list_len = list_schedule(&ops, m).bundles.len() as i64;
-                let profitable = ms.ii < list_len && l.trips > ms.stages;
+                let profitable = ms.ii < bundles.len() as i64 && l.trips > ms.stages;
                 if profitable {
                     let sp = spills(ms.reg_pressure, arch_regs);
                     infos.push(LoopInfo {
@@ -118,7 +122,6 @@ fn build_loop(l: &LirLoop, m: &MachineDesc, kind: CompilerKind, infos: &mut Vec<
                 }
             }
         }
-        let bundles = schedule_block(&ops, m, kind);
         let pressure = max_pressure(&bundles);
         let sp = spills(pressure, arch_regs);
         infos.push(LoopInfo {

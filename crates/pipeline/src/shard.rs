@@ -231,7 +231,7 @@ fn decode_machine(j: &Json) -> Result<MachineDesc, String> {
         latency[i] = la[i].as_i64().ok_or("bad latency entry")? as u32;
     }
     let cache = want(j, "cache")?;
-    Ok(MachineDesc {
+    let m = MachineDesc {
         name: want_s(j, "name")?.to_string(),
         issue: match want_s(j, "issue")? {
             "vliw" => IssueModel::StaticVliw,
@@ -251,7 +251,9 @@ fn decode_machine(j: &Json) -> Result<MachineDesc, String> {
         },
         elem_bytes: want_usize(j, "elem_bytes")?,
         spill_penalty: want_u(j, "spill_penalty")? as u32,
-    })
+    };
+    m.validate().map_err(|e| e.to_string())?;
+    Ok(m)
 }
 
 fn slms_json(s: &SlmsConfig) -> Json {
@@ -1419,6 +1421,29 @@ mod tests {
             let back = decode_machine(&Json::parse(&j.to_string()).unwrap()).unwrap();
             assert_eq!(back.fingerprint(), m.fingerprint(), "{}", m.name);
             assert_eq!(back.name, m.name);
+        }
+    }
+
+    #[test]
+    fn bad_machine_geometry_decodes_to_err() {
+        type Edit = fn(&mut MachineDesc);
+        let edits: [(&str, Edit); 7] = [
+            ("line 0", |m| m.cache.line = 0),
+            ("line 48", |m| m.cache.line = 48),
+            ("3 sets", |m| m.cache.size = 3 * m.cache.line * m.cache.ways),
+            ("ways 0", |m| m.cache.ways = 0),
+            ("issue_width 0", |m| m.issue_width = 0),
+            ("elem_bytes 0", |m| m.elem_bytes = 0),
+            ("no mem unit", |m| m.units[5] = 0),
+        ];
+        for preset in [itanium2(), pentium(), power4(), arm7tdmi()] {
+            assert_eq!(preset.validate(), Ok(()), "{}", preset.name);
+            for (what, edit) in edits {
+                let mut m = preset.clone();
+                edit(&mut m);
+                let j = Json::parse(&machine_json(&m).to_string()).unwrap();
+                assert!(decode_machine(&j).is_err(), "{} with {what}", preset.name);
+            }
         }
     }
 

@@ -39,7 +39,28 @@
 //!    the address sequence — never on stall timing — so phase A runs the
 //!    cache alone over *all* trips (streams + spill probes, in static op
 //!    order, exactly the order the naive walk issues probes) and records a
-//!    per-access miss flag.
+//!    per-access miss flag. Two shortcuts keep it cheap without changing a
+//!    single flag or statistic:
+//!    * **Settled-trip rule.** Trip *t* skips its probes when (1) every
+//!      probe targets the same line as the same probe of trip *t − 1* (the
+//!      spill probes always do), and (2) trip *t − 1* was itself skipped,
+//!      or evicted no line it had touched itself (no victim stamp newer
+//!      than the trip's first tick). Then every line trip *t* touches is
+//!      resident and its set holds those lines as most recently used, in
+//!      the order of their last touch in trip *t − 1*. Replaying the same
+//!      line sequence on that state hits on every probe and leaves the
+//!      same per-set order, because LRU applied twice to one sequence is
+//!      idempotent. So the trip adds only hits and zero flags, and tags and
+//!      stamps stay as they are: only the relative order of stamps within
+//!      a set is ever observed, so an unrefreshed stamp is as good as a
+//!      refreshed one. A skipped trip leaves rule (2) true for the next.
+//!    * **Slot hints.** Each stream remembers the line it touched last and
+//!      the slot that held it; `Cache::access` (the spill probes and the
+//!      trip-by-trip walk) keeps one such hint for its previous probe.
+//!      Re-probing that line checks the slot's tag before scanning the set:
+//!      a hit that refreshes the stamp, as the scan would, so rule (2)
+//!      stays exact. A stale hint fails the tag check, since a filled slot
+//!      never empties and only ever holds lines of its own set.
 //! 3. **Steady-state fast-forward.** Phase B replays timing trip by trip,
 //!    consuming recorded flags. The timing recurrence is translation
 //!    invariant: shifting the current cycle and every live scoreboard entry
@@ -48,7 +69,10 @@
 //!    current-cycle issue-slot usage); when a fingerprint repeats with
 //!    period `p` **and** the remaining recorded miss flags are verified
 //!    `p`-periodic by direct comparison, the remaining full periods are
-//!    skipped and the cycle counter advanced by `periods × Δcycle`. Dynamic
+//!    skipped and the cycle counter advanced by `periods × Δcycle`. The
+//!    fingerprint ring stores a 64-bit hash beside each key and compares
+//!    it before the key's words, so a mismatching candidate costs one
+//!    compare; equal hashes still compare the full key. Dynamic
 //!    op counts, spill accesses and cache statistics are per-trip constants
 //!    or already known from phase A, so every reported number is
 //!    bit-identical to the reference walk.
@@ -176,57 +200,103 @@ pub struct CompiledProgram {
     pub arrays: Vec<(String, usize)>,
 }
 
-/// Set-associative L1 cache with LRU replacement.
+/// Set-associative L1 cache with LRU replacement, stored flat: way `w` of
+/// set `s` lives at index `s · ways + w` of `tags`/`stamps`. A stamp is the
+/// tick of the line's last touch; stamp 0 marks an empty way, so "evict the
+/// smallest stamp" fills empty ways first. Line size and set count are
+/// powers of two ([`MachineDesc::validate`]), so the set/tag split is a
+/// shift and a mask.
 struct Cache {
-    nsets: usize,
     ways: usize,
-    line: usize,
-    /// per set: (tag, last-touch counter) per way
-    sets: Vec<Vec<(u64, u64)>>,
+    line_shift: u32,
+    set_shift: u32,
+    set_mask: u64,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
     tick: u64,
+    /// where the most recent [`Cache::access`] found or put its line
+    last: Hint,
+    /// largest stamp of any line evicted since the caller last reset it
+    max_victim: u64,
     stats: CacheStats,
 }
 
+/// Line number and flat slot of an earlier probe. A probe site that keeps
+/// re-touching one line checks this slot before scanning the set; the tag
+/// compare makes a stale hint harmless (a filled way never empties, and a
+/// slot only ever holds lines of its own set).
+type Hint = Option<(u64, usize)>;
+
 impl Cache {
     fn new(m: &MachineDesc) -> Cache {
-        let ways = m.cache.ways.max(1);
-        let nsets = (m.cache.size / m.cache.line / ways).max(1);
+        let (line, nsets, ways) = (m.cache.line, m.cache.sets(), m.cache.ways);
+        assert!(
+            line.is_power_of_two() && nsets.is_power_of_two() && ways >= 1,
+            "cache geometry of `{}` fails MachineDesc::validate",
+            m.name
+        );
         Cache {
-            nsets,
             ways,
-            line: m.cache.line,
-            sets: vec![Vec::new(); nsets],
+            line_shift: line.trailing_zeros(),
+            set_shift: nsets.trailing_zeros(),
+            set_mask: nsets as u64 - 1,
+            tags: vec![0; nsets * ways],
+            stamps: vec![0; nsets * ways],
             tick: 0,
+            last: None,
+            max_victim: 0,
             stats: CacheStats::default(),
         }
     }
 
+    /// Line number of a byte address.
+    #[inline]
+    fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
+    }
+
     /// Probe a byte address; true on hit.
+    #[inline]
     fn access(&mut self, addr: u64) -> bool {
+        let mut hint = self.last;
+        let hit = self.probe(self.line_of(addr), &mut hint);
+        self.last = hint;
+        hit
+    }
+
+    /// Probe line `lineno`, trying `hint` before the set scan and leaving
+    /// it pointing at the line's slot; true on hit.
+    #[inline]
+    fn probe(&mut self, lineno: u64, hint: &mut Hint) -> bool {
         self.tick += 1;
-        let lineno = addr / self.line as u64;
-        let set = (lineno % self.nsets as u64) as usize;
-        let tag = lineno / self.nsets as u64;
-        let ways = &mut self.sets[set];
-        if let Some(slot) = ways.iter_mut().find(|(t, _)| *t == tag) {
-            slot.1 = self.tick;
-            self.stats.hits += 1;
-            return true;
+        let tag = lineno >> self.set_shift;
+        if let Some((l, k)) = *hint {
+            if l == lineno && self.tags[k] == tag {
+                self.stamps[k] = self.tick;
+                self.stats.hits += 1;
+                return true;
+            }
         }
-        self.stats.misses += 1;
-        if ways.len() < self.ways {
-            ways.push((tag, self.tick));
-        } else {
-            // evict LRU
-            let lru = ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, (_, t))| *t)
-                .map(|(k, _)| k)
-                .unwrap();
-            ways[lru] = (tag, self.tick);
-        }
-        false
+        let first = (lineno & self.set_mask) as usize * self.ways;
+        let tags = &self.tags[first..first + self.ways];
+        let stamps = &mut self.stamps[first..first + self.ways];
+        let found = (0..tags.len()).find(|&k| tags[k] == tag && stamps[k] != 0);
+        let k = match found {
+            Some(k) => {
+                self.stats.hits += 1;
+                k
+            }
+            None => {
+                self.stats.misses += 1;
+                let lru = (0..stamps.len()).min_by_key(|&k| stamps[k]).unwrap();
+                self.max_victim = self.max_victim.max(stamps[lru]);
+                self.tags[first + lru] = tag;
+                lru
+            }
+        };
+        self.stamps[first + k] = self.tick;
+        *hint = Some((lineno, first + k));
+        found.is_some()
     }
 }
 
@@ -297,6 +367,10 @@ struct AddrStream {
     base: Option<u64>,
     cur: i64,
     step: i64,
+    /// line of the latest address (cache pass state)
+    line: u64,
+    /// where the cache last held `line`
+    hint: Hint,
 }
 
 /// Pre-resolved op for the fast path: class/latency/operands flattened so a
@@ -305,7 +379,8 @@ struct FastOp {
     ci: usize,
     lat: u64,
     dst: Option<usize>,
-    srcs: Vec<usize>,
+    /// range of this op's source registers in the loop's shared list
+    srcs: std::ops::Range<usize>,
     /// `(stream index, is_store)` for memory ops
     mem: Option<(usize, bool)>,
     fp_blocking: bool,
@@ -319,6 +394,28 @@ const MAX_FLAG_BYTES: usize = 64 << 20;
 /// compares against (covers scoreboard transients whose period is a small
 /// multiple of the miss-pattern period).
 const FF_PERIOD_MULTIPLES: i64 = 8;
+
+/// 64-bit hash of a state key; the fingerprint ring compares it before
+/// the full key, so a mismatching slot costs one word compare.
+fn hash_words(words: &[u64]) -> u64 {
+    words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+        (h ^ w).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29)
+    })
+}
+
+/// Index of the last position where two equally long byte slices differ,
+/// comparing 64-byte blocks from the end.
+fn last_mismatch(a: &[u8], b: &[u8]) -> Option<usize> {
+    let mut end = a.len();
+    while end > 0 {
+        let start = end.saturating_sub(64);
+        if a[start..end] != b[start..end] {
+            return (start..end).rev().find(|&i| a[i] != b[i]);
+        }
+        end = start;
+    }
+    None
+}
 
 fn gcd(a: i64, b: i64) -> i64 {
     let (mut a, mut b) = (a.abs(), b.abs());
@@ -340,8 +437,8 @@ struct SimState<'m> {
     ready: Vec<u64>,
     /// current cycle (next issue opportunity)
     cycle: u64,
-    /// loop variable environment (plus `__step_<var>` entries)
-    env: HashMap<String, i64>,
+    /// loop variable environment: variable → (current value, step)
+    env: HashMap<String, (i64, i64)>,
     /// array base element offsets
     base: HashMap<String, u64>,
     /// dedicated spill slot base
@@ -360,14 +457,13 @@ impl SimState<'_> {
             Some(l) => {
                 let mut v = l.konst;
                 for (var, c) in &l.terms {
-                    let val = self.env.get(var).copied().unwrap_or(0);
-                    v += c * val;
+                    v += c * self.env.get(var).map_or(0, |b| b.0);
                 }
                 // pipeline offset: the op runs `iter_offset` iterations
                 // ahead of the loop's nominal index
                 if op.iter_offset != 0 {
                     if let Some((var, c)) = l.terms.iter().next() {
-                        let step = self.env.get(&format!("__step_{var}")).copied().unwrap_or(1);
+                        let step = self.env.get(var).map_or(1, |b| b.1);
                         v += c * op.iter_offset * step;
                     }
                 }
@@ -376,6 +472,11 @@ impl SimState<'_> {
             None => 0, // unknown address: array base (documented approximation)
         };
         Some(base.saturating_add_signed(elem) * self.m.elem_bytes as u64)
+    }
+
+    /// Rebind a loop variable bound at its loop's entry.
+    fn set_var(&mut self, var: &str, value: i64) {
+        self.env.get_mut(var).expect("bound at loop entry").0 = value;
     }
 
     fn count(&mut self, op: &Op) {
@@ -489,8 +590,12 @@ impl SimState<'_> {
                     .tracer
                     .span_dyn("sim", || format!("sim.loop {}", l.var));
                 span.arg("trips", l.trips.max(0) as u64);
-                self.env.insert(l.var.clone(), l.init);
-                self.env.insert(format!("__step_{}", l.var), l.step);
+                match self.env.get_mut(&l.var) {
+                    Some(b) => *b = (l.init, l.step),
+                    None => {
+                        self.env.insert(l.var.clone(), (l.init, l.step));
+                    }
+                }
                 self.ff.trips_total += l.trips.max(0) as u64;
                 if self.fidelity == SimFidelity::Fast && self.try_exec_loop_fast(l) {
                     span.arg("path", "fast");
@@ -520,7 +625,7 @@ impl SimState<'_> {
                 self.result.spill_accesses += l.extra_mem_per_iter as u64;
                 self.cycle += spill_cycles;
             }
-            self.env.insert(l.var.clone(), l.init + (t + 1) * l.step);
+            self.set_var(&l.var, l.init + (t + 1) * l.step);
         }
     }
 
@@ -541,6 +646,54 @@ impl SimState<'_> {
         }
     }
 
+    /// Phase A: run the cache over every trip's probes (the streams in op
+    /// order, then `extra` spill probes), leaving one miss flag per stream
+    /// per trip in `flags`. A trip the settled-trip rule proves all-hit is
+    /// counted without touching the cache; the argument is in the module
+    /// docs.
+    fn cache_pass(
+        &mut self,
+        streams: &mut [AddrStream],
+        trips: usize,
+        extra: usize,
+        flags: &mut Vec<u8>,
+    ) {
+        let nstreams = streams.len();
+        // every flag starts as a hit; a probed trip writes its misses
+        flags.clear();
+        flags.resize(trips * nstreams, 0);
+        let eb = self.m.elem_bytes as u64;
+        let probes_per_trip = (streams.iter().filter(|s| s.base.is_some()).count() + extra) as u64;
+        // whether every line the previous trip touched is still resident
+        let mut settled = false;
+        for t in 0..trips {
+            let mut same_lines = t > 0;
+            for s in streams.iter_mut() {
+                if let Some(base) = s.base {
+                    let line = self.cache.line_of(base.saturating_add_signed(s.cur) * eb);
+                    same_lines &= line == s.line;
+                    s.line = line;
+                }
+                s.cur += s.step;
+            }
+            if same_lines && settled {
+                self.cache.stats.hits += probes_per_trip;
+                continue;
+            }
+            let trip_start = self.cache.tick;
+            self.cache.max_victim = 0;
+            let trip_flags = &mut flags[t * nstreams..(t + 1) * nstreams];
+            for (s, flag) in streams.iter_mut().zip(trip_flags) {
+                if s.base.is_some() {
+                    *flag = !self.cache.probe(s.line, &mut s.hint) as u8;
+                }
+            }
+            // the spill probes touch the same lines every trip
+            self.probe_spills(extra);
+            settled = self.cache.max_victim <= trip_start;
+        }
+    }
+
     /// Compile one memory op's linear form into an address stream, exactly
     /// mirroring `addr_of` evaluated in the current environment (the loop
     /// variable contributes `init` to the anchor and `coeff · step` to the
@@ -552,6 +705,8 @@ impl SimState<'_> {
                 base: None,
                 cur: 0,
                 step: 0,
+                line: 0,
+                hint: None,
             };
         };
         let (anchor, step) = match lin {
@@ -559,15 +714,14 @@ impl SimState<'_> {
                 let mut v = lf.konst;
                 let mut per_trip = 0i64;
                 for (var, c) in &lf.terms {
-                    let val = self.env.get(var).copied().unwrap_or(0);
-                    v += c * val;
+                    v += c * self.env.get(var).map_or(0, |b| b.0);
                     if *var == l.var {
                         per_trip += c * l.step;
                     }
                 }
                 if op.iter_offset != 0 {
                     if let Some((var, c)) = lf.terms.iter().next() {
-                        let s = self.env.get(&format!("__step_{var}")).copied().unwrap_or(1);
+                        let s = self.env.get(var).map_or(1, |b| b.1);
                         v += c * op.iter_offset * s;
                     }
                 }
@@ -579,6 +733,8 @@ impl SimState<'_> {
             base: Some(base),
             cur: anchor,
             step,
+            line: 0,
+            hint: None,
         }
     }
 
@@ -605,11 +761,13 @@ impl SimState<'_> {
 
         // ---- compile: flatten ops, lower address streams ----
         let mut streams: Vec<AddrStream> = Vec::with_capacity(nstreams);
-        let mut fast_bundles: Vec<Vec<FastOp>> = Vec::with_capacity(bundles.len());
+        // ops of all bundles back to back; bundle `b` is
+        // `fast_ops[bundle_ends[b - 1]..bundle_ends[b]]`
+        let mut fast_ops: Vec<FastOp> = Vec::new();
+        let mut bundle_ends: Vec<usize> = Vec::with_capacity(bundles.len());
+        let mut src_regs: Vec<usize> = Vec::new();
         let mut per_trip_counts = [0u64; 7];
-        let mut regs_used: Vec<usize> = Vec::new();
         for b in bundles {
-            let mut fb = Vec::with_capacity(b.len());
             for op in b {
                 let ci = class_idx(op.class());
                 per_trip_counts[ci] += 1;
@@ -617,17 +775,13 @@ impl SimState<'_> {
                     streams.push(self.compile_stream(op, l));
                     (streams.len() - 1, is_store)
                 });
-                let mut srcs = Vec::new();
-                op.visit_srcs(|r| srcs.push(r as usize));
-                regs_used.extend_from_slice(&srcs);
-                if let Some(d) = op.dst() {
-                    regs_used.push(d as usize);
-                }
-                fb.push(FastOp {
+                let first = src_regs.len();
+                op.visit_srcs(|r| src_regs.push(r as usize));
+                fast_ops.push(FastOp {
                     ci,
                     lat: self.m.latency_of(op.class()) as u64,
                     dst: op.dst().map(|d| d as usize),
-                    srcs,
+                    srcs: first..src_regs.len(),
                     mem,
                     fp_blocking: matches!(
                         op.class(),
@@ -635,8 +789,10 @@ impl SimState<'_> {
                     ),
                 });
             }
-            fast_bundles.push(fb);
+            bundle_ends.push(fast_ops.len());
         }
+        let mut regs_used = src_regs.clone();
+        regs_used.extend(fast_ops.iter().filter_map(|op| op.dst));
         regs_used.sort_unstable();
         regs_used.dedup();
 
@@ -644,24 +800,7 @@ impl SimState<'_> {
         let trips = l.trips;
         let extra = l.extra_mem_per_iter;
         let mut flags = std::mem::take(&mut self.flags);
-        flags.clear();
-        flags.reserve(trips as usize * nstreams);
-        let eb = self.m.elem_bytes as u64;
-        for _t in 0..trips {
-            for s in &mut streams {
-                match s.base {
-                    Some(base) => {
-                        let addr = base.saturating_add_signed(s.cur) * eb;
-                        flags.push(!self.cache.access(addr) as u8);
-                    }
-                    None => flags.push(0),
-                }
-                s.cur += s.step;
-            }
-            if extra > 0 {
-                self.probe_spills(extra);
-            }
-        }
+        self.cache_pass(&mut streams, trips as usize, extra, &mut flags);
 
         // per-trip invariants: dynamic counts and spill traffic
         for (i, c) in per_trip_counts.iter().enumerate() {
@@ -688,6 +827,7 @@ impl SimState<'_> {
         // the lcm over streams. Each term divides the line size, so the lcm
         // does too — it stays small.
         let line = self.m.cache.line.max(1) as i64;
+        let eb = self.m.elem_bytes as u64;
         let mut period: i64 = 1;
         for s in &streams {
             if s.base.is_some() && s.step != 0 {
@@ -696,22 +836,18 @@ impl SimState<'_> {
             }
         }
         // First trip from which the recorded flags repeat with `period`:
-        // one backward scan (typically one block compare for aperiodic
-        // tails, one pass for periodic ones).
+        // the trip after the last flag that differs from the flag one
+        // period earlier.
         let steady_from: i64 = if nstreams == 0 {
             0
+        } else if period >= trips {
+            trips
         } else {
-            let ns = nstreams;
-            let mut sf = period.min(trips);
-            for tt in (period..trips).rev() {
-                let a = tt as usize * ns;
-                let b = (tt - period) as usize * ns;
-                if flags[a..a + ns] != flags[b..b + ns] {
-                    sf = tt + 1;
-                    break;
-                }
+            let shift = period as usize * nstreams;
+            match last_mismatch(&flags[shift..], &flags[..flags.len() - shift]) {
+                Some(i) => ((i + shift) / nstreams) as i64 + 1,
+                None => period,
             }
-            sf
         };
 
         let ff_possible = trips >= 3 && steady_from + period < trips;
@@ -724,6 +860,7 @@ impl SimState<'_> {
         };
         // ring of the last `rl` per-trip state keys (flat, allocation-free)
         let mut ring_keys = vec![0u64; rl * klen];
+        let mut ring_hash = vec![0u64; rl];
         let mut ring_cycle = vec![0u64; rl];
         let mut ring_set = vec![false; rl];
         let mut key_buf: Vec<u64> = vec![0; klen];
@@ -745,13 +882,17 @@ impl SimState<'_> {
                         None => key_buf.extend([0u64; 8]),
                     }
                 }
+                let key_hash = hash_words(&key_buf);
                 for k in 1..=kmax {
                     let t0 = t - k * period;
                     if t0 < steady_from {
                         break;
                     }
                     let slot = (t0 % rl as i64) as usize;
-                    if !ring_set[slot] || ring_keys[slot * klen..(slot + 1) * klen] != key_buf {
+                    if !ring_set[slot]
+                        || ring_hash[slot] != key_hash
+                        || ring_keys[slot * klen..(slot + 1) * klen] != key_buf
+                    {
                         continue;
                     }
                     // state repeated over a verified-periodic flag window:
@@ -792,6 +933,7 @@ impl SimState<'_> {
                 if searching {
                     let slot = (t % rl as i64) as usize;
                     ring_keys[slot * klen..(slot + 1) * klen].copy_from_slice(&key_buf);
+                    ring_hash[slot] = key_hash;
                     ring_cycle[slot] = self.cycle;
                     ring_set[slot] = true;
                 }
@@ -800,10 +942,13 @@ impl SimState<'_> {
             // ---- simulate trip t ----
             let fbase = t as usize * nstreams;
             if vliw {
-                for fb in &fast_bundles {
+                let mut bundle_start = 0;
+                for &end in &bundle_ends {
+                    let fb = &fast_ops[bundle_start..end];
+                    bundle_start = end;
                     let mut start = self.cycle;
                     for op in fb {
-                        for &r in &op.srcs {
+                        for &r in &src_regs[op.srcs.clone()] {
                             start = start.max(self.ready[r]);
                         }
                     }
@@ -831,45 +976,44 @@ impl SimState<'_> {
                     self.cycle = start + 1 + store_stall;
                 }
             } else {
-                for fb in &fast_bundles {
-                    for op in fb {
-                        let mut ti = self.cycle;
-                        for &r in &op.srcs {
-                            ti = ti.max(self.ready[r]);
-                        }
-                        loop {
-                            let (classes, issued) = self.usage.slot(ti);
-                            if *issued < width && classes[op.ci] < unit_caps[op.ci] {
-                                classes[op.ci] += 1;
-                                *issued += 1;
-                                break;
-                            }
-                            ti += 1;
-                        }
-                        let mut lat = op.lat;
-                        let mut stall = 0u64;
-                        if let Some((si, is_store)) = op.mem {
-                            let extra_lat = if flags[fbase + si] != 0 {
-                                miss_penalty
-                            } else {
-                                0
-                            };
-                            if is_store {
-                                if single_issue {
-                                    stall = extra_lat;
-                                }
-                            } else {
-                                lat += extra_lat;
-                            }
-                        }
-                        if let Some(d) = op.dst {
-                            self.ready[d] = ti + lat;
-                        }
-                        if single_issue && op.fp_blocking {
-                            stall = stall.max(lat);
-                        }
-                        self.cycle = ti + stall;
+                // in-order issue sees the bundles as one op stream
+                for op in &fast_ops {
+                    let mut ti = self.cycle;
+                    for &r in &src_regs[op.srcs.clone()] {
+                        ti = ti.max(self.ready[r]);
                     }
+                    loop {
+                        let (classes, issued) = self.usage.slot(ti);
+                        if *issued < width && classes[op.ci] < unit_caps[op.ci] {
+                            classes[op.ci] += 1;
+                            *issued += 1;
+                            break;
+                        }
+                        ti += 1;
+                    }
+                    let mut lat = op.lat;
+                    let mut stall = 0u64;
+                    if let Some((si, is_store)) = op.mem {
+                        let extra_lat = if flags[fbase + si] != 0 {
+                            miss_penalty
+                        } else {
+                            0
+                        };
+                        if is_store {
+                            if single_issue {
+                                stall = extra_lat;
+                            }
+                        } else {
+                            lat += extra_lat;
+                        }
+                    }
+                    if let Some(d) = op.dst {
+                        self.ready[d] = ti + lat;
+                    }
+                    if single_issue && op.fp_blocking {
+                        stall = stall.max(lat);
+                    }
+                    self.cycle = ti + stall;
                 }
             }
             if extra > 0 {
@@ -881,7 +1025,7 @@ impl SimState<'_> {
             self.ff.ff_misses += 1;
         }
         // final loop-variable binding, as the trip-by-trip walk leaves it
-        self.env.insert(l.var.clone(), l.init + trips * l.step);
+        self.set_var(&l.var, l.init + trips * l.step);
         self.flags = flags;
         true
     }
@@ -1165,6 +1309,166 @@ mod tests {
         assert_eq!(out.ff.fast_loops, 8); // one inner entry per outer trip
         let reference = simulate_with(&p, &m, SimFidelity::Reference);
         assert_eq!(out.result, reference.result);
+    }
+
+    /// The per-set `Vec<(tag, tick)>` LRU cache the flat [`Cache`]
+    /// replaced, kept as its oracle.
+    struct RefCache {
+        nsets: usize,
+        ways: usize,
+        line: usize,
+        sets: Vec<Vec<(u64, u64)>>,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl RefCache {
+        fn new(m: &MachineDesc) -> RefCache {
+            let ways = m.cache.ways.max(1);
+            let nsets = (m.cache.size / m.cache.line / ways).max(1);
+            RefCache {
+                nsets,
+                ways,
+                line: m.cache.line,
+                sets: vec![Vec::new(); nsets],
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            let lineno = addr / self.line as u64;
+            let set = (lineno % self.nsets as u64) as usize;
+            let tag = lineno / self.nsets as u64;
+            let ways = &mut self.sets[set];
+            if let Some(slot) = ways.iter_mut().find(|(t, _)| *t == tag) {
+                slot.1 = self.tick;
+                self.stats.hits += 1;
+                return true;
+            }
+            self.stats.misses += 1;
+            if ways.len() < self.ways {
+                ways.push((tag, self.tick));
+            } else {
+                let lru = ways
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, (_, t))| *t)
+                    .map(|(k, _)| k)
+                    .unwrap();
+                ways[lru] = (tag, self.tick);
+            }
+            false
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 64, ..Default::default() })]
+        /// The flat cache gives the oracle's hit/miss sequence and stats on
+        /// every preset geometry. Four probe sites walk the address space
+        /// (small strides, so lines repeat, and random jumps, so sets
+        /// conflict); site 0 probes through the cache-wide hint, the others
+        /// through hints of their own.
+        #[test]
+        fn flat_cache_matches_per_set_lru(
+            preset in 0usize..4,
+            moves in proptest::collection::vec((0usize..4, 0usize..8, 0usize..8192), 0..3000),
+        ) {
+            use crate::presets::{arm7tdmi, itanium2, pentium, power4};
+            let m = [itanium2(), pentium(), power4(), arm7tdmi()][preset].clone();
+            let mut flat = Cache::new(&m);
+            let mut oracle = RefCache::new(&m);
+            let mut cursor = [0u64; 4];
+            let mut hints: [Hint; 4] = [None; 4];
+            for (k, &(site, step, jump)) in moves.iter().enumerate() {
+                cursor[site] = match step {
+                    0 => jump as u64,
+                    _ => cursor[site].saturating_add_signed(step as i64 - 3),
+                };
+                let addr = cursor[site] * m.elem_bytes as u64;
+                let line = flat.line_of(addr);
+                let got = match site {
+                    0 => flat.access(addr),
+                    _ => flat.probe(line, &mut hints[site]),
+                };
+                proptest::prop_assert_eq!(got, oracle.access(addr), "{} probe {}", m.name, k);
+            }
+            proptest::prop_assert_eq!(flat.stats, oracle.stats);
+        }
+    }
+
+    #[test]
+    fn last_mismatch_finds_the_last_differing_byte() {
+        for len in [0, 1, 63, 64, 65, 200] {
+            let a = vec![0u8; len];
+            assert_eq!(last_mismatch(&a, &a), None);
+            for at in [0, len / 2, len.saturating_sub(1)] {
+                if at < len {
+                    let mut b = a.clone();
+                    b[at] = 1;
+                    assert_eq!(last_mismatch(&a, &b), Some(at), "len {len} at {at}");
+                    b[0] = 1;
+                    assert_eq!(last_mismatch(&a, &b), Some(at), "len {len} at {at}");
+                }
+            }
+        }
+    }
+
+    fn load_at(dst: u32, elem: i64) -> Op {
+        Op::new(OpKind::Load {
+            dst,
+            array: "A".into(),
+            addr: Some(LinForm::constant(elem)),
+        })
+    }
+
+    fn tiny_cache(size: usize, ways: usize) -> MachineDesc {
+        MachineDesc {
+            cache: slc_machine::mach::CacheConfig {
+                size,
+                line: 64,
+                ways,
+                miss_penalty: 12,
+            },
+            ..MachineDesc::default()
+        }
+    }
+
+    #[test]
+    fn in_trip_self_eviction_defeats_the_trip_skip() {
+        // three fixed lines in one set of a 2-way cache: every trip touches
+        // the same lines as the last, but evicts lines it touched itself,
+        // so no trip is settled and LRU misses on every probe
+        let m = tiny_cache(1024, 2);
+        let same_set = (m.cache.sets() * m.cache.line / m.elem_bytes) as i64;
+        let body = (0..3)
+            .map(|k| vec![load_at(k, k as i64 * same_set)])
+            .collect();
+        let r = both(&prog_with_loop(body, 16), &m);
+        assert_eq!(r.cache.misses, 3 * 16, "{:?}", r.cache);
+        assert_eq!(r.cache.hits, 0);
+    }
+
+    #[test]
+    fn wrapped_spill_slots_defeat_the_trip_skip() {
+        // 70 spill probes wrap onto the 64 slots (8 lines) of a 4-line
+        // cache: the slots evict each other inside every trip
+        let m = tiny_cache(256, 2);
+        let p = CompiledProgram {
+            segs: vec![Seg::Loop(SimLoop {
+                var: "i".into(),
+                init: 0,
+                step: 1,
+                trips: 12,
+                body: vec![Seg::Straight(vec![vec![load(0, 0)]])],
+                extra_mem_per_iter: 70,
+            })],
+            arrays: vec![("A".into(), 1024)],
+        };
+        let r = both(&p, &m);
+        assert_eq!(r.cache.hits + r.cache.misses, 12 * 71);
+        assert!(r.cache.misses >= 12 * 8, "{:?}", r.cache);
     }
 
     #[test]

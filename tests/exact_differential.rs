@@ -22,7 +22,7 @@
 
 use slc::ast::parse_program;
 use slc::exact::MAX_EXACT_MIS;
-use slc::pipeline::{compile, CompilerKind};
+use slc::pipeline::{compile, run_batch, BatchConfig, CompilerKind, PassPlan};
 use slc::sim::astinterp::equivalent;
 use slc::sim::cycle::{simulate_with, SimFidelity};
 use slc::slms::{slms_program, Expansion, SchedulerKind, SlmsConfig};
@@ -39,6 +39,20 @@ fn cfg_pair(apply_filter: bool, expansion: Expansion) -> (SlmsConfig, SlmsConfig
         ..heuristic.clone()
     };
     (heuristic, exact)
+}
+
+/// The exact-scheduler batch report is pinned: the matrix `slc batch
+/// --scheduler exact` runs, evaluated in process, equals the checked-in
+/// `BENCH_batch_exact.json` byte for byte (regenerate with
+/// `slc batch --scheduler exact --out BENCH_batch_exact.json`).
+#[test]
+fn exact_batch_report_matches_checked_in_baseline() {
+    let mut cfg = BatchConfig::full_matrix();
+    cfg.slms.scheduler = SchedulerKind::Exact;
+    cfg.plan = PassPlan::exact_only();
+    let report = run_batch(&cfg);
+    assert_eq!(report.failed(), 0);
+    assert_eq!(report.to_json(), include_str!("../BENCH_batch_exact.json"));
 }
 
 /// Dominance + certification over every workload, both filter settings and
