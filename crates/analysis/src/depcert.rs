@@ -539,9 +539,12 @@ mod tests {
         None
     }
 
+    /// A trip count and its per-dimension equations `a·t1 = b·t2 + c`.
+    type System = (i64, Vec<(i64, i64, i64)>);
+
     #[test]
     fn solver_agrees_with_brute_on_small_systems() {
-        let cases: Vec<(i64, Vec<(i64, i64, i64)>)> = vec![
+        let cases: Vec<System> = vec![
             (7, vec![(1, 1, 3)]),            // i = j + 3
             (7, vec![(2, 2, 1)]),            // parity: unsat
             (7, vec![(4, 2, 1)]),            // gcd 2 ∤ 1: unsat

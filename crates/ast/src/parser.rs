@@ -39,9 +39,15 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deep expressions and statements may nest: deeper input is a parse
+/// error rather than a stack overflow.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser {
     toks: Vec<(Token, usize)>,
     pos: usize,
+    /// current expression/statement nesting
+    depth: usize,
 }
 
 type PResult<T> = Result<T, ParseError>;
@@ -49,7 +55,11 @@ type PResult<T> = Result<T, ParseError>;
 impl Parser {
     fn new(src: &str) -> PResult<Parser> {
         let toks = Lexer::new(src).tokenize().map_err(ParseError)?;
-        Ok(Parser { toks, pos: 0 })
+        Ok(Parser {
+            toks,
+            pos: 0,
+            depth: 0,
+        })
     }
 
     fn peek(&self) -> &Token {
@@ -105,9 +115,27 @@ impl Parser {
         matches!(self.peek(), Token::Ident(s) if s == kw)
     }
 
+    /// Run `f` one nesting level deeper, refusing past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, f: fn(&mut Parser) -> PResult<T>) -> PResult<T> {
+        if self.depth == MAX_DEPTH {
+            return Err(ParseError(format!(
+                "line {}: nesting deeper than {MAX_DEPTH} levels",
+                self.line()
+            )));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
     // ----- expressions -------------------------------------------------
 
     fn expr(&mut self) -> PResult<Expr> {
+        self.nested(Parser::select_expr)
+    }
+
+    fn select_expr(&mut self) -> PResult<Expr> {
         let cond = self.or_expr()?;
         if self.eat(&Token::Question) {
             let then_e = self.expr()?;
@@ -122,22 +150,37 @@ impl Parser {
         Ok(cond)
     }
 
-    fn or_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.and_expr()?;
-        while self.eat(&Token::OrOr) {
-            let r = self.and_expr()?;
-            e = Expr::bin(BinOp::Or, e, r);
+    /// A left-associative chain `next (op next)*`. Every link nests the
+    /// tree built so far one level deeper, so links count against
+    /// [`MAX_DEPTH`] too: a flat `a + a + …` cannot build a tree deeper
+    /// than the passes that walk it can recurse.
+    fn chain(
+        &mut self,
+        next: fn(&mut Parser) -> PResult<Expr>,
+        op: fn(&Token) -> Option<BinOp>,
+    ) -> PResult<Expr> {
+        let depth = self.depth;
+        let mut e = next(self)?;
+        while let Some(op) = op(self.peek()) {
+            self.bump();
+            let r = self.nested(next)?;
+            e = Expr::bin(op, e, r);
+            self.depth += 1;
         }
+        self.depth = depth;
         Ok(e)
     }
 
+    fn or_expr(&mut self) -> PResult<Expr> {
+        self.chain(Parser::and_expr, |t| {
+            (*t == Token::OrOr).then_some(BinOp::Or)
+        })
+    }
+
     fn and_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.cmp_expr()?;
-        while self.eat(&Token::AndAnd) {
-            let r = self.cmp_expr()?;
-            e = Expr::bin(BinOp::And, e, r);
-        }
-        Ok(e)
+        self.chain(Parser::cmp_expr, |t| {
+            (*t == Token::AndAnd).then_some(BinOp::And)
+        })
     }
 
     fn cmp_op(&self) -> Option<CmpOp> {
@@ -163,47 +206,36 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                Token::Plus => BinOp::Add,
-                Token::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let r = self.mul_expr()?;
-            e = Expr::bin(op, e, r);
-        }
-        Ok(e)
+        self.chain(Parser::mul_expr, |t| match t {
+            Token::Plus => Some(BinOp::Add),
+            Token::Minus => Some(BinOp::Sub),
+            _ => None,
+        })
     }
 
     fn mul_expr(&mut self) -> PResult<Expr> {
-        let mut e = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                Token::Star => BinOp::Mul,
-                Token::Slash => BinOp::Div,
-                Token::Percent => BinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let r = self.unary_expr()?;
-            e = Expr::bin(op, e, r);
-        }
-        Ok(e)
+        self.chain(Parser::unary_expr, |t| match t {
+            Token::Star => Some(BinOp::Mul),
+            Token::Slash => Some(BinOp::Div),
+            Token::Percent => Some(BinOp::Mod),
+            _ => None,
+        })
     }
 
     fn unary_expr(&mut self) -> PResult<Expr> {
         if self.eat(&Token::Minus) {
             // Fold negated literals so `-1` round-trips as `Int(-1)`.
-            return Ok(match self.unary_expr()? {
+            return Ok(match self.nested(Parser::unary_expr)? {
                 Expr::Int(v) => Expr::Int(-v),
                 Expr::Float(v) => Expr::Float(-v),
                 inner => Expr::Unary(UnOp::Neg, Box::new(inner)),
             });
         }
         if self.eat(&Token::Bang) {
-            return Ok(Expr::Unary(UnOp::Not, Box::new(self.unary_expr()?)));
+            return Ok(Expr::Unary(
+                UnOp::Not,
+                Box::new(self.nested(Parser::unary_expr)?),
+            ));
         }
         self.primary()
     }
@@ -371,6 +403,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> PResult<Stmt> {
+        self.nested(Parser::any_stmt)
+    }
+
+    fn any_stmt(&mut self) -> PResult<Stmt> {
         if self.is_kw("par") {
             self.bump();
             self.expect(Token::LBrace)?;
@@ -647,6 +683,33 @@ mod tests {
     fn rejects_nonconstant_dimension() {
         assert!(parse_program("float A[n];").is_err());
         assert!(parse_program("float A[0];").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        // run on a thread with the default spawned-thread stack, like a
+        // daemon request worker
+        std::thread::spawn(|| {
+            let parens = |n: usize| format!("x = {}1{};", "(".repeat(n), ")".repeat(n));
+            assert!(parse_stmts(&parens(MAX_DEPTH - 2)).is_ok());
+            for deep in [
+                parens(MAX_DEPTH),
+                parens(3000),
+                format!("x = {}1;", "- ".repeat(3000)),
+                format!("x = {}y;", "!".repeat(3000)),
+                format!("{}x = 1;{}", "{".repeat(3000), "}".repeat(3000)),
+                format!("{}x = 1;", "if (c) ".repeat(3000)),
+                format!("x = {}0{};", "a[".repeat(3000), "]".repeat(3000)),
+                format!("x = a{};", " + a".repeat(3000)),
+                format!("x = a{};", " * a".repeat(3000)),
+                format!("x = c{};", " && c".repeat(3000)),
+            ] {
+                let err = parse_stmts(&deep).unwrap_err();
+                assert!(err.0.contains("nesting deeper"), "{err}");
+            }
+        })
+        .join()
+        .unwrap();
     }
 
     #[test]

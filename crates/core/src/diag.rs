@@ -274,17 +274,16 @@ pub fn slms_error_json(e: &SlmsError) -> Json {
 pub fn loop_outcome_json(o: &LoopOutcome) -> Json {
     let (report, error) = match &o.result {
         Ok(r) => {
-            let renamed = r
+            let renamed: Vec<Json> = r
                 .renamed
                 .iter()
                 .map(|(var, versions)| {
-                    Json::obj().field("var", var.as_str()).field(
-                        "versions",
-                        Json::Arr(versions.iter().map(|v| Json::from(v.as_str())).collect()),
-                    )
+                    Json::obj()
+                        .field("var", var.as_str())
+                        .field("versions", versions.clone())
                 })
                 .collect();
-            let expanded = r
+            let expanded: Vec<Json> = r
                 .expanded_arrays
                 .iter()
                 .map(|(var, arr)| {
@@ -300,25 +299,14 @@ pub fn loop_outcome_json(o: &LoopOutcome) -> Json {
                 .field("unroll", r.unroll)
                 .field("max_offset", r.max_offset)
                 .field("if_converted", r.if_converted)
-                .field(
-                    "decomposed",
-                    Json::Arr(
-                        r.decomposed
-                            .iter()
-                            .map(|t| Json::from(t.as_str()))
-                            .collect(),
-                    ),
-                )
-                .field("renamed", Json::Arr(renamed))
-                .field("expanded_arrays", Json::Arr(expanded));
+                .field("decomposed", r.decomposed.clone())
+                .field("renamed", renamed)
+                .field("expanded_arrays", expanded);
             let report = match (&r.certificate, &r.exact_order, r.heuristic_ii) {
                 (Some(cert), Some(order), Some(heuristic_ii)) => report
                     .field("scheduler", "exact")
                     .field("heuristic_ii", heuristic_ii)
-                    .field(
-                        "exact_order",
-                        Json::Arr(order.iter().map(|&p| Json::from(p)).collect()),
-                    )
+                    .field("exact_order", order.clone())
                     .field(
                         "certificate",
                         Json::obj()
@@ -341,10 +329,7 @@ pub fn loop_outcome_json(o: &LoopOutcome) -> Json {
         .field("transformed", o.result.is_ok())
         .field("report", report)
         .field("error", error)
-        .field(
-            "trace",
-            Json::Arr(o.trace.iter().map(DiagEvent::to_json).collect()),
-        )
+        .field("trace", Json::arr(o.trace.iter().map(DiagEvent::to_json)))
 }
 
 impl std::fmt::Display for DiagEvent {

@@ -47,7 +47,7 @@ use slc_analysis::{
     DepStats, Distance, LoopRange,
 };
 use slc_ast::{AssignOp, LValue, LoopId, Program, Stmt};
-use slc_trace::Tracer;
+use slc_trace::{FromJson, Hex, Json, Tracer};
 use std::collections::HashSet;
 
 /// Which scheduler picks the MI ordering of the emitted body.
@@ -827,6 +827,48 @@ fn transform_stmts(
         }
     }
     out
+}
+
+/// The filter thresholds travel as their bit patterns ([`Hex`]), so every
+/// value, non-finite ones included, decodes to the bits that were encoded.
+impl From<&SlmsConfig> for Json {
+    fn from(s: &SlmsConfig) -> Json {
+        Json::obj()
+            .field("max_memref_ratio", Hex(s.filter.max_memref_ratio.to_bits()))
+            .field(
+                "min_arith_per_ref",
+                s.filter.min_arith_per_ref.map(|r| Hex(r.to_bits())),
+            )
+            .field("apply_filter", s.apply_filter)
+            .field("expansion", s.expansion.label())
+            .field("if_conversion", s.if_conversion)
+            .field("max_decompositions", s.max_decompositions)
+            .field("allow_symbolic_guard", s.allow_symbolic_guard)
+            .field("scheduler", s.scheduler.label())
+    }
+}
+
+impl FromJson for SlmsConfig {
+    fn from_json(j: &Json) -> Result<SlmsConfig, String> {
+        let expansion: String = j.req("expansion")?;
+        let scheduler: String = j.req("scheduler")?;
+        Ok(SlmsConfig {
+            filter: FilterConfig {
+                max_memref_ratio: f64::from_bits(j.req::<Hex>("max_memref_ratio")?.0),
+                min_arith_per_ref: j
+                    .opt::<Hex>("min_arith_per_ref")?
+                    .map(|h| f64::from_bits(h.0)),
+            },
+            apply_filter: j.req("apply_filter")?,
+            expansion: Expansion::from_label(&expansion)
+                .ok_or_else(|| format!("unknown expansion `{expansion}`"))?,
+            if_conversion: j.req("if_conversion")?,
+            max_decompositions: j.req("max_decompositions")?,
+            allow_symbolic_guard: j.req("allow_symbolic_guard")?,
+            scheduler: SchedulerKind::from_label(&scheduler)
+                .ok_or_else(|| format!("unknown scheduler `{scheduler}`"))?,
+        })
+    }
 }
 
 #[cfg(test)]

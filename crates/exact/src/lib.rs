@@ -813,7 +813,7 @@ mod tests {
         assert_eq!(r.certificate.mii, 1);
         assert!(r.certificate.proof.is_none());
         // re-check in the emitted space: relabel deps through the order
-        let mut sigma = vec![0usize; 4];
+        let mut sigma = [0usize; 4];
         for (p, &k) in r.order.iter().enumerate() {
             sigma[k] = p;
         }
@@ -895,7 +895,7 @@ mod tests {
         assert_eq!(proof.ii, 1);
         // the emitted space is the identity relabeling when not reordered
         let emitted: Vec<Dep> = if r.reordered {
-            let mut sigma = vec![0usize; 4];
+            let mut sigma = [0usize; 4];
             for (p, &k) in r.order.iter().enumerate() {
                 sigma[k] = p;
             }

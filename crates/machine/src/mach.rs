@@ -7,6 +7,7 @@
 //! a target.
 
 use crate::ir::{OpClass, ALL_CLASSES};
+use slc_trace::{FromJson, Json};
 
 /// How the machine finds instruction-level parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,6 +220,70 @@ impl Default for MachineDesc {
             elem_bytes: 8,
             spill_penalty: 2,
         }
+    }
+}
+
+impl From<&MachineDesc> for Json {
+    fn from(m: &MachineDesc) -> Json {
+        let issue = match m.issue {
+            IssueModel::StaticVliw => "vliw",
+            IssueModel::DynamicInOrder => "inorder",
+        };
+        Json::obj()
+            .field("name", m.name.as_str())
+            .field("issue", issue)
+            .field("issue_width", m.issue_width)
+            .field("units", m.units.to_vec())
+            .field("latency", m.latency.to_vec())
+            .field("int_regs", m.int_regs)
+            .field("fp_regs", m.fp_regs)
+            .field(
+                "cache",
+                Json::obj()
+                    .field("size", m.cache.size)
+                    .field("line", m.cache.line)
+                    .field("ways", m.cache.ways)
+                    .field("miss_penalty", m.cache.miss_penalty),
+            )
+            .field("elem_bytes", m.elem_bytes)
+            .field("spill_penalty", m.spill_penalty)
+    }
+}
+
+/// Decodes only machines that pass [`MachineDesc::validate`].
+impl FromJson for MachineDesc {
+    fn from_json(j: &Json) -> Result<MachineDesc, String> {
+        let table = |key: &str| format!("field `{key}`: want 7 entries, one per op class");
+        let cache = j.get("cache").ok_or("missing field `cache`")?;
+        let m = MachineDesc {
+            name: j.req("name")?,
+            issue: match j.req::<String>("issue")?.as_str() {
+                "vliw" => IssueModel::StaticVliw,
+                "inorder" => IssueModel::DynamicInOrder,
+                other => return Err(format!("unknown issue model `{other}`")),
+            },
+            issue_width: j.req("issue_width")?,
+            units: j
+                .req::<Vec<usize>>("units")?
+                .try_into()
+                .map_err(|_| table("units"))?,
+            latency: j
+                .req::<Vec<u32>>("latency")?
+                .try_into()
+                .map_err(|_| table("latency"))?,
+            int_regs: j.req("int_regs")?,
+            fp_regs: j.req("fp_regs")?,
+            cache: CacheConfig {
+                size: cache.req("size")?,
+                line: cache.req("line")?,
+                ways: cache.req("ways")?,
+                miss_penalty: cache.req("miss_penalty")?,
+            },
+            elem_bytes: j.req("elem_bytes")?,
+            spill_penalty: j.req("spill_penalty")?,
+        };
+        m.validate().map_err(|e| e.to_string())?;
+        Ok(m)
     }
 }
 

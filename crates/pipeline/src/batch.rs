@@ -28,15 +28,13 @@
 
 use crate::cache::CacheReport;
 use crate::compile::CompilerKind;
-use crate::json::Json;
 use crate::par::{effective_threads, par_map_indexed_stats, WorkerStats};
 use crate::passes::PassPlan;
-use crate::service::{CellSpec, CompileService, StageNs};
+use crate::service::{steady_state, CellSpec, CompileService, StageNs};
 use slc_core::SlmsConfig;
 use slc_machine::mach::MachineDesc;
-use slc_sim::cycle::FfStats;
-use slc_trace::{CounterRegistry, HistogramRegistry, Tracer};
-use slc_workloads::{enumerate_matrix, Variant, Workload};
+use slc_trace::{CounterRegistry, HistogramRegistry, Json, Tracer};
+use slc_workloads::{enumerate_matrix, MatrixCell, Variant, Workload};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -105,6 +103,19 @@ impl BatchConfig {
         }
     }
 
+    /// What matrix cell `cell` evaluates.
+    pub fn spec(&self, cell: MatrixCell) -> CellSpec<'_> {
+        CellSpec {
+            workload: &self.workloads[cell.workload],
+            machine: &self.machines[cell.machine],
+            compiler: self.compilers[cell.compiler],
+            variant: cell.variant,
+            plan: &self.plan,
+            slms: &self.slms,
+            verify: self.verify,
+        }
+    }
+
     /// Number of cells this config enumerates.
     pub fn n_cells(&self) -> usize {
         self.workloads.len() * self.machines.len() * self.compilers.len() * Variant::ALL.len()
@@ -136,7 +147,7 @@ pub struct ShardStats {
     /// runtime, so it is not inflated by time-slicing when shards
     /// outnumber cores; 0 when the platform offers no accounting)
     pub cpu_ms: f64,
-    /// the shard's per-stage miss wall clock
+    /// the shard's per-stage miss wall clock (from its `wall.*` histograms)
     pub stage: StageNs,
     /// the shard's per-worker queue accounting (its in-process thread pool)
     pub workers: Vec<WorkerStats>,
@@ -154,35 +165,31 @@ pub struct TimingReport {
     pub threads: usize,
     /// end-to-end wall time
     pub wall_ns: u64,
-    /// time inside parse misses
-    pub parse_ns: u64,
-    /// time inside plan misses (all passes, SLMS included)
-    pub slms_ns: u64,
-    /// time inside lowering misses
-    pub lower_ns: u64,
-    /// time inside scheduling misses
-    pub compile_ns: u64,
-    /// time inside simulation misses
-    pub sim_ns: u64,
-    /// per-pass breakdown of `slms_ns`, sorted by pass name
-    pub passes: Vec<PassTiming>,
     /// per-workload static-verification verdicts, sorted by workload name
     /// (empty unless [`BatchConfig::verify`] was set)
     pub verify: Vec<VerifySummary>,
-    /// steady-state fast-forward counters accumulated over simulation
-    /// misses (deterministic per config, but reported in the sidecar next
-    /// to the wall-clock they explain)
-    pub steady: FfStats,
     /// per-worker queue accounting for this run (scheduling-dependent, so
     /// sidecar-only), worker-ordered
     pub workers: Vec<WorkerStats>,
     /// per-shard dispatch accounting, shard-ordered (empty for
     /// in-process runs; filled by `slc batch --shards N`)
     pub shards: Vec<ShardStats>,
-    /// wall-clock histograms of per-miss stage latencies (`wall.*`
-    /// families). Quarantined here like every other wall-clock reading;
-    /// empty on the sharded path (each shard's latencies stay local)
+    /// wall-clock histograms: per-miss stage latencies and per-pass run
+    /// times (`wall.*` families), merged over the shards of a sharded run.
+    /// Quarantined here like every other wall-clock reading
     pub wall_hist: HistogramRegistry,
+}
+
+impl TimingReport {
+    /// Time inside each stage's misses (the `wall.*_ns` histogram sums).
+    pub fn stage(&self) -> StageNs {
+        StageNs::from_wall(&self.wall_hist)
+    }
+
+    /// Per-pass breakdown of the plan stage, sorted by pass name.
+    pub fn passes(&self) -> Vec<PassTiming> {
+        PassTiming::from_wall(&self.wall_hist)
+    }
 }
 
 /// Result of one batch run.
@@ -254,7 +261,6 @@ impl BatchReport {
     /// The canonical report: deterministic — byte-identical across runs
     /// and thread counts for the same `BatchConfig` and engine history.
     pub fn to_json(&self) -> String {
-        let cells: Vec<Json> = self.cells.iter().map(cell_json).collect();
         Json::obj()
             .field("schema", REPORT_SCHEMA)
             .field("cells_total", self.cells.len())
@@ -269,7 +275,7 @@ impl BatchReport {
                     .field("compile", store_json(self.cache.compile))
                     .field("sim", store_json(self.cache.sim)),
             )
-            .field("cells", Json::Arr(cells))
+            .field("cells", Json::arr(&self.cells))
             .to_pretty()
     }
 
@@ -289,7 +295,7 @@ impl BatchReport {
     pub fn timing_json(&self) -> String {
         let t = &self.timing;
         let mut passes = Json::obj();
-        for p in &t.passes {
+        for p in &t.passes() {
             passes = passes.field(
                 p.pass.as_str(),
                 Json::obj()
@@ -297,12 +303,11 @@ impl BatchReport {
                     .field("runs", p.runs),
             );
         }
-        let workers: Vec<Json> = t.workers.iter().map(worker_json).collect();
         let shards: Vec<Json> = t
             .shards
             .iter()
             .map(|s| {
-                let o = Json::obj()
+                Json::obj()
                     .field("shard", s.shard)
                     .field("cells", s.cells)
                     .field("chunks", s.chunks)
@@ -312,37 +317,19 @@ impl BatchReport {
                     .field("chunk_ms_p99", s.chunk_ms_p99)
                     .field("cpu_ms", s.cpu_ms)
                     .field("stage_ms", stage_ms_json(&s.stage))
-                    .field(
-                        "workers",
-                        Json::Arr(s.workers.iter().map(worker_json).collect()),
-                    );
-                match &s.flight {
+                    .field("workers", Json::arr(s.workers.iter().map(worker_json)))
                     // quarantine capture: the dead shard's last flight ring
-                    Some(dump) => o.field("flight_recorder", dump.as_str()),
-                    None => o,
-                }
+                    .field_opt("flight_recorder", s.flight.as_deref())
             })
             .collect();
         let doc = Json::obj()
             .field("schema", TIMING_SCHEMA)
             .field("threads", t.threads)
             .field("wall_ms", t.wall_ns as f64 / 1e6)
-            .field(
-                "stage_ms",
-                Json::obj()
-                    .field("parse", t.parse_ns as f64 / 1e6)
-                    .field("slms", t.slms_ns as f64 / 1e6)
-                    .field("lower", t.lower_ns as f64 / 1e6)
-                    .field("compile", t.compile_ns as f64 / 1e6)
-                    .field("simulate", t.sim_ns as f64 / 1e6),
-            )
+            .field("stage_ms", stage_ms_json(&t.stage()))
             .field("pass_ms", passes)
-            .field("workers", Json::Arr(workers));
-        let doc = if t.shards.is_empty() {
-            doc
-        } else {
-            doc.field("shards", Json::Arr(shards))
-        };
+            .field("workers", Json::arr(t.workers.iter().map(worker_json)))
+            .field_opt("shards", (!t.shards.is_empty()).then_some(shards));
         doc.field("verify", {
             let mut verify = Json::obj();
             for v in &t.verify {
@@ -357,17 +344,17 @@ impl BatchReport {
             }
             verify
         })
-        .field(
-            "sim_steady_state",
+        .field("sim_steady_state", {
+            let steady = steady_state(&self.counters);
             Json::obj()
-                .field("fast_loops", t.steady.fast_loops)
-                .field("fallback_loops", t.steady.fallback_loops)
-                .field("ff_hits", t.steady.ff_hits)
-                .field("ff_misses", t.steady.ff_misses)
-                .field("trips_total", t.steady.trips_total)
-                .field("trips_skipped", t.steady.trips_skipped),
-        )
-        .field("wall_histograms", t.wall_hist.to_json())
+                .field("fast_loops", steady.fast_loops)
+                .field("fallback_loops", steady.fallback_loops)
+                .field("ff_hits", steady.ff_hits)
+                .field("ff_misses", steady.ff_misses)
+                .field("trips_total", steady.trips_total)
+                .field("trips_skipped", steady.trips_skipped)
+        })
+        .field("wall_histograms", &t.wall_hist)
         .to_pretty()
     }
 
@@ -383,27 +370,28 @@ impl BatchReport {
     /// from the timing sidecar, so it is wall-clock data — a baseline to
     /// compare against, not part of the canonical deterministic report.
     pub fn sim_bench_json(&self) -> String {
-        let t = &self.timing;
-        let sim_s = t.sim_ns as f64 / 1e9;
+        let sim_ns = self.timing.stage().sim;
+        let steady = steady_state(&self.counters);
+        let sim_s = sim_ns as f64 / 1e9;
         let trips_per_sec = if sim_s > 0.0 {
-            t.steady.trips_total as f64 / sim_s
+            steady.trips_total as f64 / sim_s
         } else {
             0.0
         };
         Json::obj()
             .field("schema", "slc-sim-bench-v1")
-            .field("threads", t.threads)
-            .field("simulate_ms", t.sim_ns as f64 / 1e6)
-            .field("trips_total", t.steady.trips_total)
+            .field("threads", self.timing.threads)
+            .field("simulate_ms", sim_ns as f64 / 1e6)
+            .field("trips_total", steady.trips_total)
             .field("trips_per_sec", trips_per_sec)
             .field(
                 "steady_state",
                 Json::obj()
-                    .field("fast_loops", t.steady.fast_loops)
-                    .field("fallback_loops", t.steady.fallback_loops)
-                    .field("ff_hits", t.steady.ff_hits)
-                    .field("ff_misses", t.steady.ff_misses)
-                    .field("trips_skipped", t.steady.trips_skipped),
+                    .field("fast_loops", steady.fast_loops)
+                    .field("fallback_loops", steady.fallback_loops)
+                    .field("ff_hits", steady.ff_hits)
+                    .field("ff_misses", steady.ff_misses)
+                    .field("trips_skipped", steady.trips_skipped),
             )
             .to_pretty()
     }
@@ -450,53 +438,6 @@ fn stage_ms_json(s: &StageNs) -> Json {
         .field("lower", s.lower as f64 / 1e6)
         .field("compile", s.compile as f64 / 1e6)
         .field("simulate", s.sim as f64 / 1e6)
-}
-
-fn loop_json(l: &crate::compile::LoopInfo) -> Json {
-    Json::obj()
-        .field("var", l.var.as_str())
-        .field("trips", l.trips)
-        .field("bundles_per_iter", l.bundles_per_iter)
-        .field("ms_applied", l.ms_applied)
-        .field("ii", l.ii)
-        .field("stages", l.stages)
-        .field("reg_pressure", l.reg_pressure)
-        .field("spilled", l.spilled)
-}
-
-fn cell_json(c: &CellResult) -> Json {
-    let base = Json::obj()
-        .field("workload", c.id.workload.as_str())
-        .field("suite", c.id.suite.as_str())
-        .field("machine", c.id.machine.as_str())
-        .field("compiler", c.id.compiler)
-        .field("variant", c.id.variant);
-    match &c.outcome {
-        Err(e) => base.field("ok", false).field("error", e.as_str()),
-        Ok(m) => {
-            let base = base
-                .field("ok", true)
-                .field("cycles", m.cycles)
-                .field("ops", m.ops)
-                .field("l1_hits", m.l1_hits)
-                .field("l1_misses", m.l1_misses)
-                .field("spill_accesses", m.spill_accesses)
-                .field("energy", m.energy)
-                .field("transformed", m.transformed)
-                .field("slms_ii", m.slms_ii);
-            // exact-only field: heuristic cells keep the historical
-            // byte-identical report shape
-            let base = if m.optimality_gaps.is_empty() {
-                base
-            } else {
-                base.field(
-                    "optimality_gaps",
-                    Json::Arr(m.optimality_gaps.iter().map(|&g| Json::from(g)).collect()),
-                )
-            };
-            base.field("loops", Json::Arr(m.loops.iter().map(loop_json).collect()))
-        }
-    }
 }
 
 /// The batch engine: a thin matrix-enumeration client over the shared
@@ -562,25 +503,13 @@ impl BatchEngine {
                 tracer.set_thread_track(worker as u32 + 1, &format!("worker {worker}"));
             }
             let cell = cells[i];
-            self.service.eval_cell(
-                &CellSpec {
-                    workload: &cfg.workloads[cell.workload],
-                    machine: &cfg.machines[cell.machine],
-                    compiler: cfg.compilers[cell.compiler],
-                    variant: cell.variant,
-                    plan: &cfg.plan,
-                    slms: &cfg.slms,
-                    verify: cfg.verify,
-                },
-                tracer,
-            )
+            self.service.eval_cell(&cfg.spec(cell), tracer)
         });
         let wall_ns = t0.elapsed().as_nanos() as u64;
         drop(batch_span);
         // with threads == 1 the "worker" ran inline on this thread; rebind
         // it to the orchestrator track for any spans the caller opens next
         tracer.set_thread_track(0, "main");
-        let stage = self.service.stage_ns();
         BatchReport {
             cells: results,
             cache: self.service.cache_report(),
@@ -589,14 +518,7 @@ impl BatchEngine {
             timing: TimingReport {
                 threads,
                 wall_ns,
-                parse_ns: stage.parse,
-                slms_ns: stage.slms,
-                lower_ns: stage.lower,
-                compile_ns: stage.compile,
-                sim_ns: stage.sim,
-                passes: self.service.pass_timings(),
                 verify: self.service.verify_summaries(),
-                steady: self.service.ff_stats(),
                 workers,
                 shards: Vec::new(),
                 wall_hist: self.service.wall_histograms(),
@@ -697,8 +619,8 @@ mod tests {
         let rep = run_batch(&tiny_cfg());
         let slms = rep
             .timing
-            .passes
-            .iter()
+            .passes()
+            .into_iter()
             .find(|p| p.pass == "slms")
             .expect("slms pass timed");
         assert!(slms.runs >= 1);
@@ -802,6 +724,33 @@ mod tests {
         assert!(!heuristic.to_json().contains("optimality_gaps"));
         assert!(heuristic.optimality_gaps().is_empty());
         assert_eq!(heuristic.counters.get("exact.loops_scheduled"), 0);
+    }
+
+    /// The cell codec is pinned by the checked-in reports: decoding every
+    /// cell's outcome and encoding it again reproduces both files byte for
+    /// byte.
+    #[test]
+    fn cell_codec_reproduces_the_checked_in_reports() {
+        use crate::service::{outcome_from_json, outcome_json};
+        for text in [
+            include_str!("../../../BENCH_batch.json"),
+            include_str!("../../../BENCH_batch_exact.json"),
+        ] {
+            let mut doc = Json::parse(text).unwrap();
+            let Json::Obj(members) = &mut doc else {
+                panic!("report is not an object");
+            };
+            let Some((_, Json::Arr(cells))) = members.iter_mut().find(|(k, _)| k == "cells") else {
+                panic!("report has no cell array");
+            };
+            for cell in cells.iter_mut() {
+                let outcome = outcome_from_json(cell).unwrap();
+                // the five identity members come first
+                let id = Json::Obj(cell.as_obj().unwrap()[..5].to_vec());
+                *cell = outcome_json(id, &outcome);
+            }
+            assert!(doc.to_pretty() == text, "re-encoded report differs");
+        }
     }
 
     #[test]

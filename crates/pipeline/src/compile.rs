@@ -18,6 +18,7 @@ use slc_machine::lower::{lower_program, LowerError};
 use slc_machine::mach::MachineDesc;
 use slc_machine::{list_schedule, max_pressure, modulo_schedule, spills};
 use slc_sim::cycle::{CompiledProgram, Seg, SimLoop};
+use slc_trace::{FromJson, Json};
 use std::borrow::Cow;
 
 /// Final-compiler personality.
@@ -50,6 +51,35 @@ pub struct LoopInfo {
     pub reg_pressure: usize,
     /// registers spilled (excess over the architected file)
     pub spilled: usize,
+}
+
+impl From<&LoopInfo> for Json {
+    fn from(l: &LoopInfo) -> Json {
+        Json::obj()
+            .field("var", l.var.as_str())
+            .field("trips", l.trips)
+            .field("bundles_per_iter", l.bundles_per_iter)
+            .field("ms_applied", l.ms_applied)
+            .field("ii", l.ii)
+            .field("stages", l.stages)
+            .field("reg_pressure", l.reg_pressure)
+            .field("spilled", l.spilled)
+    }
+}
+
+impl FromJson for LoopInfo {
+    fn from_json(j: &Json) -> Result<LoopInfo, String> {
+        Ok(LoopInfo {
+            var: j.req("var")?,
+            trips: j.req("trips")?,
+            bundles_per_iter: j.req("bundles_per_iter")?,
+            ms_applied: j.req("ms_applied")?,
+            ii: j.req("ii")?,
+            stages: j.req("stages")?,
+            reg_pressure: j.req("reg_pressure")?,
+            spilled: j.req("spilled")?,
+        })
+    }
 }
 
 /// Result of compilation: a simulatable program plus statistics.

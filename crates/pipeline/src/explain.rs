@@ -2,16 +2,16 @@
 //!
 //! The paper's SLC is an interactive tool: the user applies a
 //! transformation and inspects what happened. `slc explain` is the batch
-//! form of that inspection — it runs a [`PassPlan`](crate::PassPlan) over a
+//! form of that inspection — it runs a [`PassPlan`] over a
 //! program and prints, for every loop, the full decision trace: the §4
 //! filter verdict with its measured memory-ref ratio, each MII /
 //! decomposition round, and the final II (or the structured reason the
 //! loop was left alone).
 
-use crate::json::Json;
 use crate::passes::{PassManager, PassPlan};
 use slc_ast::parse_program;
 use slc_core::{loop_outcome_json, SlmsConfig};
+use slc_trace::Json;
 use slc_workloads::Workload;
 
 /// Run `plan` over `src` and render the per-loop decision trace. On a hard

@@ -29,13 +29,6 @@ pub mod passes;
 pub mod service;
 pub mod shard;
 
-/// Deterministic JSON value + writer/reader (moved to [`slc_trace::json`];
-/// re-exported here so existing `slc_pipeline::json::Json` paths keep
-/// working).
-pub mod json {
-    pub use slc_trace::json::*;
-}
-
 pub use batch::{
     run_batch, BatchConfig, BatchEngine, BatchReport, CellId, CellMetrics, CellResult, ShardStats,
     TimingReport, COUNTER_TOLERANCES, REPORT_SCHEMA, TIMING_SCHEMA,
@@ -50,15 +43,16 @@ pub use explain::{
     explain_all, explain_all_json, explain_source, explain_source_json, explain_workload,
     explain_workload_json,
 };
-pub use json::Json;
 pub use par::{effective_threads, par_map_indexed, par_map_indexed_stats, WorkerStats};
 pub use passes::{
     CompiledPass, Pass, PassError, PassManager, PassPlan, PassSpec, PlanParseError, PLAN_SYNTAX,
 };
 pub use service::{
-    verify_report, CellKeys, CellSpec, CompileOutcome, CompileService, PassTiming, ServiceError,
-    StageNs, VerifyOutcome, VerifySummary,
+    verify_report, CellKeys, CellSpec, CompileOutcome, CompileService, KeyedDelta, PassTiming,
+    ServiceError, StageNs, VerifyOutcome, VerifySummary,
 };
 pub use shard::{
-    run_sharded, shard_worker, ShardFault, ShardOptions, SHARD_BENCH_SCHEMA, SHARD_PROTO_SCHEMA,
+    run_sharded, shard_worker, ShardFault, ShardMsg, ShardOptions, WireCell, SHARD_BENCH_SCHEMA,
+    SHARD_PROTO_SCHEMA,
 };
+pub use slc_trace::Json;

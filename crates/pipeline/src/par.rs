@@ -7,6 +7,7 @@
 //! index order, so the output is independent of how work interleaves
 //! across threads.
 
+use slc_trace::{FromJson, Json};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
@@ -35,6 +36,27 @@ pub struct WorkerStats {
     /// wall-clock nanoseconds this worker spent inside the mapped closure
     /// (busy time, excluding queue claims and result sends)
     pub busy_ns: u64,
+}
+
+impl From<&WorkerStats> for Json {
+    fn from(w: &WorkerStats) -> Json {
+        Json::obj()
+            .field("worker", w.worker)
+            .field("claimed", w.claimed)
+            .field("empty_polls", w.empty_polls)
+            .field("busy_ns", w.busy_ns)
+    }
+}
+
+impl FromJson for WorkerStats {
+    fn from_json(j: &Json) -> Result<WorkerStats, String> {
+        Ok(WorkerStats {
+            worker: j.req("worker")?,
+            claimed: j.req("claimed")?,
+            empty_polls: j.req("empty_polls")?,
+            busy_ns: j.req("busy_ns")?,
+        })
+    }
 }
 
 /// Apply `f` to every index in `0..n` using up to `threads` worker

@@ -676,7 +676,9 @@ impl PassManager {
     ///
     /// In debug builds every `slms` pass is additionally checked by the
     /// static schedule verifier (`slc-verify`) and a violation trips a
-    /// `debug_assert` — release builds skip the check entirely.
+    /// `debug_assert` — release builds skip the check entirely. Verdicts
+    /// never enter the sink, so the diagnostics (and `slc explain`) are the
+    /// same in both build profiles.
     pub fn run(&self, prog: &Program, plan: &PassPlan) -> Result<(Program, DiagSink), PassError> {
         let (out, sink, verdicts) = self.run_with_verify(prog, plan, cfg!(debug_assertions))?;
         for vd in &verdicts {
@@ -692,9 +694,7 @@ impl PassManager {
     /// Like [`PassManager::run`], but when `verify` is set the program
     /// state *before* each `slms` pass is handed to the static schedule
     /// verifier. One [`ProgramVerdict`](slc_verify::ProgramVerdict) per
-    /// `slms` pass is returned in plan order, and each loop's
-    /// `Verified`/`VerifyViolation` events are appended to its decision
-    /// trace in the sink (so `slc explain` renders them).
+    /// `slms` pass is returned in plan order.
     pub fn run_with_verify(
         &self,
         prog: &Program,
@@ -714,9 +714,11 @@ impl PassManager {
                     PassSpec::Exact { no_filter } => resolve_exact(&self.slms, *no_filter),
                     _ => unreachable!("pre-state is only cloned for scheduling passes"),
                 };
-                let verdict = slc_verify::verify_slms_program_spanned(&pre, &cfg, &self.tracer);
-                attach_verify_events(&mut sink, &verdict);
-                verdicts.push(verdict);
+                verdicts.push(slc_verify::verify_slms_program_spanned(
+                    &pre,
+                    &cfg,
+                    &self.tracer,
+                ));
             }
         }
         Ok((cur, sink, verdicts))
@@ -726,36 +728,6 @@ impl PassManager {
     pub fn run_source(&self, src: &str, plan: &PassPlan) -> Result<(Program, DiagSink), String> {
         let prog = parse_program(src).map_err(|e| e.to_string())?;
         self.run(&prog, plan).map_err(|e| e.to_string())
-    }
-}
-
-/// Append the verifier's per-loop events to the matching loop outcomes of
-/// the most recently executed pass.
-fn attach_verify_events(sink: &mut DiagSink, verdict: &slc_verify::ProgramVerdict) {
-    use slc_core::diag::DiagEvent;
-    let Some(pd) = sink.passes.last_mut() else {
-        return;
-    };
-    for lr in &verdict.loops {
-        let Some(o) = pd.loops.iter_mut().find(|o| o.id == lr.id) else {
-            continue;
-        };
-        match &lr.verdict {
-            slc_verify::LoopVerdict::Verified { obligations } => {
-                o.trace.push(DiagEvent::Verified {
-                    obligations: *obligations,
-                })
-            }
-            slc_verify::LoopVerdict::Violated { violations, .. } => {
-                for viol in violations {
-                    o.trace.push(DiagEvent::VerifyViolation {
-                        rule: viol.rule().into(),
-                        detail: viol.to_string(),
-                    });
-                }
-            }
-            slc_verify::LoopVerdict::Skipped { .. } => {}
-        }
     }
 }
 

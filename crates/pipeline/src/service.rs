@@ -18,8 +18,11 @@
 //! `tests/batch_differential.rs` and `tests/trace_differential.rs`):
 //! deterministic work counters are bumped **only inside cache-miss
 //! closures**, each distinct artifact is computed exactly once while
-//! resident, and wall-clock goes to separate timing accumulators, never
-//! into counters or reports. A service built with
+//! resident, and wall-clock goes to the separate `wall.*` histograms,
+//! never into counters or reports. Each fact has one accumulator: the
+//! per-stage and per-pass times ([`StageNs`], [`PassTiming`]) are the sums
+//! and counts of those histograms, and the fast-forward statistics are
+//! read back from the `sim.*` counters. A service built with
 //! [`CompileService::bounded`] additionally enforces an LRU capacity per
 //! store — eviction order is deterministic under a fixed request order,
 //! and every evicted-then-recomputed artifact is re-fingerprinted against
@@ -37,10 +40,12 @@ use slc_machine::lower::{lower_program, LowerError};
 use slc_machine::mach::MachineDesc;
 use slc_sim::cycle::{simulate_spanned, FfStats, SimFidelity, SimResult};
 use slc_sim::power::EnergyModel;
-use slc_trace::{CounterRegistry, FlightRecorder, HistogramRegistry, RecKind, Tracer};
+use slc_trace::{
+    CounterRegistry, FlightRecorder, FromJson, Hex, Histogram, HistogramRegistry, Json, RecKind,
+    Tracer,
+};
 use slc_workloads::{Variant, Workload};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -123,6 +128,62 @@ pub struct CellMetrics {
     pub loops: Vec<LoopInfo>,
 }
 
+/// The metric members of a completed cell, in canonical report order.
+impl From<&CellMetrics> for Json {
+    fn from(m: &CellMetrics) -> Json {
+        let obj = Json::obj()
+            .field("cycles", m.cycles)
+            .field("ops", m.ops)
+            .field("l1_hits", m.l1_hits)
+            .field("l1_misses", m.l1_misses)
+            .field("spill_accesses", m.spill_accesses)
+            .field("energy", m.energy)
+            .field("transformed", m.transformed)
+            .field("slms_ii", m.slms_ii);
+        // exact-only member: heuristic cells keep the historical
+        // byte-identical report shape
+        let gaps = (!m.optimality_gaps.is_empty()).then(|| m.optimality_gaps.clone());
+        obj.field_opt("optimality_gaps", gaps)
+            .field("loops", Json::arr(&m.loops))
+    }
+}
+
+impl FromJson for CellMetrics {
+    fn from_json(j: &Json) -> Result<CellMetrics, String> {
+        Ok(CellMetrics {
+            cycles: j.req("cycles")?,
+            ops: j.req("ops")?,
+            l1_hits: j.req("l1_hits")?,
+            l1_misses: j.req("l1_misses")?,
+            spill_accesses: j.req("spill_accesses")?,
+            energy: j.req("energy")?,
+            transformed: j.req("transformed")?,
+            slms_ii: j.req("slms_ii")?,
+            optimality_gaps: j.opt("optimality_gaps")?.unwrap_or_default(),
+            loops: j.req("loops")?,
+        })
+    }
+}
+
+/// Append a cell outcome to `obj`: `ok`, then `error` or the metric
+/// members. The canonical report and the shard `cells` message both carry
+/// a cell this way.
+pub(crate) fn outcome_json(obj: Json, outcome: &Result<CellMetrics, String>) -> Json {
+    match outcome {
+        Err(e) => obj.field("ok", false).field("error", e.as_str()),
+        Ok(m) => obj.field("ok", true).extend(m.into()),
+    }
+}
+
+/// Read back what [`outcome_json`] appended.
+pub(crate) fn outcome_from_json(j: &Json) -> Result<Result<CellMetrics, String>, String> {
+    Ok(if j.req("ok")? {
+        Ok(CellMetrics::from_json(j)?)
+    } else {
+        Err(j.req("error")?)
+    })
+}
+
 /// One row of the report: identity plus outcome. Failures carry a
 /// stage-prefixed message (`parse: …` / `plan: …` / `lower: …`) instead of
 /// aborting the batch.
@@ -132,6 +193,19 @@ pub struct CellResult {
     pub id: CellId,
     /// metrics, or the degradation error
     pub outcome: Result<CellMetrics, String>,
+}
+
+/// A canonical report cell: identity members, then the outcome.
+impl From<&CellResult> for Json {
+    fn from(c: &CellResult) -> Json {
+        let id = Json::obj()
+            .field("workload", c.id.workload.as_str())
+            .field("suite", c.id.suite.as_str())
+            .field("machine", c.id.machine.as_str())
+            .field("compiler", c.id.compiler)
+            .field("variant", c.id.variant);
+        outcome_json(id, &c.outcome)
+    }
 }
 
 /// Static-verification outcome of one workload's `slms` pass(es), as
@@ -150,6 +224,29 @@ pub struct VerifySummary {
     pub violations: usize,
 }
 
+impl From<&VerifySummary> for Json {
+    fn from(v: &VerifySummary) -> Json {
+        Json::obj()
+            .field("workload", v.workload.as_str())
+            .field("verified", v.verified)
+            .field("skipped", v.skipped)
+            .field("obligations", v.obligations)
+            .field("violations", v.violations)
+    }
+}
+
+impl FromJson for VerifySummary {
+    fn from_json(j: &Json) -> Result<VerifySummary, String> {
+        Ok(VerifySummary {
+            workload: j.req("workload")?,
+            verified: j.req("verified")?,
+            skipped: j.req("skipped")?,
+            obligations: j.req("obligations")?,
+            violations: j.req("violations")?,
+        })
+    }
+}
+
 /// Wall clock and run count of one pass across every plan execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PassTiming {
@@ -161,7 +258,27 @@ pub struct PassTiming {
     pub runs: u64,
 }
 
-/// Per-stage wall-clock accumulated inside cache-miss closures
+impl PassTiming {
+    /// Every pass's timing, sorted by pass name: the sum and count of its
+    /// `wall.pass.<name>_ns` histogram.
+    pub fn from_wall(wall: &HistogramRegistry) -> Vec<PassTiming> {
+        let mut passes: Vec<PassTiming> = wall
+            .iter()
+            .filter_map(|(name, h)| {
+                let pass = name.strip_prefix("wall.pass.")?.strip_suffix("_ns")?;
+                Some(PassTiming {
+                    pass: pass.to_string(),
+                    ns: h.sum(),
+                    runs: h.count(),
+                })
+            })
+            .collect();
+        passes.sort_by(|a, b| a.pass.cmp(&b.pass));
+        passes
+    }
+}
+
+/// Per-stage wall-clock spent inside cache-miss closures
 /// (non-deterministic; reported only through timing sidecars).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StageNs {
@@ -175,6 +292,33 @@ pub struct StageNs {
     pub compile: u64,
     /// time inside simulation misses
     pub sim: u64,
+}
+
+impl StageNs {
+    /// The per-stage sums of the `wall.*_ns` miss-latency histograms.
+    pub fn from_wall(wall: &HistogramRegistry) -> StageNs {
+        let sum = |name: &str| wall.get(name).map_or(0, Histogram::sum);
+        StageNs {
+            parse: sum("wall.parse_ns"),
+            slms: sum("wall.plan_ns"),
+            lower: sum("wall.lower_ns"),
+            compile: sum("wall.compile_ns"),
+            sim: sum("wall.sim_ns"),
+        }
+    }
+}
+
+/// The steady-state fast-forward statistics of every simulation miss, read
+/// back from the `sim.*` counters the sim-miss closure adds.
+pub(crate) fn steady_state(c: &CounterRegistry) -> FfStats {
+    FfStats {
+        fast_loops: c.get("sim.fast_loops"),
+        fallback_loops: c.get("sim.fallback_loops"),
+        ff_hits: c.get("sim.ff_hits"),
+        ff_misses: c.get("sim.ff_misses"),
+        trips_total: c.get("sim.trips_total"),
+        trips_skipped: c.get("sim.trips_skipped"),
+    }
 }
 
 /// The store lookups one [`CompileService::eval_cell`] evaluation
@@ -196,6 +340,62 @@ pub struct CellKeys {
     pub lir: Option<u64>,
     /// sim-store key (equals the compile key; absent when lowering failed)
     pub sim: Option<u64>,
+}
+
+/// Every key travels as [`Hex`]: store keys use the full `u64` range.
+impl From<&CellKeys> for Json {
+    fn from(k: &CellKeys) -> Json {
+        Json::obj()
+            .field("parse", Hex(k.parse))
+            .field("plan", k.plan.map(Hex))
+            .field("compile", k.compile.map(Hex))
+            .field("lir", k.lir.map(Hex))
+            .field("sim", k.sim.map(Hex))
+    }
+}
+
+impl FromJson for CellKeys {
+    fn from_json(j: &Json) -> Result<CellKeys, String> {
+        let key = |k: &str| j.opt::<Hex>(k).map(|h| h.map(|h| h.0));
+        Ok(CellKeys {
+            parse: j.req::<Hex>("parse")?.0,
+            plan: key("plan")?,
+            compile: key("compile")?,
+            lir: key("lir")?,
+            sim: key("sim")?,
+        })
+    }
+}
+
+/// One miss closure's counter delta, tagged with the stage and store key
+/// that produced it.
+#[derive(Debug, Clone)]
+pub struct KeyedDelta {
+    /// attribution stage tag (plan or sim store)
+    pub stage: u8,
+    /// the store key
+    pub key: u64,
+    /// the counters the miss added
+    pub counters: CounterRegistry,
+}
+
+impl From<&KeyedDelta> for Json {
+    fn from(d: &KeyedDelta) -> Json {
+        Json::obj()
+            .field("stage", u32::from(d.stage))
+            .field("key", Hex(d.key))
+            .field("counters", &d.counters)
+    }
+}
+
+impl FromJson for KeyedDelta {
+    fn from_json(j: &Json) -> Result<KeyedDelta, String> {
+        Ok(KeyedDelta {
+            stage: j.req("stage")?,
+            key: j.req::<Hex>("key")?.0,
+            counters: j.req("counters")?,
+        })
+    }
 }
 
 /// Attribution stage tag for plan-store counter deltas.
@@ -221,6 +421,19 @@ pub struct CellSpec<'a> {
     pub slms: &'a SlmsConfig,
     /// statically verify the `slms` pass and record a per-workload verdict
     pub verify: bool,
+}
+
+impl CellSpec<'_> {
+    /// The cell's identity in the report.
+    pub fn id(&self) -> CellId {
+        CellId {
+            workload: self.workload.name.to_string(),
+            suite: self.workload.suite.to_string(),
+            machine: self.machine.name.clone(),
+            compiler: self.compiler.label(),
+            variant: self.variant.label(),
+        }
+    }
 }
 
 /// A typed compile-service failure, mirroring the CLI's stage-prefixed
@@ -307,17 +520,11 @@ pub(crate) fn plan_key(orig_fp: u64, plan: &PassPlan, slms: &SlmsConfig, verify:
 }
 
 /// Derive the full deterministic counter snapshot from a base registry (the
-/// miss-closure counters), a cache report and the daemon admission totals.
-/// [`CompileService::counters`] and the shard reducer share this so a
-/// reduced multi-process registry renders byte-identically to the
+/// miss-closure counters and the daemon admission totals) and a cache
+/// report. [`CompileService::counters`] and the shard reducer share this so
+/// a reduced multi-process registry renders byte-identically to the
 /// single-process one.
-pub(crate) fn finalize_counters(
-    mut c: CounterRegistry,
-    cr: &CacheReport,
-    requests: u64,
-    rejections: u64,
-    timeouts: u64,
-) -> CounterRegistry {
+pub(crate) fn finalize_counters(mut c: CounterRegistry, cr: &CacheReport) -> CounterRegistry {
     for (name, s) in [
         ("parse", &cr.parse),
         ("slms", &cr.slms),
@@ -329,19 +536,20 @@ pub(crate) fn finalize_counters(
         c.set(&format!("cache.{name}.misses"), s.misses);
         c.set(&format!("cache.{name}.evictions"), s.evictions);
     }
-    c.set("serve.requests", requests);
-    c.set("serve.rejections", rejections);
-    c.set("serve.timeouts", timeouts);
+    // the admission counters exist (at zero) in batch-only histories too
+    for name in ["serve.requests", "serve.rejections", "serve.timeouts"] {
+        c.add(name, 0);
+    }
     c.set("serve.hits", cr.total_hits());
     c.set("serve.evictions", cr.total_evictions());
     c.set("serve.refp_mismatches", cr.total_refp_mismatches());
     c
 }
 
-/// The shared service core: artifact stores, per-stage timing accumulators
-/// and the deterministic counter registry. Create once, share (it is
-/// `Sync`) between the batch engine, daemon connections and CLI helpers —
-/// all clients see one cache.
+/// The shared service core: artifact stores, the deterministic counter and
+/// work-histogram registries and the wall-clock histograms. Create once,
+/// share (it is `Sync`) between the batch engine, daemon connections and
+/// CLI helpers — all clients see one cache.
 #[derive(Default)]
 pub struct CompileService {
     parse: KeyedStore<ParseArtifact>,
@@ -349,29 +557,16 @@ pub struct CompileService {
     lir: KeyedStore<Result<LirProgram, LowerError>>,
     compile: KeyedStore<Result<crate::compile::CompileResult, LowerError>>,
     sim: KeyedStore<SimResult>,
-    parse_ns: AtomicU64,
-    slms_ns: AtomicU64,
-    lower_ns: AtomicU64,
-    compile_ns: AtomicU64,
-    sim_ns: AtomicU64,
-    pass_ns: Mutex<BTreeMap<String, (u64, u64)>>,
     /// per-workload verification verdicts (filled only when a batch run
     /// gates; keyed by workload name so repeat runs overwrite)
     verify_stats: Mutex<BTreeMap<String, VerifySummary>>,
-    /// steady-state fast-forward counters (six lanes matching `FfStats`)
-    ff: [AtomicU64; 6],
-    /// daemon request admissions (every request the daemon dispatched)
-    requests: AtomicU64,
-    /// daemon backpressure rejections (admission queue full → `busy`)
-    rejections: AtomicU64,
-    /// daemon per-request deadline expiries (→ `timeout` responses)
-    timeouts: AtomicU64,
     /// deterministic work counters. Bumped **only inside cache-miss
     /// closures** — each distinct artifact is computed exactly once, so the
     /// totals are invariant under thread count and work-queue interleaving
-    /// (the property `tests/trace_differential.rs` pins down). Wall-clock
-    /// values must never land here; they go to the timing accumulators
-    /// above.
+    /// (the property `tests/trace_differential.rs` pins down) — plus the
+    /// daemon's `serve.requests`/`serve.rejections`/`serve.timeouts`
+    /// admission counts. Wall-clock values must never land here; they go to
+    /// `wall_hist`.
     counters: Mutex<CounterRegistry>,
     /// per-(stage, key) counter deltas, recorded only when attribution is
     /// enabled (shard workers). Two shards can both miss on the same key
@@ -384,9 +579,10 @@ pub struct CompileService {
     /// but keeping the *distribution*: MIs placed per loop, SAT conflicts
     /// per solve, dep pairs per loop.
     hist: Mutex<HistogramRegistry>,
-    /// wall-clock histograms (per-miss stage latencies). Quarantined like
-    /// the stage timing accumulators: reported only through timing
-    /// sidecars, never gated, never merged into the canonical report.
+    /// wall-clock histograms: per-miss stage latencies (`wall.parse_ns`
+    /// … `wall.sim_ns`) and per-pass run times (`wall.pass.<name>_ns`).
+    /// Reported only through timing sidecars and the daemon's `metrics`,
+    /// never gated, never merged into the canonical report.
     wall_hist: Mutex<HistogramRegistry>,
 }
 
@@ -434,13 +630,7 @@ impl CompileService {
     /// `stats` request returns and the CI counter gate compares.
     pub fn counters(&self) -> CounterRegistry {
         let base = self.counters.lock().unwrap().clone();
-        finalize_counters(
-            base,
-            &self.cache_report(),
-            self.requests.load(Ordering::Relaxed),
-            self.rejections.load(Ordering::Relaxed),
-            self.timeouts.load(Ordering::Relaxed),
-        )
+        finalize_counters(base, &self.cache_report())
     }
 
     /// Start recording per-(stage, key) counter deltas alongside the
@@ -455,17 +645,18 @@ impl CompileService {
         }
     }
 
-    /// Drain the recorded (stage, key, delta) triples, in key order.
-    /// Returns an empty vec when attribution was never enabled.
-    pub fn take_attribution(&self) -> Vec<(u8, u64, CounterRegistry)> {
+    /// Drain the recorded deltas, in (stage, key) order. Returns an empty
+    /// vec when attribution was never enabled.
+    pub fn take_attribution(&self) -> Vec<KeyedDelta> {
         let mut a = self.attribution.lock().unwrap();
-        match a.as_mut() {
-            None => Vec::new(),
-            Some(map) => std::mem::take(map)
-                .into_iter()
-                .map(|((stage, key), delta)| (stage, key, delta))
-                .collect(),
-        }
+        let map = a.as_mut().map(std::mem::take).unwrap_or_default();
+        map.into_iter()
+            .map(|((stage, key), counters)| KeyedDelta {
+                stage,
+                key,
+                counters,
+            })
+            .collect()
     }
 
     /// Fold a miss closure's local counter delta into the registry, and —
@@ -482,28 +673,17 @@ impl CompileService {
 
     /// Count one admitted daemon request.
     pub fn note_request(&self) {
-        self.requests.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().unwrap().add("serve.requests", 1);
     }
 
     /// Count one admission-control rejection (`busy` response).
     pub fn note_rejection(&self) {
-        self.rejections.fetch_add(1, Ordering::Relaxed);
+        self.counters.lock().unwrap().add("serve.rejections", 1);
     }
 
     /// Count one per-request deadline expiry (`timeout` response).
     pub fn note_timeout(&self) {
-        self.timeouts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Per-stage wall clock accumulated inside miss closures so far.
-    pub fn stage_ns(&self) -> StageNs {
-        StageNs {
-            parse: self.parse_ns.load(Ordering::Relaxed),
-            slms: self.slms_ns.load(Ordering::Relaxed),
-            lower: self.lower_ns.load(Ordering::Relaxed),
-            compile: self.compile_ns.load(Ordering::Relaxed),
-            sim: self.sim_ns.load(Ordering::Relaxed),
-        }
+        self.counters.lock().unwrap().add("serve.timeouts", 1);
     }
 
     /// Snapshot the deterministic work histograms (MIs placed per loop,
@@ -515,36 +695,21 @@ impl CompileService {
         self.hist.lock().unwrap().clone()
     }
 
-    /// Snapshot the wall-clock histograms (per-miss stage latencies under
-    /// `wall.*` names). Non-deterministic; timing sidecars only.
+    /// Snapshot the wall-clock histograms (per-miss stage latencies and
+    /// per-pass run times under `wall.*` names). Non-deterministic; timing
+    /// sidecars and the daemon's `metrics` only.
     pub fn wall_histograms(&self) -> HistogramRegistry {
         self.wall_hist.lock().unwrap().clone()
     }
 
-    /// Time a miss closure: accumulate into the stage's nanosecond slot
-    /// and record the per-miss latency into the wall-clock histogram
-    /// family (both quarantined from the deterministic surfaces).
-    fn timed_wall<T>(&self, slot: &AtomicU64, name: &'static str, f: impl FnOnce() -> T) -> T {
+    /// Time a miss closure into the wall-clock histogram `name`
+    /// (quarantined from the deterministic surfaces).
+    fn timed_wall<T>(&self, name: &'static str, f: impl FnOnce() -> T) -> T {
         let t = Instant::now();
         let out = f();
         let ns = t.elapsed().as_nanos() as u64;
-        slot.fetch_add(ns, Ordering::Relaxed);
         self.wall_hist.lock().unwrap().record(name, ns);
         out
-    }
-
-    /// Per-pass wall clock and run counts, sorted by pass name.
-    pub fn pass_timings(&self) -> Vec<PassTiming> {
-        self.pass_ns
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|(pass, &(ns, runs))| PassTiming {
-                pass: pass.clone(),
-                ns,
-                runs,
-            })
-            .collect()
     }
 
     /// Per-workload static-verification verdicts, sorted by workload name
@@ -556,19 +721,6 @@ impl CompileService {
             .values()
             .cloned()
             .collect()
-    }
-
-    /// Cumulative steady-state fast-forward counters over simulation
-    /// misses.
-    pub fn ff_stats(&self) -> FfStats {
-        FfStats {
-            fast_loops: self.ff[0].load(Ordering::Relaxed),
-            fallback_loops: self.ff[1].load(Ordering::Relaxed),
-            ff_hits: self.ff[2].load(Ordering::Relaxed),
-            ff_misses: self.ff[3].load(Ordering::Relaxed),
-            trips_total: self.ff[4].load(Ordering::Relaxed),
-            trips_skipped: self.ff[5].load(Ordering::Relaxed),
-        }
     }
 
     /// Accumulate the SLMS decision counters from one plan execution's
@@ -656,7 +808,7 @@ impl CompileService {
         let src_fp = slc_analysis::fingerprint_str(src);
         self.parse.get_or_compute_hit(src_fp, || {
             let _sp = tracer.span("stage", "parse");
-            self.timed_wall(&self.parse_ns, "wall.parse_ns", || {
+            self.timed_wall("wall.parse_ns", || {
                 parse_program(src)
                     .map(|p| {
                         let fp = slc_analysis::program_fingerprint(&p);
@@ -689,7 +841,7 @@ impl CompileService {
         self.slms.get_or_compute_hit(key, || {
             let _sp = tracer.span("stage", "plan");
             FlightRecorder::global().record(RecKind::Enter, "plan.miss", key, 0);
-            let out = self.timed_wall(&self.slms_ns, "wall.plan_ns", || {
+            let out = self.timed_wall("wall.plan_ns", || {
                 let pm = PassManager::new(slms.clone()).with_tracer(tracer.clone());
                 match pm.run_with_verify(orig_prog, plan, verify) {
                     Ok((p, sink, verdicts)) => {
@@ -724,13 +876,11 @@ impl CompileService {
                                 .unwrap()
                                 .insert(sum.workload.clone(), sum);
                         }
-                        let mut per_pass = self.pass_ns.lock().unwrap();
+                        let mut wall = self.wall_hist.lock().unwrap();
                         for pd in &sink.passes {
-                            let slot = per_pass.entry(pd.pass.clone()).or_insert((0, 0));
-                            slot.0 += pd.elapsed_ns;
-                            slot.1 += 1;
+                            wall.record(&format!("wall.pass.{}_ns", pd.pass), pd.elapsed_ns);
                         }
-                        drop(per_pass);
+                        drop(wall);
                         let mut hist = HistogramRegistry::new();
                         Self::count_slms_outcomes(&sink, &mut delta, &mut hist);
                         self.hist.lock().unwrap().merge(&hist);
@@ -769,13 +919,7 @@ impl CompileService {
         let w = spec.workload;
         let m = spec.machine;
         let kind = spec.compiler;
-        let id = CellId {
-            workload: w.name.to_string(),
-            suite: w.suite.to_string(),
-            machine: m.name.clone(),
-            compiler: kind.label(),
-            variant: spec.variant.label(),
-        };
+        let id = spec.id();
         let mut cell_span = tracer.span_dyn("cell", || {
             format!(
                 "{}/{}/{}/{}",
@@ -860,14 +1004,12 @@ impl CompileService {
         let compiled = self.compile.get_or_compute(compile_key, || {
             let lir = self.lir.get_or_compute(prog_fp, || {
                 let _sp = tracer.span("stage", "lower");
-                self.timed_wall(&self.lower_ns, "wall.lower_ns", || lower_program(prog))
+                self.timed_wall("wall.lower_ns", || lower_program(prog))
             });
             match lir.as_ref() {
                 Ok(l) => {
                     let _sp = tracer.span("stage", "compile");
-                    Ok(self.timed_wall(&self.compile_ns, "wall.compile_ns", || {
-                        compile_lir(l, m, kind)
-                    }))
+                    Ok(self.timed_wall("wall.compile_ns", || compile_lir(l, m, kind)))
                 }
                 Err(e) => Err(e.clone()),
             }
@@ -890,18 +1032,8 @@ impl CompileService {
         let sim = self.sim.get_or_compute(compile_key, || {
             let _sp = tracer.span("stage", "simulate");
             FlightRecorder::global().record(RecKind::Enter, "sim.miss", compile_key, 0);
-            let result = self.timed_wall(&self.sim_ns, "wall.sim_ns", || {
+            let result = self.timed_wall("wall.sim_ns", || {
                 let out = simulate_spanned(&comp.compiled, m, SimFidelity::Fast, tracer);
-                for (slot, v) in self.ff.iter().zip([
-                    out.ff.fast_loops,
-                    out.ff.fallback_loops,
-                    out.ff.ff_hits,
-                    out.ff.ff_misses,
-                    out.ff.trips_total,
-                    out.ff.trips_skipped,
-                ]) {
-                    slot.fetch_add(v, Ordering::Relaxed);
-                }
                 let mut delta = CounterRegistry::new();
                 delta.add("sim.cycles_total", out.result.cycles);
                 delta.add("sim.ops_total", out.result.total_ops());

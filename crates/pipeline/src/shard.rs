@@ -2,7 +2,7 @@
 //!
 //! `slc batch --shards N` fork/execs `N` copies of the running binary in a
 //! hidden `batch-shard` mode and drives them over an NDJSON pipe protocol
-//! (`slc-shard-proto-v1`, one JSON object per line — the same framing the
+//! (`slc-shard-proto-v2`, one JSON object per line — the same framing the
 //! `slc serve` daemon speaks). The parent keeps one shared queue of
 //! unassigned cell ranges over the canonical workload-major matrix order,
 //! and an idle shard takes ⌈unassigned ÷ (2·shards)⌉ cells from its front
@@ -15,7 +15,8 @@
 //! Parent → shard: `init` (the batch config), `run {lo, hi}`, `shutdown`.
 //! Shard → parent: `ready`; per range one `deltas` message followed by one
 //! `cells` message that answers and closes the whole range; and a final
-//! `stats` reply to `shutdown`.
+//! `stats` reply to `shutdown`. [`ShardMsg`] is the one codec for all of
+//! them, built from the codecs of the types they carry.
 //!
 //! **Determinism contract.** The reduced [`BatchReport`] is byte-identical
 //! to the in-process engine's for every shard count:
@@ -26,7 +27,7 @@
 //! * cache statistics are *replayed*, not summed: each shard ships the
 //!   store keys its evaluations looked up ([`CellKeys`]), and the reducer
 //!   re-executes the lookup sequence in matrix order against fresh key
-//!   sets ([`replay_cache`]). For unbounded stores hits = lookups −
+//!   sets (`replay_cache`). For unbounded stores hits = lookups −
 //!   distinct keys, which is schedule-independent, so the replay
 //!   reconstructs exactly what one process would have reported;
 //! * the deterministic counter registry is rebuilt from per-(stage, key)
@@ -37,7 +38,8 @@
 //!   distinct key misses exactly once;
 //! * wall-clock, range latencies and reassignment counts are
 //!   scheduling-dependent, so they live only in the `slc-batch-timing-v4`
-//!   sidecar ([`crate::batch::ShardStats`]) — never in the canonical report.
+//!   sidecar ([`crate::batch::ShardStats`], and the shards' merged `wall.*`
+//!   histograms) — never in the canonical report.
 //!
 //! **Fault degradation.** A shard that dies mid-run (EOF on its pipe) or
 //! emits a malformed line is marked dead, and its in-flight range goes
@@ -49,18 +51,16 @@
 
 use crate::batch::{BatchConfig, BatchReport, ShardStats, TimingReport};
 use crate::cache::{CacheReport, StoreStats};
-use crate::compile::{CompilerKind, LoopInfo};
-use crate::json::Json;
+use crate::compile::CompilerKind;
 use crate::par::{effective_threads, par_map_indexed_stats, WorkerStats};
 use crate::passes::PassPlan;
 use crate::service::{
-    finalize_counters, CellId, CellKeys, CellMetrics, CellResult, CellSpec, CompileService,
-    PassTiming, StageNs, VerifySummary, STAGE_SIM,
+    finalize_counters, outcome_from_json, outcome_json, CellKeys, CellMetrics, CellResult,
+    CompileService, KeyedDelta, StageNs, VerifySummary,
 };
-use slc_core::{Expansion, FilterConfig, SchedulerKind, SlmsConfig};
-use slc_machine::mach::{CacheConfig, IssueModel, MachineDesc};
-use slc_sim::cycle::FfStats;
-use slc_trace::{CounterRegistry, FlightRecorder, HistogramRegistry, Span, TraceCtx, Tracer};
+use slc_trace::{
+    CounterRegistry, FlightRecorder, FromJson, Hex, HistogramRegistry, Json, Span, TraceCtx, Tracer,
+};
 use slc_workloads::{enumerate_matrix, MatrixCell, Suite, Workload};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
 use std::io::{BufRead, BufReader, Write as _};
@@ -70,7 +70,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Schema tag of the parent↔shard NDJSON wire protocol.
-pub const SHARD_PROTO_SCHEMA: &str = "slc-shard-proto-v1";
+pub const SHARD_PROTO_SCHEMA: &str = "slc-shard-proto-v2";
 
 /// Schema tag of the sharding benchmark document (`BENCH_shard.json`).
 pub const SHARD_BENCH_SCHEMA: &str = "slc-shard-bench-v1";
@@ -119,193 +119,100 @@ fn next_slice(queue: &mut VecDeque<(usize, usize)>, shards: usize) -> Option<(us
 }
 
 // ---------------------------------------------------------------------------
-// Wire codec. Every u64 store key / fingerprint crosses the pipe as its
-// two's-complement i64 (the JSON layer carries i64; `as` casts roundtrip
-// exactly), and every f64 as its IEEE bit pattern, so nothing is lost to
-// decimal formatting.
+// Wire messages. Every value inside a message decodes and encodes through
+// its own type's codec (machine, SLMS config, cell keys and outcome,
+// counter and histogram registries, verdicts, worker stats); this section
+// only frames them.
 // ---------------------------------------------------------------------------
 
-fn ju(v: u64) -> Json {
-    Json::Int(v as i64)
+/// One evaluated cell on the wire: its matrix index, the store keys its
+/// evaluation looked up, and the canonical report's outcome members.
+#[derive(Debug, Clone)]
+pub struct WireCell {
+    /// position in the canonical matrix order
+    pub index: usize,
+    /// store lookups the evaluation performed
+    pub keys: CellKeys,
+    /// metrics, or the degradation error
+    pub outcome: Result<CellMetrics, String>,
 }
 
-fn jf(v: f64) -> Json {
-    ju(v.to_bits())
-}
-
-fn want<'a>(j: &'a Json, k: &str) -> Result<&'a Json, String> {
-    j.get(k).ok_or_else(|| format!("missing field `{k}`"))
-}
-
-fn want_u(j: &Json, k: &str) -> Result<u64, String> {
-    want(j, k)?
-        .as_i64()
-        .map(|v| v as u64)
-        .ok_or_else(|| format!("field `{k}` is not an integer"))
-}
-
-fn want_usize(j: &Json, k: &str) -> Result<usize, String> {
-    Ok(want_u(j, k)? as usize)
-}
-
-fn want_f(j: &Json, k: &str) -> Result<f64, String> {
-    Ok(f64::from_bits(want_u(j, k)?))
-}
-
-fn want_s<'a>(j: &'a Json, k: &str) -> Result<&'a str, String> {
-    want(j, k)?
-        .as_str()
-        .ok_or_else(|| format!("field `{k}` is not a string"))
-}
-
-fn want_b(j: &Json, k: &str) -> Result<bool, String> {
-    match want(j, k)? {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("field `{k}` is not a bool")),
+impl From<&WireCell> for Json {
+    fn from(c: &WireCell) -> Json {
+        let head = Json::obj().field("index", c.index).field("keys", &c.keys);
+        outcome_json(head, &c.outcome)
     }
 }
 
-fn want_arr<'a>(j: &'a Json, k: &str) -> Result<&'a [Json], String> {
-    want(j, k)?
-        .as_arr()
-        .ok_or_else(|| format!("field `{k}` is not an array"))
-}
-
-/// A string field decoded through an enum's `from_label`.
-fn want_label<T>(j: &Json, k: &str, from_label: fn(&str) -> Option<T>) -> Result<T, String> {
-    let label = want_s(j, k)?;
-    from_label(label).ok_or_else(|| format!("unknown {k} `{label}`"))
-}
-
-fn opt_u(j: &Json, k: &str) -> Option<u64> {
-    j.get(k).and_then(Json::as_i64).map(|v| v as u64)
-}
-
-fn msg_type(j: &Json) -> &str {
-    j.get("type").and_then(Json::as_str).unwrap_or("")
-}
-
-fn machine_json(m: &MachineDesc) -> Json {
-    Json::obj()
-        .field("name", m.name.as_str())
-        .field(
-            "issue",
-            match m.issue {
-                IssueModel::StaticVliw => "vliw",
-                IssueModel::DynamicInOrder => "inorder",
-            },
-        )
-        .field("issue_width", m.issue_width)
-        .field(
-            "units",
-            Json::Arr(m.units.iter().map(|&u| Json::from(u)).collect()),
-        )
-        .field(
-            "latency",
-            Json::Arr(m.latency.iter().map(|&l| Json::from(l)).collect()),
-        )
-        .field("int_regs", m.int_regs)
-        .field("fp_regs", m.fp_regs)
-        .field(
-            "cache",
-            Json::obj()
-                .field("size", m.cache.size)
-                .field("line", m.cache.line)
-                .field("ways", m.cache.ways)
-                .field("miss_penalty", m.cache.miss_penalty),
-        )
-        .field("elem_bytes", m.elem_bytes)
-        .field("spill_penalty", m.spill_penalty)
-}
-
-fn decode_machine(j: &Json) -> Result<MachineDesc, String> {
-    let mut units = [0usize; 7];
-    let mut latency = [0u32; 7];
-    let ua = want_arr(j, "units")?;
-    let la = want_arr(j, "latency")?;
-    if ua.len() != 7 || la.len() != 7 {
-        return Err("machine unit/latency tables must have 7 entries".into());
+impl FromJson for WireCell {
+    fn from_json(j: &Json) -> Result<WireCell, String> {
+        Ok(WireCell {
+            index: j.req("index")?,
+            keys: j.req("keys")?,
+            outcome: outcome_from_json(j)?,
+        })
     }
-    for i in 0..7 {
-        units[i] = ua[i].as_i64().ok_or("bad unit entry")? as usize;
-        latency[i] = la[i].as_i64().ok_or("bad latency entry")? as u32;
-    }
-    let cache = want(j, "cache")?;
-    let m = MachineDesc {
-        name: want_s(j, "name")?.to_string(),
-        issue: match want_s(j, "issue")? {
-            "vliw" => IssueModel::StaticVliw,
-            "inorder" => IssueModel::DynamicInOrder,
-            other => return Err(format!("unknown issue model `{other}`")),
-        },
-        issue_width: want_usize(j, "issue_width")?,
-        units,
-        latency,
-        int_regs: want_usize(j, "int_regs")?,
-        fp_regs: want_usize(j, "fp_regs")?,
-        cache: CacheConfig {
-            size: want_usize(cache, "size")?,
-            line: want_usize(cache, "line")?,
-            ways: want_usize(cache, "ways")?,
-            miss_penalty: want_u(cache, "miss_penalty")? as u32,
-        },
-        elem_bytes: want_usize(j, "elem_bytes")?,
-        spill_penalty: want_u(j, "spill_penalty")? as u32,
-    };
-    m.validate().map_err(|e| e.to_string())?;
-    Ok(m)
 }
 
-fn slms_json(s: &SlmsConfig) -> Json {
-    Json::obj()
-        .field("max_memref_ratio", jf(s.filter.max_memref_ratio))
-        .field(
-            "min_arith_per_ref",
-            s.filter.min_arith_per_ref.map(|r| ju(r.to_bits())),
-        )
-        .field("apply_filter", s.apply_filter)
-        .field("expansion", s.expansion.label())
-        .field("if_conversion", s.if_conversion)
-        .field("max_decompositions", s.max_decompositions)
-        .field("allow_symbolic_guard", s.allow_symbolic_guard)
-        .field("scheduler", s.scheduler.label())
+/// One line of `slc-shard-proto-v2`, in either direction. It encodes
+/// through `From<&ShardMsg> for Json` and decodes with [`ShardMsg::parse`].
+#[derive(Debug, Clone)]
+pub enum ShardMsg {
+    /// dispatcher → shard: what to evaluate
+    Init {
+        /// the batch (workload sources, machines, plan, SLMS config)
+        cfg: Box<BatchConfig>,
+        /// in-process map threads (`None` = all cores)
+        threads: Option<usize>,
+        /// trace context to bind, so the shard's spans stitch into the
+        /// dispatcher's timeline (`None` = untraced)
+        ctx: Option<TraceCtx>,
+    },
+    /// dispatcher → shard: evaluate matrix cells `lo..hi`
+    Run {
+        /// first cell
+        lo: usize,
+        /// one past the last cell
+        hi: usize,
+    },
+    /// dispatcher → shard: answer with [`ShardMsg::Stats`] and exit
+    Shutdown,
+    /// shard → dispatcher: `Init` accepted
+    Ready,
+    /// shard → dispatcher: what the range just evaluated added, sent
+    /// before the cells it explains
+    Deltas {
+        /// per-(stage, key) counter deltas
+        entries: Vec<KeyedDelta>,
+        /// verify verdicts not sent before
+        verify: Vec<VerifySummary>,
+        /// bounded flight-recorder tail (`slc-flight-v1` JSONL): the
+        /// dispatcher keeps the newest as this shard's black box
+        flight: String,
+    },
+    /// shard → dispatcher: every outcome of the in-flight range, in order;
+    /// closes the range
+    Cells(Vec<WireCell>),
+    /// shard → dispatcher: the reply to `Shutdown`
+    Stats {
+        /// CPU time the shard consumed
+        cpu_ns: u64,
+        /// per-worker queue accounting
+        workers: Vec<WorkerStats>,
+        /// the shard's wall-clock histograms (stage and pass times)
+        wall: HistogramRegistry,
+        /// the shard's span dump when traced
+        span_dump: Option<String>,
+    },
 }
 
-fn decode_slms(j: &Json) -> Result<SlmsConfig, String> {
-    Ok(SlmsConfig {
-        filter: FilterConfig {
-            max_memref_ratio: want_f(j, "max_memref_ratio")?,
-            min_arith_per_ref: opt_u(j, "min_arith_per_ref").map(f64::from_bits),
-        },
-        apply_filter: want_b(j, "apply_filter")?,
-        expansion: want_label(j, "expansion", Expansion::from_label)?,
-        if_conversion: want_b(j, "if_conversion")?,
-        max_decompositions: want_usize(j, "max_decompositions")?,
-        allow_symbolic_guard: want_b(j, "allow_symbolic_guard")?,
-        scheduler: want_label(j, "scheduler", SchedulerKind::from_label)?,
-    })
-}
-
-fn init_json(cfg: &BatchConfig, threads: Option<usize>, ctx: Option<TraceCtx>) -> Json {
-    let mut j = Json::obj()
-        .field("type", "init")
-        .field("schema", SHARD_PROTO_SCHEMA)
-        .field("threads", threads.unwrap_or(0))
-        .field("trace", ctx.is_some());
-    if let Some(c) = ctx {
-        // trace-context propagation: the worker binds the same trace id so
-        // its span dump stitches into the dispatcher's timeline
-        j = j
-            .field("trace_id", c.trace_id_hex())
-            .field("parent_span", c.parent_span_hex());
-    }
-    j.field("verify", cfg.verify)
-        .field("plan", cfg.plan.to_string())
-        .field("slms", slms_json(&cfg.slms))
-        .field(
-            "workloads",
-            Json::Arr(
-                cfg.workloads
+impl From<&ShardMsg> for Json {
+    fn from(msg: &ShardMsg) -> Json {
+        let typed = |ty: &str| Json::obj().field("type", ty);
+        match msg {
+            ShardMsg::Init { cfg, threads, ctx } => {
+                let workloads: Vec<Json> = cfg
+                    .workloads
                     .iter()
                     .map(|w| {
                         Json::obj()
@@ -313,224 +220,130 @@ fn init_json(cfg: &BatchConfig, threads: Option<usize>, ctx: Option<TraceCtx>) -
                             .field("suite", w.suite.label())
                             .field("source", w.source)
                     })
-                    .collect(),
-            ),
-        )
-        .field(
-            "machines",
-            Json::Arr(cfg.machines.iter().map(machine_json).collect()),
-        )
-        .field(
-            "compilers",
-            Json::Arr(
-                cfg.compilers
-                    .iter()
-                    .map(|c| Json::from(c.label()))
-                    .collect(),
-            ),
-        )
+                    .collect();
+                let compilers: Vec<&str> = cfg.compilers.iter().map(CompilerKind::label).collect();
+                typed("init")
+                    .field("schema", SHARD_PROTO_SCHEMA)
+                    .field("threads", *threads)
+                    .field_opt("trace_id", ctx.map(|c| Hex(c.trace_id)))
+                    .field_opt("parent_span", ctx.map(|c| Hex(c.parent_span)))
+                    .field("verify", cfg.verify)
+                    .field("plan", cfg.plan.to_string())
+                    .field("slms", &cfg.slms)
+                    .field("workloads", workloads)
+                    .field("machines", Json::arr(&cfg.machines))
+                    .field("compilers", compilers)
+            }
+            ShardMsg::Run { lo, hi } => typed("run").field("lo", *lo).field("hi", *hi),
+            ShardMsg::Shutdown => typed("shutdown"),
+            ShardMsg::Ready => typed("ready"),
+            ShardMsg::Deltas {
+                entries,
+                verify,
+                flight,
+            } => typed("deltas")
+                .field("entries", Json::arr(entries))
+                .field("verify", Json::arr(verify))
+                .field("flight", flight.as_str()),
+            ShardMsg::Cells(cells) => typed("cells").field("cells", Json::arr(cells)),
+            ShardMsg::Stats {
+                cpu_ns,
+                workers,
+                wall,
+                span_dump,
+            } => typed("stats")
+                .field("cpu_ns", *cpu_ns)
+                .field("workers", Json::arr(workers))
+                .field("wall", wall)
+                .field("span_dump", span_dump.as_deref()),
+        }
+    }
 }
 
-fn decode_init(j: &Json) -> Result<(BatchConfig, Option<usize>, Option<TraceCtx>), String> {
-    if want_s(j, "schema")? != SHARD_PROTO_SCHEMA {
-        return Err(format!("unknown shard protocol `{}`", want_s(j, "schema")?));
+impl ShardMsg {
+    /// Decode one protocol line. Malformed JSON, an unknown `type`, a
+    /// missing or ill-typed member and an invalid machine are all `Err`.
+    pub fn parse(line: &str) -> Result<ShardMsg, String> {
+        let j = Json::parse(line)?;
+        Ok(match j.req::<String>("type")?.as_str() {
+            "init" => decode_init(&j)?,
+            "run" => ShardMsg::Run {
+                lo: j.req("lo")?,
+                hi: j.req("hi")?,
+            },
+            "shutdown" => ShardMsg::Shutdown,
+            "ready" => ShardMsg::Ready,
+            "deltas" => ShardMsg::Deltas {
+                entries: j.req("entries")?,
+                verify: j.req("verify")?,
+                flight: j.req("flight")?,
+            },
+            "cells" => ShardMsg::Cells(j.req("cells")?),
+            "stats" => ShardMsg::Stats {
+                cpu_ns: j.req("cpu_ns")?,
+                workers: j.req("workers")?,
+                wall: j.req("wall")?,
+                span_dump: j.opt("span_dump")?,
+            },
+            other => return Err(format!("unknown shard message `{other}`")),
+        })
     }
-    // trace fields are read tolerantly: an init without them (an older
-    // dispatcher) is simply an untraced worker
-    let ctx = match (
-        matches!(j.get("trace"), Some(Json::Bool(true))),
-        j.get("trace_id").and_then(Json::as_str),
-        j.get("parent_span").and_then(Json::as_str),
-    ) {
-        (true, Some(tid), Some(ps)) => Some(TraceCtx::from_hex(tid, ps)?),
-        _ => None,
+
+    fn line(&self) -> String {
+        Json::from(self).to_string()
+    }
+}
+
+fn decode_init(j: &Json) -> Result<ShardMsg, String> {
+    let schema: String = j.req("schema")?;
+    if schema != SHARD_PROTO_SCHEMA {
+        return Err(format!("unknown shard protocol `{schema}`"));
+    }
+    let ctx = match (j.opt::<Hex>("trace_id")?, j.opt::<Hex>("parent_span")?) {
+        (Some(t), Some(p)) => Some(TraceCtx {
+            trace_id: t.0,
+            parent_span: p.0,
+        }),
+        (None, None) => None,
+        _ => return Err("`trace_id` and `parent_span` come together".into()),
     };
     let mut workloads = Vec::new();
-    for w in want_arr(j, "workloads")? {
+    for w in j
+        .get("workloads")
+        .and_then(Json::as_arr)
+        .ok_or("missing field `workloads`")?
+    {
+        let suite: String = w.req("suite")?;
         // Workload holds &'static str (the stock suites are compiled in);
         // a shard receives arbitrary sources once per process, so leaking
         // them is bounded and buys us the unmodified Workload type.
         workloads.push(Workload {
-            name: Box::leak(want_s(w, "name")?.to_string().into_boxed_str()),
-            suite: want_label(w, "suite", Suite::from_label)?,
-            source: Box::leak(want_s(w, "source")?.to_string().into_boxed_str()),
+            name: Box::leak(w.req::<String>("name")?.into_boxed_str()),
+            suite: Suite::from_label(&suite).ok_or_else(|| format!("unknown suite `{suite}`"))?,
+            source: Box::leak(w.req::<String>("source")?.into_boxed_str()),
         });
     }
-    let mut machines = Vec::new();
-    for m in want_arr(j, "machines")? {
-        machines.push(decode_machine(m)?);
-    }
-    let mut compilers = Vec::new();
-    for c in want_arr(j, "compilers")? {
-        let label = c.as_str();
-        compilers.push(
-            label
-                .and_then(CompilerKind::from_label)
-                .ok_or_else(|| format!("unknown compiler label {label:?}"))?,
-        );
-    }
-    let plan_text = want_s(j, "plan")?;
-    let plan = PassPlan::parse(plan_text).map_err(|e| format!("bad plan `{plan_text}`: {e}"))?;
-    let threads = match want_u(j, "threads")? as usize {
-        0 => None,
-        t => Some(t),
-    };
-    Ok((
-        BatchConfig {
+    let compilers = j
+        .req::<Vec<String>>("compilers")?
+        .iter()
+        .map(|c| CompilerKind::from_label(c).ok_or_else(|| format!("unknown compiler `{c}`")))
+        .collect::<Result<_, _>>()?;
+    let plan_text: String = j.req("plan")?;
+    let plan = PassPlan::parse(&plan_text).map_err(|e| format!("bad plan `{plan_text}`: {e}"))?;
+    let threads = j.req("threads")?;
+    Ok(ShardMsg::Init {
+        cfg: Box::new(BatchConfig {
             workloads,
-            machines,
+            machines: j.req("machines")?,
             compilers,
-            slms: decode_slms(want(j, "slms")?)?,
+            slms: j.req("slms")?,
             plan,
             threads,
-            verify: want_b(j, "verify")?,
-        },
+            verify: j.req("verify")?,
+        }),
         threads,
         ctx,
-    ))
-}
-
-fn keys_json(k: &CellKeys) -> Json {
-    Json::obj()
-        .field("parse", ju(k.parse))
-        .field("plan", k.plan.map(ju))
-        .field("compile", k.compile.map(ju))
-        .field("lir", k.lir.map(ju))
-        .field("sim", k.sim.map(ju))
-}
-
-fn decode_keys(j: &Json) -> Result<CellKeys, String> {
-    Ok(CellKeys {
-        parse: want_u(j, "parse")?,
-        plan: opt_u(j, "plan"),
-        compile: opt_u(j, "compile"),
-        lir: opt_u(j, "lir"),
-        sim: opt_u(j, "sim"),
     })
-}
-
-fn cell_json(index: usize, res: &CellResult, keys: &CellKeys) -> Json {
-    let base = Json::obj()
-        .field("index", index)
-        .field("keys", keys_json(keys));
-    match &res.outcome {
-        Err(e) => base.field("ok", false).field("error", e.as_str()),
-        Ok(m) => base
-            .field("ok", true)
-            .field("cycles", ju(m.cycles))
-            .field("ops", ju(m.ops))
-            .field("l1_hits", ju(m.l1_hits))
-            .field("l1_misses", ju(m.l1_misses))
-            .field("spill_accesses", ju(m.spill_accesses))
-            .field("energy", jf(m.energy))
-            .field("transformed", m.transformed)
-            .field("slms_ii", m.slms_ii)
-            .field(
-                "gaps",
-                Json::Arr(m.optimality_gaps.iter().map(|&g| Json::from(g)).collect()),
-            )
-            .field(
-                "loops",
-                Json::Arr(
-                    m.loops
-                        .iter()
-                        .map(|l| {
-                            Json::obj()
-                                .field("var", l.var.as_str())
-                                .field("trips", l.trips)
-                                .field("bundles_per_iter", l.bundles_per_iter)
-                                .field("ms_applied", l.ms_applied)
-                                .field("ii", l.ii)
-                                .field("stages", l.stages)
-                                .field("reg_pressure", l.reg_pressure)
-                                .field("spilled", l.spilled)
-                        })
-                        .collect(),
-                ),
-            ),
-    }
-}
-
-type WireCell = (usize, Result<CellMetrics, String>, CellKeys);
-
-fn decode_cell(j: &Json) -> Result<WireCell, String> {
-    let index = want_usize(j, "index")?;
-    let keys = decode_keys(want(j, "keys")?)?;
-    if !want_b(j, "ok")? {
-        return Ok((index, Err(want_s(j, "error")?.to_string()), keys));
-    }
-    let mut loops = Vec::new();
-    for l in want_arr(j, "loops")? {
-        loops.push(LoopInfo {
-            var: want_s(l, "var")?.to_string(),
-            trips: want(l, "trips")?.as_i64().ok_or("bad trips")?,
-            bundles_per_iter: want_usize(l, "bundles_per_iter")?,
-            ms_applied: want_b(l, "ms_applied")?,
-            ii: l.get("ii").and_then(Json::as_i64),
-            stages: l.get("stages").and_then(Json::as_i64),
-            reg_pressure: want_usize(l, "reg_pressure")?,
-            spilled: want_usize(l, "spilled")?,
-        });
-    }
-    let gaps = want_arr(j, "gaps")?
-        .iter()
-        .map(|g| g.as_i64().ok_or_else(|| "bad gap".to_string()))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok((
-        index,
-        Ok(CellMetrics {
-            cycles: want_u(j, "cycles")?,
-            ops: want_u(j, "ops")?,
-            l1_hits: want_u(j, "l1_hits")?,
-            l1_misses: want_u(j, "l1_misses")?,
-            spill_accesses: want_u(j, "spill_accesses")?,
-            energy: want_f(j, "energy")?,
-            transformed: want_b(j, "transformed")?,
-            slms_ii: j.get("slms_ii").and_then(Json::as_i64),
-            optimality_gaps: gaps,
-            loops,
-        }),
-        keys,
-    ))
-}
-
-fn deltas_json(entries: &[(u8, u64, CounterRegistry)], verify: &[VerifySummary]) -> Json {
-    Json::obj()
-        .field("type", "deltas")
-        .field(
-            "entries",
-            Json::Arr(
-                entries
-                    .iter()
-                    .map(|(stage, key, reg)| {
-                        let mut counters = Json::obj();
-                        for (name, v) in reg.iter() {
-                            counters = counters.field(name, ju(v));
-                        }
-                        Json::obj()
-                            .field("stage", *stage as u64)
-                            .field("key", ju(*key))
-                            .field("counters", counters)
-                    })
-                    .collect(),
-            ),
-        )
-        .field(
-            "verify",
-            Json::Arr(
-                verify
-                    .iter()
-                    .map(|v| {
-                        Json::obj()
-                            .field("workload", v.workload.as_str())
-                            .field("verified", v.verified)
-                            .field("skipped", v.skipped)
-                            .field("obligations", v.obligations)
-                            .field("violations", v.violations)
-                    })
-                    .collect(),
-            ),
-        )
 }
 
 /// CPU time this process has consumed, in nanoseconds (scheduler runtime
@@ -557,57 +370,6 @@ fn self_cpu_ns() -> u64 {
     0
 }
 
-fn stats_json(
-    workers: &[WorkerStats],
-    stage: &StageNs,
-    passes: &[PassTiming],
-    cpu_ns: u64,
-    span_dump: Option<String>,
-) -> Json {
-    let mut j = Json::obj().field("type", "stats").field("cpu", ju(cpu_ns));
-    if let Some(dump) = span_dump {
-        j = j.field("span_dump", dump);
-    }
-    j.field(
-        "workers",
-        Json::Arr(
-            workers
-                .iter()
-                .map(|w| {
-                    Json::obj()
-                        .field("worker", w.worker)
-                        .field("claimed", ju(w.claimed))
-                        .field("empty_polls", ju(w.empty_polls))
-                        .field("busy_ns", ju(w.busy_ns))
-                })
-                .collect(),
-        ),
-    )
-    .field(
-        "stage",
-        Json::obj()
-            .field("parse", ju(stage.parse))
-            .field("slms", ju(stage.slms))
-            .field("lower", ju(stage.lower))
-            .field("compile", ju(stage.compile))
-            .field("sim", ju(stage.sim)),
-    )
-    .field(
-        "passes",
-        Json::Arr(
-            passes
-                .iter()
-                .map(|p| {
-                    Json::obj()
-                        .field("pass", p.pass.as_str())
-                        .field("ns", ju(p.ns))
-                        .field("runs", ju(p.runs))
-                })
-                .collect(),
-        ),
-    )
-}
-
 // ---------------------------------------------------------------------------
 // The deterministic reducer.
 // ---------------------------------------------------------------------------
@@ -619,17 +381,12 @@ fn stats_json(
 /// as hits, so totals are order-independent for unbounded stores — this
 /// rebuilds exactly the [`CacheReport`] a single process reports.
 pub(crate) fn replay_cache<'a>(keys: impl Iterator<Item = &'a CellKeys>) -> CacheReport {
+    #[derive(Default)]
     struct Store {
         seen: HashSet<u64>,
         stats: StoreStats,
     }
     impl Store {
-        fn new() -> Store {
-            Store {
-                seen: HashSet::new(),
-                stats: StoreStats::default(),
-            }
-        }
         /// Replay one lookup; returns true on miss (first sight of the key).
         fn look(&mut self, key: u64) -> bool {
             if self.seen.insert(key) {
@@ -641,13 +398,8 @@ pub(crate) fn replay_cache<'a>(keys: impl Iterator<Item = &'a CellKeys>) -> Cach
             }
         }
     }
-    let (mut parse, mut slms, mut lir, mut compile, mut sim) = (
-        Store::new(),
-        Store::new(),
-        Store::new(),
-        Store::new(),
-        Store::new(),
-    );
+    let (mut parse, mut slms, mut lir, mut compile, mut sim) =
+        <(Store, Store, Store, Store, Store)>::default();
     for k in keys {
         parse.look(k.parse);
         if let Some(p) = k.plan {
@@ -674,39 +426,19 @@ pub(crate) fn replay_cache<'a>(keys: impl Iterator<Item = &'a CellKeys>) -> Cach
     }
 }
 
-/// Rebuild the deterministic registry and steady-state counters from the
-/// deduplicated per-(stage, key) miss deltas plus the replayed cache
-/// report. Summing one delta per distinct key is exactly what the
-/// single-process registry accumulated, since each key misses once there.
+/// Rebuild the deterministic registry from the deduplicated per-(stage,
+/// key) miss deltas plus the replayed cache report. Summing one delta per
+/// distinct key is exactly what the single-process registry accumulated,
+/// since each key misses once there.
 fn reduce_counters(
     deltas: &BTreeMap<(u8, u64), CounterRegistry>,
     cache: &CacheReport,
-) -> (CounterRegistry, FfStats) {
+) -> CounterRegistry {
     let mut base = CounterRegistry::new();
-    let mut ff = FfStats::default();
-    for ((stage, _), reg) in deltas {
+    for reg in deltas.values() {
         base.merge(reg);
-        if *stage == STAGE_SIM {
-            ff.fast_loops += reg.get("sim.fast_loops");
-            ff.fallback_loops += reg.get("sim.fallback_loops");
-            ff.ff_hits += reg.get("sim.ff_hits");
-            ff.ff_misses += reg.get("sim.ff_misses");
-            ff.trips_total += reg.get("sim.trips_total");
-            ff.trips_skipped += reg.get("sim.trips_skipped");
-        }
     }
-    (finalize_counters(base, cache, 0, 0, 0), ff)
-}
-
-fn cell_id(cfg: &BatchConfig, cell: &MatrixCell) -> CellId {
-    let w = &cfg.workloads[cell.workload];
-    CellId {
-        workload: w.name.to_string(),
-        suite: w.suite.to_string(),
-        machine: cfg.machines[cell.machine].name.clone(),
-        compiler: cfg.compilers[cell.compiler].label(),
-        variant: cell.variant.label(),
-    }
+    finalize_counters(base, cache)
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -815,11 +547,7 @@ impl Fleet<'_> {
                 // range; the shard must exit(4), which surfaces as EOF
                 slot.send("{\"type\":");
             } else {
-                let run = Json::obj()
-                    .field("type", "run")
-                    .field("lo", lo)
-                    .field("hi", hi);
-                slot.send(&run.to_string());
+                slot.send(&ShardMsg::Run { lo, hi }.line());
             }
         }
     }
@@ -840,61 +568,27 @@ impl Fleet<'_> {
     }
 }
 
-type Outcome = (Result<CellMetrics, String>, CellKeys);
-
 /// Record a `cells` message, which must answer the shard's in-flight range
 /// exactly, in order, and closes it. Returns the number of cells recorded,
 /// or `None` on a protocol fault.
-fn close_range(msg: &Json, slot: &mut Slot, results: &mut [Option<Outcome>]) -> Option<usize> {
+fn close_range(
+    cells: Vec<WireCell>,
+    slot: &mut Slot,
+    results: &mut [Option<WireCell>],
+) -> Option<usize> {
     let (lo, hi, t_disp) = slot.inflight?;
-    let cells = want_arr(msg, "cells")
-        .ok()?
-        .iter()
-        .map(decode_cell)
-        .collect::<Result<Vec<_>, _>>()
-        .ok()?;
-    if cells.len() != hi - lo || cells.iter().zip(lo..hi).any(|(c, i)| c.0 != i) {
+    if cells.len() != hi - lo || cells.iter().zip(lo..hi).any(|(c, i)| c.index != i) {
         return None;
     }
-    for (i, outcome, keys) in cells {
-        results[i] = Some((outcome, keys));
+    for c in cells {
+        let i = c.index;
+        results[i] = Some(c);
     }
     slot.inflight = None;
     slot.span = None;
     slot.chunk_ms.push(t_disp.elapsed().as_secs_f64() * 1e3);
     slot.stats.cells += (hi - lo) as u64;
     Some(hi - lo)
-}
-
-/// Merge a `deltas` message: per-key counter deltas (first writer wins —
-/// two shards that missed one key computed the same delta) and verify
-/// verdicts.
-fn absorb_deltas(
-    msg: &Json,
-    delta_map: &mut BTreeMap<(u8, u64), CounterRegistry>,
-    verify_map: &mut BTreeMap<String, VerifySummary>,
-) {
-    for e in want_arr(msg, "entries").unwrap_or_default() {
-        let (Ok(stage), Ok(key), Ok(counters)) =
-            (want_u(e, "stage"), want_u(e, "key"), want(e, "counters"))
-        else {
-            continue;
-        };
-        delta_map.entry((stage as u8, key)).or_insert_with(|| {
-            let mut reg = CounterRegistry::new();
-            for (name, v) in counters.as_obj().unwrap_or_default() {
-                if let Some(x) = v.as_i64() {
-                    reg.add(name, x as u64);
-                }
-            }
-            reg
-        });
-    }
-    for v in want_arr(msg, "verify").unwrap_or_default() {
-        if let Ok(sum) = decode_verify(v) {
-            verify_map.entry(sum.workload.clone()).or_insert(sum);
-        }
-    }
 }
 
 /// Evaluate the whole matrix across `opts.shards` worker processes and
@@ -931,7 +625,12 @@ pub fn run_sharded(
     } else {
         None
     };
-    let init_line = init_json(cfg, opts.threads_per_shard, ctx).to_string();
+    let init_line = ShardMsg::Init {
+        cfg: Box::new(cfg.clone()),
+        threads: opts.threads_per_shard,
+        ctx,
+    }
+    .line();
 
     tracer.set_thread_track(0, "main");
     let mut batch_span = tracer.span("batch", "batch.run");
@@ -1002,7 +701,7 @@ pub fn run_sharded(
         handed_out: 0,
         tracer,
     };
-    let mut results: Vec<Option<Outcome>> = vec![None; n];
+    let mut results: Vec<Option<WireCell>> = vec![None; n];
     let mut done_cells = 0usize;
     let mut delta_map: BTreeMap<(u8, u64), CounterRegistry> = BTreeMap::new();
     let mut verify_map: BTreeMap<String, VerifySummary> = BTreeMap::new();
@@ -1030,30 +729,42 @@ pub fn run_sharded(
         }
         // EOF or a malformed line quarantines the shard
         let msg = match ev {
-            Ev::Line(l) => Json::parse(&l).ok(),
+            Ev::Line(l) => ShardMsg::parse(&l).ok(),
             Ev::Eof => None,
         };
-        let healthy = msg.is_some_and(|msg| match msg_type(&msg) {
-            "ready" => {
+        let healthy = match msg {
+            Some(ShardMsg::Ready) => {
                 fleet.slots[s].ready = true;
                 true
             }
-            "deltas" => {
-                absorb_deltas(&msg, &mut delta_map, &mut verify_map);
-                if let Some(f) = msg.get("flight").and_then(Json::as_str) {
-                    fleet.slots[s].last_flight = Some(f.to_string());
+            Some(ShardMsg::Deltas {
+                entries,
+                verify,
+                flight,
+            }) => {
+                // first writer wins: two shards that missed one key
+                // computed the same delta
+                for d in entries {
+                    delta_map.entry((d.stage, d.key)).or_insert(d.counters);
                 }
+                for v in verify {
+                    verify_map.entry(v.workload.clone()).or_insert(v);
+                }
+                fleet.slots[s].last_flight = Some(flight);
                 true
             }
-            "cells" => match close_range(&msg, &mut fleet.slots[s], &mut results) {
-                Some(k) => {
-                    done_cells += k;
-                    true
+            Some(ShardMsg::Cells(cells)) => {
+                match close_range(cells, &mut fleet.slots[s], &mut results) {
+                    Some(k) => {
+                        done_cells += k;
+                        true
+                    }
+                    None => false,
                 }
-                None => false,
-            },
-            _ => true,
-        });
+            }
+            Some(_) => true,
+            None => false,
+        };
         if !healthy {
             fleet.kill(s);
         }
@@ -1067,9 +778,9 @@ pub fn run_sharded(
     let mut awaiting: BTreeSet<usize> =
         (0..slots.len()).filter(|&s| slots[s].stats.alive).collect();
     for &s in &awaiting {
-        slots[s].send("{\"type\":\"shutdown\"}");
+        slots[s].send(&ShardMsg::Shutdown.line());
     }
-    let mut pass_map: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    let mut wall_hist = HistogramRegistry::new();
     while !awaiting.is_empty() {
         let Ok((s, ev)) = rx.recv_timeout(Duration::from_secs(30)) else {
             break;
@@ -1078,37 +789,43 @@ pub fn run_sharded(
             awaiting.remove(&s);
             continue;
         };
-        let Ok(msg) = Json::parse(&l) else { continue };
-        if msg_type(&msg) == "stats" && awaiting.remove(&s) {
-            apply_stats(&mut slots[s].stats, &msg, &mut pass_map);
-            // merge the worker's span dump into the one timeline: its
-            // spans land under this shard's synthetic process, tids
-            // shifted past the dispatcher's own tid-0 range row
-            if let Some(dump) = msg.get("span_dump").and_then(Json::as_str) {
-                let _ = tracer.import_process_dump(dump, s as u32 + 2, &format!("shard-{s}"));
-            }
+        let Ok(ShardMsg::Stats {
+            cpu_ns,
+            workers,
+            wall,
+            span_dump,
+        }) = ShardMsg::parse(&l)
+        else {
+            continue;
+        };
+        if !awaiting.remove(&s) {
+            continue;
+        }
+        let stats = &mut slots[s].stats;
+        stats.cpu_ms = cpu_ns as f64 / 1e6;
+        stats.workers = workers;
+        stats.stage = StageNs::from_wall(&wall);
+        wall_hist.merge(&wall);
+        // merge the worker's span dump into the one timeline: its spans
+        // land under this shard's synthetic process, tids shifted past
+        // the dispatcher's own tid-0 range row
+        if let Some(dump) = span_dump {
+            let _ = tracer.import_process_dump(&dump, s as u32 + 2, &format!("shard-{s}"));
         }
     }
     // reduce
     let mut out_cells = Vec::with_capacity(n);
     let mut keyed = Vec::with_capacity(n);
     for (i, r) in results.into_iter().enumerate() {
-        let (outcome, keys) = r.ok_or_else(|| format!("cell {i} never reported"))?;
+        let c = r.ok_or_else(|| format!("cell {i} never reported"))?;
         out_cells.push(CellResult {
-            id: cell_id(cfg, &cells[i]),
-            outcome,
+            id: cfg.spec(cells[i]).id(),
+            outcome: c.outcome,
         });
-        keyed.push(keys);
+        keyed.push(c.keys);
     }
     let cache = replay_cache(keyed.iter());
-    let (counters, steady) = reduce_counters(&delta_map, &cache);
-    let stage_total = slots.iter().fold(StageNs::default(), |acc, sl| StageNs {
-        parse: acc.parse + sl.stats.stage.parse,
-        slms: acc.slms + sl.stats.stage.slms,
-        lower: acc.lower + sl.stats.stage.lower,
-        compile: acc.compile + sl.stats.stage.compile,
-        sim: acc.sim + sl.stats.stage.sim,
-    });
+    let counters = reduce_counters(&delta_map, &cache);
     let shard_stats: Vec<ShardStats> = slots
         .iter_mut()
         .map(|sl| {
@@ -1129,76 +846,23 @@ pub fn run_sharded(
         timing: TimingReport {
             threads: effective_threads(opts.threads_per_shard, n),
             wall_ns,
-            parse_ns: stage_total.parse,
-            slms_ns: stage_total.slms,
-            lower_ns: stage_total.lower,
-            compile_ns: stage_total.compile,
-            sim_ns: stage_total.sim,
-            passes: pass_map
-                .into_iter()
-                .map(|(pass, (ns, runs))| PassTiming { pass, ns, runs })
-                .collect(),
             verify: verify_map.into_values().collect(),
-            steady,
             workers: Vec::new(),
             shards: shard_stats,
-            wall_hist: HistogramRegistry::new(),
+            wall_hist,
         },
     })
-}
-
-fn decode_verify(j: &Json) -> Result<VerifySummary, String> {
-    Ok(VerifySummary {
-        workload: want_s(j, "workload")?.to_string(),
-        verified: want_usize(j, "verified")?,
-        skipped: want_usize(j, "skipped")?,
-        obligations: want_usize(j, "obligations")?,
-        violations: want_usize(j, "violations")?,
-    })
-}
-
-fn apply_stats(stats: &mut ShardStats, msg: &Json, pass_map: &mut BTreeMap<String, (u64, u64)>) {
-    if let Ok(ws) = want_arr(msg, "workers") {
-        stats.workers = ws
-            .iter()
-            .filter_map(|w| {
-                Some(WorkerStats {
-                    worker: want_usize(w, "worker").ok()?,
-                    claimed: want_u(w, "claimed").ok()?,
-                    empty_polls: want_u(w, "empty_polls").ok()?,
-                    busy_ns: want_u(w, "busy_ns").ok()?,
-                })
-            })
-            .collect();
-    }
-    if let Ok(st) = want(msg, "stage") {
-        stats.stage = StageNs {
-            parse: opt_u(st, "parse").unwrap_or(0),
-            slms: opt_u(st, "slms").unwrap_or(0),
-            lower: opt_u(st, "lower").unwrap_or(0),
-            compile: opt_u(st, "compile").unwrap_or(0),
-            sim: opt_u(st, "sim").unwrap_or(0),
-        };
-    }
-    stats.cpu_ms = opt_u(msg, "cpu").unwrap_or(0) as f64 / 1e6;
-    for p in want_arr(msg, "passes").unwrap_or_default() {
-        if let (Ok(name), Some(ns), Some(runs)) =
-            (want_s(p, "pass"), opt_u(p, "ns"), opt_u(p, "runs"))
-        {
-            let e = pass_map.entry(name.to_string()).or_insert((0, 0));
-            e.0 += ns;
-            e.1 += runs;
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
 // The worker side (`slc batch-shard`, hidden).
 // ---------------------------------------------------------------------------
 
-fn emit(j: &Json) -> bool {
+fn emit(msg: &ShardMsg) -> bool {
     let mut out = std::io::stdout().lock();
-    writeln!(out, "{j}").and_then(|_| out.flush()).is_ok()
+    writeln!(out, "{}", msg.line())
+        .and_then(|_| out.flush())
+        .is_ok()
 }
 
 struct WorkerState {
@@ -1239,22 +903,20 @@ impl WorkerState {
         }
     }
 
-    fn stats_reply(&self) -> Json {
-        let workers: Vec<WorkerStats> = self.workers.values().cloned().collect();
-        stats_json(
-            &workers,
-            &self.svc.stage_ns(),
-            &self.svc.pass_timings(),
-            self_cpu_ns(),
-            self.tracer.export_process_dump("shard-worker"),
-        )
+    fn stats_reply(&self) -> ShardMsg {
+        ShardMsg::Stats {
+            cpu_ns: self_cpu_ns(),
+            workers: self.workers.values().cloned().collect(),
+            wall: self.svc.wall_histograms(),
+            span_dump: self.tracer.export_process_dump("shard-worker"),
+        }
     }
 
     /// The counter deltas and newly recorded verify verdicts of the range
     /// just evaluated, plus a bounded flight-recorder tail: the dispatcher
     /// keeps only the newest, and if this process dies (abort, OOM-kill)
     /// that snapshot is its black box.
-    fn deltas_reply(&mut self) -> Json {
+    fn deltas_reply(&mut self) -> ShardMsg {
         let entries = self.svc.take_attribution();
         let mut fresh = Vec::new();
         for v in self.svc.verify_summaries() {
@@ -1262,11 +924,15 @@ impl WorkerState {
                 fresh.push(v);
             }
         }
-        deltas_json(&entries, &fresh).field("flight", FlightRecorder::global().dump_jsonl_tail(64))
+        ShardMsg::Deltas {
+            entries,
+            verify: fresh,
+            flight: FlightRecorder::global().dump_jsonl_tail(64),
+        }
     }
 }
 
-/// The hidden `batch-shard` subcommand body: speak `slc-shard-proto-v1` on
+/// The hidden `batch-shard` subcommand body: speak `slc-shard-proto-v2` on
 /// stdin/stdout until the dispatcher shuts us down or the pipe closes.
 /// Returns the process exit code (0 = clean, 4 = malformed input line).
 /// The fault hooks drive the degradation tests: `fail_after` aborts the
@@ -1282,30 +948,25 @@ pub fn shard_worker(fail_after: Option<u64>, garbage_after: Option<u64>) -> i32 
         if line.trim().is_empty() {
             continue;
         }
-        let Ok(msg) = Json::parse(&line) else {
+        let Ok(msg) = ShardMsg::parse(&line) else {
             return 4; // malformed dispatcher line
         };
-        match msg_type(&msg) {
-            "init" => {
-                let Ok((cfg, threads, ctx)) = decode_init(&msg) else {
-                    return 4;
-                };
-                state = Some(WorkerState::new(cfg, threads, ctx));
-                if !emit(&Json::obj().field("type", "ready")) {
+        match msg {
+            ShardMsg::Init { cfg, threads, ctx } => {
+                state = Some(WorkerState::new(*cfg, threads, ctx));
+                if !emit(&ShardMsg::Ready) {
                     return 0;
                 }
             }
-            "run" => {
-                let (Some(st), Some(lo), Some(hi)) =
-                    (state.as_mut(), opt_u(&msg, "lo"), opt_u(&msg, "hi"))
-                else {
+            ShardMsg::Run { lo, hi } => {
+                let Some(st) = state.as_mut() else {
                     return 4;
                 };
-                if !run_range(st, lo as usize, hi as usize, fail_after, garbage_after) {
+                if !run_range(st, lo, hi, fail_after, garbage_after) {
                     return 0;
                 }
             }
-            "shutdown" => {
+            ShardMsg::Shutdown => {
                 if let Some(st) = state.as_ref() {
                     let _ = emit(&st.stats_reply());
                 }
@@ -1335,18 +996,7 @@ fn run_range(
             tracer.set_thread_track(worker as u32, &format!("worker {worker}"));
         }
         let cell = cells[lo + k];
-        svc.eval_cell_keyed(
-            &CellSpec {
-                workload: &cfg.workloads[cell.workload],
-                machine: &cfg.machines[cell.machine],
-                compiler: cfg.compilers[cell.compiler],
-                variant: cell.variant,
-                plan: &cfg.plan,
-                slms: &cfg.slms,
-                verify: cfg.verify,
-            },
-            tracer,
-        )
+        svc.eval_cell_keyed(&cfg.spec(cell), tracer)
     });
     for w in wstats {
         let acc = st.workers.entry(w.worker).or_insert(WorkerStats {
@@ -1373,21 +1023,23 @@ fn run_range(
     if reached(fail_after) {
         std::process::abort();
     }
-    let wire: Vec<Json> = evaluated
-        .iter()
+    let cells = evaluated
+        .into_iter()
         .enumerate()
-        .map(|(k, (res, keys))| cell_json(lo + k, res, keys))
+        .map(|(k, (res, keys))| WireCell {
+            index: lo + k,
+            keys,
+            outcome: res.outcome,
+        })
         .collect();
-    emit(
-        &Json::obj()
-            .field("type", "cells")
-            .field("cells", Json::Arr(wire)),
-    )
+    emit(&ShardMsg::Cells(cells))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use slc_core::{Expansion, SchedulerKind, SlmsConfig};
+    use slc_machine::mach::MachineDesc;
     use slc_sim::presets::{arm7tdmi, itanium2, pentium, power4};
 
     #[test]
@@ -1414,11 +1066,16 @@ mod tests {
         assert_eq!(next_slice(&mut queue, 2), Some((44, 58)));
     }
 
+    /// Encode `msg`, print it, parse the line back.
+    fn wire(msg: &ShardMsg) -> ShardMsg {
+        ShardMsg::parse(&msg.line()).unwrap()
+    }
+
     #[test]
     fn machine_wire_roundtrip_preserves_fingerprint() {
         for m in [itanium2(), pentium(), power4(), arm7tdmi()] {
-            let j = machine_json(&m);
-            let back = decode_machine(&Json::parse(&j.to_string()).unwrap()).unwrap();
+            let text = Json::from(&m).to_string();
+            let back = MachineDesc::from_json(&Json::parse(&text).unwrap()).unwrap();
             assert_eq!(back.fingerprint(), m.fingerprint(), "{}", m.name);
             assert_eq!(back.name, m.name);
         }
@@ -1441,24 +1098,50 @@ mod tests {
             for (what, edit) in edits {
                 let mut m = preset.clone();
                 edit(&mut m);
-                let j = Json::parse(&machine_json(&m).to_string()).unwrap();
-                assert!(decode_machine(&j).is_err(), "{} with {what}", preset.name);
+                let j = Json::parse(&Json::from(&m).to_string()).unwrap();
+                assert!(
+                    MachineDesc::from_json(&j).is_err(),
+                    "{} with {what}",
+                    preset.name
+                );
             }
+            // a negative count is an error, not a huge unsigned value
+            let j = Json::from(&preset)
+                .to_string()
+                .replace("\"ways\":", "\"ways\":-");
+            assert!(MachineDesc::from_json(&Json::parse(&j).unwrap()).is_err());
         }
     }
 
     #[test]
     fn slms_wire_roundtrip_exact_bits() {
+        let roundtrip = |cfg: &SlmsConfig| {
+            SlmsConfig::from_json(&Json::parse(&Json::from(cfg).to_string()).unwrap()).unwrap()
+        };
         let mut cfg = SlmsConfig::default();
-        let back = decode_slms(&Json::parse(&slms_json(&cfg).to_string()).unwrap()).unwrap();
-        assert_eq!(back, cfg);
+        assert_eq!(roundtrip(&cfg), cfg);
         cfg.filter.min_arith_per_ref = Some(6.5);
         cfg.filter.max_memref_ratio = 0.1 + 0.2; // not exactly representable in decimal
         cfg.expansion = Expansion::ScalarExpand;
         cfg.scheduler = SchedulerKind::Exact;
         cfg.apply_filter = false;
-        let back = decode_slms(&Json::parse(&slms_json(&cfg).to_string()).unwrap()).unwrap();
-        assert_eq!(back, cfg);
+        assert_eq!(roundtrip(&cfg), cfg);
+        // non-finite thresholds keep their exact bits, NaN payload included
+        let payload_nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        for (max, min) in [
+            (f64::INFINITY, Some(f64::NEG_INFINITY)),
+            (f64::NAN, Some(payload_nan)),
+            (-0.0, None),
+        ] {
+            cfg.filter.max_memref_ratio = max;
+            cfg.filter.min_arith_per_ref = min;
+            let back = roundtrip(&cfg).filter;
+            assert_eq!(back.max_memref_ratio.to_bits(), max.to_bits());
+            assert_eq!(
+                back.min_arith_per_ref.map(f64::to_bits),
+                min.map(f64::to_bits)
+            );
+        }
     }
 
     #[test]
@@ -1466,16 +1149,28 @@ mod tests {
         let mut cfg = BatchConfig::full_matrix();
         cfg.plan = PassPlan::parse("fuse:0+1,slms").unwrap();
         cfg.verify = true;
-        let ctx = TraceCtx::from_hex("00000000000000ab", "0000000000000001").unwrap();
-        let line = init_json(&cfg, Some(3), Some(ctx)).to_string();
-        let (back, threads, back_ctx) = decode_init(&Json::parse(&line).unwrap()).unwrap();
+        let ctx = TraceCtx::from_hex("00000000000000ab", "ffffffffffffffff").unwrap();
+        let init = |ctx| ShardMsg::Init {
+            cfg: Box::new(cfg.clone()),
+            threads: Some(3),
+            ctx,
+        };
+        let ShardMsg::Init {
+            cfg: back,
+            threads,
+            ctx: back_ctx,
+        } = wire(&init(Some(ctx)))
+        else {
+            panic!("init decoded to another message");
+        };
         assert_eq!(threads, Some(3));
         assert_eq!(back_ctx, Some(ctx));
         assert!(back.verify);
         // an untraced init round-trips to no context
-        let line = init_json(&cfg, Some(3), None).to_string();
-        let (_, _, none_ctx) = decode_init(&Json::parse(&line).unwrap()).unwrap();
-        assert_eq!(none_ctx, None);
+        assert!(matches!(
+            wire(&init(None)),
+            ShardMsg::Init { ctx: None, .. }
+        ));
         assert_eq!(back.plan.to_string(), cfg.plan.to_string());
         assert_eq!(
             back.plan.fingerprint(&back.slms),
@@ -1491,23 +1186,25 @@ mod tests {
         for (a, b) in back.machines.iter().zip(&cfg.machines) {
             assert_eq!(a.fingerprint(), b.fingerprint());
         }
+        // a bad machine inside init fails the whole message
+        let mut bad = cfg.clone();
+        bad.machines[1].cache.line = 48;
+        let msg = ShardMsg::Init {
+            cfg: Box::new(bad),
+            threads: None,
+            ctx: None,
+        };
+        assert!(ShardMsg::parse(&msg.line()).is_err());
     }
 
     #[test]
     fn cell_wire_roundtrip_bit_exact() {
         let keys = CellKeys {
-            parse: u64::MAX - 3, // exercises the i64 cast path
+            parse: u64::MAX - 3,
             plan: Some(7),
             compile: Some(u64::MAX),
             lir: Some(11),
             sim: Some(u64::MAX),
-        };
-        let id = CellId {
-            workload: "k".into(),
-            suite: "paper".into(),
-            machine: "m".into(),
-            compiler: "opt",
-            variant: "slms",
         };
         let metrics = CellMetrics {
             cycles: 123,
@@ -1519,40 +1216,120 @@ mod tests {
             transformed: true,
             slms_ii: Some(3),
             optimality_gaps: vec![0, 1],
-            loops: vec![LoopInfo {
+            loops: vec![crate::LoopInfo {
                 var: "i".into(),
                 trips: 1000,
                 bundles_per_iter: 4,
                 ms_applied: true,
                 ii: Some(2),
-                stages: Some(3),
+                stages: None,
                 reg_pressure: 5,
                 spilled: 0,
             }],
         };
-        let res = CellResult {
-            id: id.clone(),
-            outcome: Ok(metrics.clone()),
+        let cells = vec![
+            WireCell {
+                index: 42,
+                keys,
+                outcome: Ok(metrics.clone()),
+            },
+            // degraded cell
+            WireCell {
+                index: 43,
+                keys: CellKeys::default(),
+                outcome: Err("lower: nope".into()),
+            },
+        ];
+        let ShardMsg::Cells(back) = wire(&ShardMsg::Cells(cells)) else {
+            panic!("cells decoded to another message");
         };
-        let line = cell_json(42, &res, &keys).to_string();
-        let (idx, outcome, back_keys) = decode_cell(&Json::parse(&line).unwrap()).unwrap();
-        assert_eq!(idx, 42);
-        assert_eq!(back_keys, keys);
-        let m = outcome.unwrap();
+        assert_eq!(back[0].index, 42);
+        assert_eq!(back[0].keys, keys);
+        let m = back[0].outcome.as_ref().unwrap();
         assert_eq!(m.cycles, metrics.cycles);
         assert_eq!(m.energy.to_bits(), metrics.energy.to_bits());
         assert_eq!(m.slms_ii, metrics.slms_ii);
         assert_eq!(m.optimality_gaps, metrics.optimality_gaps);
-        assert_eq!(m.loops.len(), 1);
-        assert_eq!(m.loops[0].ii, Some(2));
-        // degraded cell
-        let bad = CellResult {
-            id,
-            outcome: Err("lower: nope".into()),
+        assert_eq!(m.loops, metrics.loops);
+        assert_eq!(back[1].outcome.as_ref().unwrap_err(), "lower: nope");
+        assert_eq!(back[1].keys, CellKeys::default());
+    }
+
+    #[test]
+    fn deltas_and_stats_wire_roundtrip() {
+        let mut counters = CounterRegistry::new();
+        counters.add("sim.trips_total", 1 << 40);
+        let verify = VerifySummary {
+            workload: "k".into(),
+            verified: 1,
+            skipped: 2,
+            obligations: 3,
+            violations: 0,
         };
-        let line = cell_json(7, &bad, &CellKeys::default()).to_string();
-        let (_, outcome, _) = decode_cell(&Json::parse(&line).unwrap()).unwrap();
-        assert_eq!(outcome.unwrap_err(), "lower: nope");
+        let msg = ShardMsg::Deltas {
+            entries: vec![KeyedDelta {
+                stage: 2,
+                key: u64::MAX,
+                counters: counters.clone(),
+            }],
+            verify: vec![verify.clone()],
+            flight: "{}\n".into(),
+        };
+        let ShardMsg::Deltas {
+            entries,
+            verify: v,
+            flight,
+        } = wire(&msg)
+        else {
+            panic!("deltas decoded to another message");
+        };
+        assert_eq!((entries[0].stage, entries[0].key), (2, u64::MAX));
+        assert_eq!(entries[0].counters, counters);
+        assert_eq!(v, vec![verify]);
+        assert_eq!(flight, "{}\n");
+
+        let mut wall = HistogramRegistry::new();
+        wall.record("wall.pass.slms_ns", 1234);
+        wall.record("wall.sim_ns", 99);
+        let workers = vec![WorkerStats {
+            worker: 0,
+            claimed: 5,
+            empty_polls: 1,
+            busy_ns: 77,
+        }];
+        let msg = ShardMsg::Stats {
+            cpu_ns: 9,
+            workers: workers.clone(),
+            wall: wall.clone(),
+            span_dump: None,
+        };
+        let ShardMsg::Stats {
+            cpu_ns,
+            workers: w,
+            wall: h,
+            span_dump,
+        } = wire(&msg)
+        else {
+            panic!("stats decoded to another message");
+        };
+        assert_eq!((cpu_ns, w, h, span_dump), (9, workers, wall, None));
+    }
+
+    #[test]
+    fn malformed_messages_decode_to_err() {
+        for bad in [
+            "",
+            "{\"type\":",
+            "{}",
+            "{\"type\":\"nope\"}",
+            "{\"type\":\"run\",\"lo\":-1,\"hi\":4}",
+            "{\"type\":\"run\",\"lo\":0}",
+            "{\"type\":\"cells\",\"cells\":[{\"index\":0,\"keys\":{\"parse\":\"12\"},\"ok\":false,\"error\":\"x\"}]}",
+            "{\"type\":\"deltas\",\"entries\":[{\"stage\":300,\"key\":\"0000000000000001\",\"counters\":{}}],\"verify\":[],\"flight\":\"\"}",
+            "{\"type\":\"stats\",\"cpu_ns\":1,\"workers\":[],\"wall\":{\"h\":{\"count\":2,\"sum\":1,\"min\":0,\"max\":1,\"buckets\":{\"1\":1}}}}",
+        ] {
+            assert!(ShardMsg::parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]
@@ -1572,18 +1349,7 @@ mod tests {
         let cells = enumerate_matrix(cfg.workloads.len(), cfg.machines.len(), cfg.compilers.len());
         let mut keys = Vec::new();
         for c in &cells {
-            let (_, k) = svc.eval_cell_keyed(
-                &CellSpec {
-                    workload: &cfg.workloads[c.workload],
-                    machine: &cfg.machines[c.machine],
-                    compiler: cfg.compilers[c.compiler],
-                    variant: c.variant,
-                    plan: &cfg.plan,
-                    slms: &cfg.slms,
-                    verify: cfg.verify,
-                },
-                &Tracer::disabled(),
-            );
+            let (_, k) = svc.eval_cell_keyed(&cfg.spec(*c), &Tracer::disabled());
             keys.push(k);
         }
         let replayed = replay_cache(keys.iter());
@@ -1614,29 +1380,15 @@ mod tests {
         let cells = enumerate_matrix(cfg.workloads.len(), cfg.machines.len(), cfg.compilers.len());
         let mut keys = Vec::new();
         for c in &cells {
-            let (_, k) = svc.eval_cell_keyed(
-                &CellSpec {
-                    workload: &cfg.workloads[c.workload],
-                    machine: &cfg.machines[c.machine],
-                    compiler: cfg.compilers[c.compiler],
-                    variant: c.variant,
-                    plan: &cfg.plan,
-                    slms: &cfg.slms,
-                    verify: cfg.verify,
-                },
-                &Tracer::disabled(),
-            );
+            let (_, k) = svc.eval_cell_keyed(&cfg.spec(*c), &Tracer::disabled());
             keys.push(k);
         }
         let mut delta_map = BTreeMap::new();
-        for (stage, key, reg) in svc.take_attribution() {
-            delta_map.insert((stage, key), reg);
+        for d in svc.take_attribution() {
+            delta_map.insert((d.stage, d.key), d.counters);
         }
         let cache = replay_cache(keys.iter());
-        let (counters, steady) = reduce_counters(&delta_map, &cache);
-        assert_eq!(counters, reference.counters);
-        assert_eq!(steady.trips_total, reference.timing.steady.trips_total);
-        assert_eq!(steady.fast_loops, reference.timing.steady.fast_loops);
+        assert_eq!(reduce_counters(&delta_map, &cache), reference.counters);
     }
 
     #[test]

@@ -134,27 +134,15 @@ impl BenchReport {
                 Json::obj()
                     .field("clients", c.clients)
                     .field("passes", c.passes)
-                    .field(
-                        "plans",
-                        Json::Arr(c.plans.iter().map(|p| Json::Str(p.clone())).collect()),
-                    )
+                    .field("plans", c.plans.clone())
                     .field("corpus", c.corpus)
                     .field("requests", c.requests)
                     .field("responses_ok", c.responses_ok)
                     .field("responses_error", c.responses_error)
-                    .field(
-                        "pass_hits",
-                        Json::Arr(c.pass_hits.iter().map(|&h| Json::from(h as i64)).collect()),
-                    )
+                    .field("pass_hits", c.pass_hits.clone())
                     .field("final_pass_hit_rate", c.final_pass_hit_rate)
                     .field("serve", serve)
-                    .field(
-                        "drained_clean",
-                        match c.drained_clean {
-                            Some(b) => Json::Bool(b),
-                            None => Json::Null,
-                        },
-                    ),
+                    .field("drained_clean", c.drained_clean),
             )
             .field(
                 "timing",

@@ -29,7 +29,7 @@
 //!   Chrome-trace/Perfetto pipeline as `slc batch --trace`.
 
 use crate::metrics::render_prometheus;
-use crate::proto::{ErrorKind, Request, Response};
+use crate::proto::{ErrorKind, Request, Response, MAX_LINE};
 use slc_pipeline::CompileService;
 use slc_trace::{FlightRecorder, RecKind, Tracer};
 use std::io::{Read, Write};
@@ -92,6 +92,25 @@ impl Conn {
             Conn::Tcp(s) => s.set_read_timeout(Some(d)),
             #[cfg(unix)]
             Conn::Unix(s) => s.set_read_timeout(Some(d)),
+        }
+    }
+
+    /// Close after a final answer while the peer may still be sending:
+    /// end our side, then discard up to `budget` more bytes until the peer
+    /// stops or goes quiet for one read timeout. Closing with unread input
+    /// would reset the connection, and the peer could lose the answer.
+    fn linger(&mut self, mut budget: usize) {
+        let _ = match self {
+            Conn::Tcp(s) => s.shutdown(std::net::Shutdown::Write),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.shutdown(std::net::Shutdown::Write),
+        };
+        let mut chunk = [0u8; 4096];
+        while budget > 0 {
+            match self.read(&mut chunk) {
+                Ok(n) if n > 0 => budget = budget.saturating_sub(n),
+                _ => break,
+            }
         }
     }
 }
@@ -334,14 +353,43 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) -> Vec<std::thread::Join
     conn_threads
 }
 
+/// Write one response line. One write per response (line + newline
+/// together): two small writes would tangle Nagle with delayed ACKs and add
+/// ~40 ms to every request-response round trip.
+fn send(conn: &mut Conn, resp: &Response) -> bool {
+    let mut wire = resp.to_line().into_bytes();
+    wire.push(b'\n');
+    conn.write_all(&wire).is_ok() && conn.flush().is_ok()
+}
+
 /// Read newline-delimited requests off one connection until EOF or drain.
+/// A line longer than [`MAX_LINE`] is answered with `too-large` and the
+/// connection closes, since the rest of that line cannot be framed.
 fn serve_connection(mut conn: Conn, conn_id: u64, shared: Arc<Shared>) {
     let _ = conn.set_read_timeout(Duration::from_millis(100));
     let mut buf: Vec<u8> = Vec::new();
+    // `buf[..scanned]` is known to hold no newline
+    let mut scanned = 0;
     let mut chunk = [0u8; 4096];
     'outer: while !shared.stop.load(Ordering::SeqCst) {
         // answer every complete line already buffered
-        while let Some(nl) = buf.iter().position(|&b| b == b'\n') {
+        loop {
+            let nl = buf[scanned..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map(|k| scanned + k);
+            scanned = if nl.is_some() { 0 } else { buf.len() };
+            if nl.unwrap_or(buf.len()) > MAX_LINE {
+                let refusal = Response::Error {
+                    kind: ErrorKind::TooLarge,
+                    message: format!("request line exceeds {MAX_LINE} bytes"),
+                };
+                if send(&mut conn, &refusal) {
+                    conn.linger(4 * MAX_LINE);
+                }
+                break 'outer;
+            }
+            let Some(nl) = nl else { break };
             let line: Vec<u8> = buf.drain(..=nl).collect();
             let line = String::from_utf8_lossy(&line[..nl]).into_owned();
             if line.trim().is_empty() {
@@ -349,12 +397,7 @@ fn serve_connection(mut conn: Conn, conn_id: u64, shared: Arc<Shared>) {
             }
             let resp = handle_line(&line, conn_id, &shared);
             let done = matches!(resp, Response::ShutdownAck);
-            // one write per response (line + newline together): two small
-            // writes would tangle Nagle with delayed ACKs and add ~40 ms
-            // to every request-response round trip
-            let mut wire = resp.to_line().into_bytes();
-            wire.push(b'\n');
-            if conn.write_all(&wire).is_err() || conn.flush().is_err() {
+            if !send(&mut conn, &resp) {
                 break 'outer;
             }
             if done {

@@ -15,7 +15,7 @@
 //! - [`client`] — a minimal blocking client for the protocol.
 //! - [`metrics`] — Prometheus text exposition of the deterministic
 //!   counters and histograms, behind the daemon's `metrics` verb.
-//! - [`bench`] — the `slc bench-serve` load generator and its
+//! - [`mod@bench`] — the `slc bench-serve` load generator and its
 //!   `BENCH_serve.json` report (deterministic counts separated from
 //!   wall-clock latency histograms).
 //!
@@ -32,4 +32,4 @@ pub use bench::{run_bench, BenchConfig, BenchCounts, BenchReport, BENCH_SCHEMA};
 pub use client::Client;
 pub use daemon::{DrainStats, Endpoint, ServeConfig, Server, ServerHandle};
 pub use metrics::{prometheus_name, render_prometheus};
-pub use proto::{ErrorKind, Request, RequestOpts, Response, PROTO_SCHEMA};
+pub use proto::{ErrorKind, Request, RequestOpts, Response, MAX_LINE, PROTO_SCHEMA};

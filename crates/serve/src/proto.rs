@@ -6,7 +6,7 @@
 //! schema constant [`PROTO_SCHEMA`], which the `stats` response echoes.
 //!
 //! The sharded batch tier speaks a sibling NDJSON protocol over worker
-//! pipes (`slc-shard-proto-v1`, `slc_pipeline::shard`) with the same
+//! pipes (`slc-shard-proto-v2`, `slc_pipeline::shard`) with the same
 //! framing discipline — one line, one typed object, malformed input is a
 //! protocol fault rather than a wedge. They are deliberately separate
 //! schemas: this one is request/response for interactive clients, that
@@ -58,16 +58,22 @@
 //! CLI exit-code contract: `parse` and `plan` (the [`ServiceError`]
 //! stages, whose messages embed the structured `SlmsError` reasons) carry
 //! exit code 1, `usage` (malformed request line, unknown type, bad knob
-//! value) carries 2, and the daemon-transient kinds `busy` (admission
-//! queue full), `timeout` (per-request deadline expired) and `shutdown`
-//! (daemon draining) carry 3 — retryable, with no one-shot equivalent.
+//! value) and `too-large` (a request line over [`MAX_LINE`] bytes; the
+//! daemon closes the connection after answering) carry 2, and the
+//! daemon-transient kinds `busy` (admission queue full), `timeout`
+//! (per-request deadline expired) and `shutdown` (daemon draining) carry
+//! 3 — retryable, with no one-shot equivalent.
 
 use slc_core::{Expansion, SchedulerKind, SlmsConfig};
 use slc_pipeline::{Json, PassPlan, ServiceError};
-use slc_trace::{CounterRegistry, TraceCtx};
+use slc_trace::{CounterRegistry, FromJson, TraceCtx};
 
 /// Protocol schema tag, echoed by the `stats` response.
 pub const PROTO_SCHEMA: &str = "slc-serve-proto-v1";
+
+/// The longest request line the daemon reads, newline excluded (the whole
+/// 46-program workload corpus is under 25 KB).
+pub const MAX_LINE: usize = 1 << 20;
 
 /// Knobs shared by compile/explain/verify requests, mirroring the one-shot
 /// CLI flags (and defaulting identically).
@@ -154,6 +160,8 @@ pub enum Request {
 pub enum ErrorKind {
     /// malformed request (bad JSON, unknown type, invalid knob) — exit 2
     Usage,
+    /// request line longer than [`MAX_LINE`]; the connection closes — exit 2
+    TooLarge,
     /// the source did not parse — exit 1
     Parse,
     /// the pass plan failed structurally — exit 1
@@ -171,6 +179,7 @@ impl ErrorKind {
     pub fn label(&self) -> &'static str {
         match self {
             ErrorKind::Usage => "usage",
+            ErrorKind::TooLarge => "too-large",
             ErrorKind::Parse => "parse",
             ErrorKind::Plan => "plan",
             ErrorKind::Busy => "busy",
@@ -183,7 +192,7 @@ impl ErrorKind {
     /// would return (3 = daemon-transient, retryable, no CLI equivalent).
     pub fn exit_code(&self) -> i64 {
         match self {
-            ErrorKind::Usage => 2,
+            ErrorKind::Usage | ErrorKind::TooLarge => 2,
             ErrorKind::Parse | ErrorKind::Plan => 1,
             ErrorKind::Busy | ErrorKind::Timeout | ErrorKind::Shutdown => 3,
         }
@@ -192,6 +201,7 @@ impl ErrorKind {
     fn from_label(s: &str) -> Option<ErrorKind> {
         Some(match s {
             "usage" => ErrorKind::Usage,
+            "too-large" => ErrorKind::TooLarge,
             "parse" => ErrorKind::Parse,
             "plan" => ErrorKind::Plan,
             "busy" => ErrorKind::Busy,
@@ -294,25 +304,16 @@ impl Response {
                 .field("ok", true)
                 .field("clean", *clean)
                 .field("output", output.as_str()),
-            Response::Stats { counters } => {
-                let mut obj = Json::obj();
-                for (k, v) in counters.iter() {
-                    obj = obj.field(k, v as i64);
-                }
-                Json::obj()
-                    .field("type", "stats")
-                    .field("ok", true)
-                    .field("schema", PROTO_SCHEMA)
-                    .field("counters", obj)
-            }
-            Response::Dump { trace, flight } => {
-                let obj = Json::obj().field("type", "dump").field("ok", true);
-                let obj = match trace {
-                    Some(t) => obj.field("trace", t.as_str()),
-                    None => obj,
-                };
-                obj.field("flight", flight.as_str())
-            }
+            Response::Stats { counters } => Json::obj()
+                .field("type", "stats")
+                .field("ok", true)
+                .field("schema", PROTO_SCHEMA)
+                .field("counters", counters),
+            Response::Dump { trace, flight } => Json::obj()
+                .field("type", "dump")
+                .field("ok", true)
+                .field_opt("trace", trace.as_deref())
+                .field("flight", flight.as_str()),
             Response::Metrics { text } => Json::obj()
                 .field("type", "metrics")
                 .field("ok", true)
@@ -332,40 +333,29 @@ impl Response {
     /// Parse one response line.
     pub fn parse(line: &str) -> Result<Response, String> {
         let obj = Json::parse(line)?;
-        let ty = obj
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("response has no type")?;
+        let ty: String = obj.req("type")?;
         let text = |key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("{ty} response has no {key}"))
+            obj.req(key)
+                .map_err(|_| format!("{ty} response has no {key}"))
         };
-        let flag = |key: &str| matches!(obj.get(key), Some(Json::Bool(true)));
-        Ok(match ty {
+        let flag = |key: &str| obj.opt(key).map(Option::unwrap_or_default);
+        Ok(match ty.as_str() {
             "compile" => Response::Compile {
-                cached: flag("cached"),
+                cached: flag("cached")?,
                 output: text("output")?,
             },
             "explain" => Response::Explain {
                 output: text("output")?,
             },
             "verify" => Response::Verify {
-                clean: flag("clean"),
+                clean: flag("clean")?,
                 output: text("output")?,
             },
-            "stats" => {
-                let mut counters = CounterRegistry::default();
-                if let Some(fields) = obj.get("counters").and_then(Json::as_obj) {
-                    for (k, v) in fields {
-                        counters.set(k, v.as_i64().unwrap_or(0).max(0) as u64);
-                    }
-                }
-                Response::Stats { counters }
-            }
+            "stats" => Response::Stats {
+                counters: obj.req("counters")?,
+            },
             "dump" => Response::Dump {
-                trace: obj.get("trace").and_then(Json::as_str).map(str::to_string),
+                trace: obj.opt("trace")?,
                 flight: text("flight")?,
             },
             "metrics" => Response::Metrics {
@@ -375,8 +365,8 @@ impl Response {
             "shutdown" => Response::ShutdownAck,
             "error" => Response::Error {
                 kind: obj
-                    .get("kind")
-                    .and_then(Json::as_str)
+                    .opt::<String>("kind")?
+                    .as_deref()
                     .and_then(ErrorKind::from_label)
                     .ok_or("error response has no known kind")?,
                 message: text("message")?,
@@ -387,75 +377,46 @@ impl Response {
 }
 
 fn opts_fields(obj: Json, opts: &RequestOpts) -> Json {
-    let mut obj = obj;
-    if let Some(p) = &opts.passes {
-        obj = obj.field("passes", p.as_str());
-    }
-    if let Some(x) = opts.expansion {
-        obj = obj.field("expansion", x.label());
-    }
-    if !opts.filter {
-        obj = obj.field("filter", false);
-    }
-    if let Some(s) = opts.scheduler {
-        obj = obj.field("scheduler", s.label());
-    }
-    if opts.paper_style {
-        obj = obj.field("paper_style", true);
-    }
-    if let Some(ctx) = &opts.ctx {
-        obj = obj
-            .field("trace_id", ctx.trace_id_hex().as_str())
-            .field("parent_span", ctx.parent_span_hex().as_str());
-    }
-    obj
+    obj.field_opt("passes", opts.passes.as_deref())
+        .field_opt("expansion", opts.expansion.map(|x| x.label()))
+        .field_opt("filter", (!opts.filter).then_some(false))
+        .field_opt("scheduler", opts.scheduler.map(|s| s.label()))
+        .field_opt("paper_style", opts.paper_style.then_some(true))
+        .field_opt("trace_id", opts.ctx.map(|c| c.trace_id_hex()))
+        .field_opt("parent_span", opts.ctx.map(|c| c.parent_span_hex()))
+}
+
+/// A knob present in the request must decode; `usage` is the error text
+/// when it does not.
+fn knob<T: FromJson>(obj: &Json, key: &str, usage: &str) -> Result<Option<T>, String> {
+    obj.get(key)
+        .map(|_| obj.req(key).map_err(|_| usage.to_string()))
+        .transpose()
 }
 
 fn parse_opts(obj: &Json) -> Result<RequestOpts, String> {
-    let mut opts = RequestOpts {
-        filter: true,
-        ..RequestOpts::default()
-    };
-    if let Some(p) = obj.get("passes") {
-        opts.passes = Some(p.as_str().ok_or("`passes` must be a string")?.to_string());
-    }
-    if let Some(x) = obj.get("expansion") {
-        opts.expansion = Some(
-            x.as_str()
-                .and_then(Expansion::from_label)
-                .ok_or("`expansion` must be mve|scalar|off")?,
-        );
-    }
-    if let Some(f) = obj.get("filter") {
-        opts.filter = match f {
-            Json::Bool(b) => *b,
-            _ => return Err("`filter` must be a boolean".to_string()),
-        };
-    }
-    if let Some(s) = obj.get("scheduler") {
-        opts.scheduler = Some(
-            s.as_str()
-                .and_then(SchedulerKind::from_label)
-                .ok_or("`scheduler` must be heuristic|exact")?,
-        );
-    }
-    if let Some(p) = obj.get("paper_style") {
-        opts.paper_style = match p {
-            Json::Bool(b) => *b,
-            _ => return Err("`paper_style` must be a boolean".to_string()),
-        };
-    }
-    match (
+    const EXPANSION: &str = "`expansion` must be mve|scalar|off";
+    const SCHEDULER: &str = "`scheduler` must be heuristic|exact";
+    let ctx = match (
         obj.get("trace_id").and_then(Json::as_str),
         obj.get("parent_span").and_then(Json::as_str),
     ) {
-        (Some(tid), Some(ps)) => opts.ctx = Some(TraceCtx::from_hex(tid, ps)?),
-        (None, None) => {}
-        _ => {
-            return Err("`trace_id` and `parent_span` must be provided together".to_string());
-        }
-    }
-    Ok(opts)
+        (Some(tid), Some(ps)) => Some(TraceCtx::from_hex(tid, ps)?),
+        (None, None) => None,
+        _ => return Err("`trace_id` and `parent_span` must be provided together".to_string()),
+    };
+    Ok(RequestOpts {
+        passes: knob(obj, "passes", "`passes` must be a string")?,
+        expansion: knob::<String>(obj, "expansion", EXPANSION)?
+            .map(|l| Expansion::from_label(&l).ok_or(EXPANSION))
+            .transpose()?,
+        filter: knob(obj, "filter", "`filter` must be a boolean")?.unwrap_or(true),
+        scheduler: knob::<String>(obj, "scheduler", SCHEDULER)?
+            .map(|l| SchedulerKind::from_label(&l).ok_or(SCHEDULER))
+            .transpose()?,
+        paper_style: knob(obj, "paper_style", "`paper_style` must be a boolean")?.unwrap_or(false),
+        ctx,
+    })
 }
 
 impl Request {
@@ -494,17 +455,12 @@ impl Request {
     /// keeps the connection alive.
     pub fn parse(line: &str) -> Result<Request, String> {
         let obj = Json::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-        let ty = obj
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or("request has no `type` field")?;
+        let ty: String = obj.req("type").map_err(|_| "request has no `type` field")?;
         let source = || -> Result<String, String> {
-            obj.get("source")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or(format!("`{ty}` request requires a `source` string"))
+            obj.req("source")
+                .map_err(|_| format!("`{ty}` request requires a `source` string"))
         };
-        Ok(match ty {
+        Ok(match ty.as_str() {
             "compile" => Request::Compile {
                 source: source()?,
                 opts: parse_opts(&obj)?,

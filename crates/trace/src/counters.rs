@@ -13,7 +13,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::json::Json;
+use crate::json::{FromJson, Json};
 
 /// Schema tag written into the counter baseline document.
 pub const COUNTERS_SCHEMA: &str = "slc-counters-v1";
@@ -90,10 +90,6 @@ impl CounterRegistry {
     /// map, and the named tolerance table (only entries matching a present
     /// counter are written; everything else is implicitly exact).
     pub fn to_json(&self, tolerances: &[(&str, f64)]) -> String {
-        let mut counters = Json::obj();
-        for (k, v) in &self.map {
-            counters = counters.field(k, *v);
-        }
         let mut tols = Json::obj();
         for (name, tol) in tolerances {
             if self.map.contains_key(*name) {
@@ -102,9 +98,33 @@ impl CounterRegistry {
         }
         Json::obj()
             .field("schema", COUNTERS_SCHEMA)
-            .field("counters", counters)
+            .field("counters", self)
             .field("tolerances", tols)
             .to_pretty()
+    }
+}
+
+/// The registry body: name → value.
+impl From<&CounterRegistry> for Json {
+    fn from(reg: &CounterRegistry) -> Json {
+        let mut obj = Json::obj();
+        for (k, v) in &reg.map {
+            obj = obj.field(k, *v);
+        }
+        obj
+    }
+}
+
+impl FromJson for CounterRegistry {
+    fn from_json(doc: &Json) -> Result<CounterRegistry, String> {
+        let mut map = BTreeMap::new();
+        for (k, v) in doc.as_obj().ok_or("expected a counter object")? {
+            map.insert(
+                k.clone(),
+                u64::from_json(v).map_err(|e| format!("counter {k:?}: {e}"))?,
+            );
+        }
+        Ok(CounterRegistry { map })
     }
 }
 
@@ -121,33 +141,24 @@ impl CounterBaseline {
     /// Parse a baseline document produced by [`CounterRegistry::to_json`].
     pub fn parse(text: &str) -> Result<CounterBaseline, String> {
         let doc = Json::parse(text)?;
-        let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
+        let schema = doc.opt::<String>("schema")?.unwrap_or_default();
         if schema != COUNTERS_SCHEMA {
             return Err(format!(
                 "expected schema {COUNTERS_SCHEMA:?}, found {schema:?}"
             ));
         }
-        let mut counters = BTreeMap::new();
-        for (k, v) in doc
-            .get("counters")
-            .and_then(Json::as_obj)
-            .ok_or("missing counters object")?
-        {
-            let n = v
-                .as_i64()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| format!("counter {k:?} is not a non-negative integer"))?;
-            counters.insert(k.clone(), n);
-        }
+        let counters = doc.req::<CounterRegistry>("counters")?.map;
         let mut tolerances = BTreeMap::new();
-        if let Some(tols) = doc.get("tolerances").and_then(Json::as_obj) {
-            for (k, v) in tols {
-                let t = v
-                    .as_f64()
-                    .filter(|t| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| format!("tolerance {k:?} is not a non-negative number"))?;
-                tolerances.insert(k.clone(), t);
-            }
+        for (k, v) in doc
+            .get("tolerances")
+            .and_then(Json::as_obj)
+            .unwrap_or_default()
+        {
+            let t = f64::from_json(v)
+                .ok()
+                .filter(|t| t.is_finite() && *t >= 0.0)
+                .ok_or_else(|| format!("tolerance {k:?} is not a non-negative number"))?;
+            tolerances.insert(k.clone(), t);
         }
         Ok(CounterBaseline {
             counters,

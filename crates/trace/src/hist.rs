@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::json::Json;
+use crate::json::{FromJson, Json};
 
 /// Schema tag written into the histogram baseline document.
 pub const HISTOGRAMS_SCHEMA: &str = "slc-histograms-v1";
@@ -157,38 +157,39 @@ impl Histogram {
             self.max = self.max.max(other.max);
         }
     }
+}
 
-    /// Serialize as a JSON object: `count`/`sum`/`min`/`max` plus a sparse
-    /// `buckets` object mapping bucket index → count (empty buckets
-    /// omitted so documents stay readable).
-    pub fn to_json(&self) -> Json {
+/// A JSON object: `count`/`sum`/`min`/`max` plus a sparse `buckets`
+/// object mapping bucket index → count (empty buckets omitted so documents
+/// stay readable).
+impl From<&Histogram> for Json {
+    fn from(h: &Histogram) -> Json {
         let mut buckets = Json::obj();
-        for (idx, &n) in self.buckets.iter().enumerate() {
+        for (idx, &n) in h.buckets.iter().enumerate() {
             if n > 0 {
                 buckets = buckets.field(&idx.to_string(), n);
             }
         }
         Json::obj()
-            .field("count", self.count)
-            .field("sum", self.sum)
-            .field("min", self.min())
-            .field("max", self.max)
+            .field("count", h.count)
+            .field("sum", h.sum)
+            .field("min", h.min())
+            .field("max", h.max)
             .field("buckets", buckets)
     }
+}
 
-    /// Parse a histogram serialized by [`Histogram::to_json`].
-    pub fn from_json(doc: &Json) -> Result<Histogram, String> {
-        let int = |name: &str| -> Result<u64, String> {
-            doc.get(name)
-                .and_then(Json::as_i64)
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| format!("histogram field {name:?} is not a non-negative integer"))
-        };
+impl FromJson for Histogram {
+    fn from_json(doc: &Json) -> Result<Histogram, String> {
         let mut h = Histogram::new();
-        h.count = int("count")?;
-        h.sum = int("sum")?;
-        h.max = int("max")?;
-        h.min = if h.count == 0 { u64::MAX } else { int("min")? };
+        h.count = doc.req("count")?;
+        h.sum = doc.req("sum")?;
+        h.max = doc.req("max")?;
+        h.min = if h.count == 0 {
+            u64::MAX
+        } else {
+            doc.req("min")?
+        };
         for (k, v) in doc
             .get("buckets")
             .and_then(Json::as_obj)
@@ -199,11 +200,7 @@ impl Histogram {
                 .ok()
                 .filter(|&i| i < BUCKETS)
                 .ok_or_else(|| format!("bad bucket index {k:?}"))?;
-            let n = v
-                .as_i64()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| format!("bucket {k:?} count is not a non-negative integer"))?;
-            h.buckets[idx] = n;
+            h.buckets[idx] = u64::from_json(v).map_err(|e| format!("bucket {k:?}: {e}"))?;
         }
         if h.buckets.iter().sum::<u64>() != h.count {
             return Err("histogram bucket counts do not sum to count".to_string());
@@ -279,22 +276,37 @@ impl HistogramRegistry {
         out
     }
 
-    /// Serialize the registry body (name → histogram object).
-    pub fn to_json(&self) -> Json {
-        let mut obj = Json::obj();
-        for (k, h) in &self.map {
-            obj = obj.field(k, h.to_json());
-        }
-        obj
-    }
-
     /// Serialize as the histogram-baseline document (`schema` +
     /// `histograms`), pretty-printed for checking in.
     pub fn to_baseline_json(&self) -> String {
         Json::obj()
             .field("schema", HISTOGRAMS_SCHEMA)
-            .field("histograms", self.to_json())
+            .field("histograms", self)
             .to_pretty()
+    }
+}
+
+/// The registry body: name → histogram object.
+impl From<&HistogramRegistry> for Json {
+    fn from(reg: &HistogramRegistry) -> Json {
+        let mut obj = Json::obj();
+        for (k, h) in &reg.map {
+            obj = obj.field(k, h);
+        }
+        obj
+    }
+}
+
+impl FromJson for HistogramRegistry {
+    fn from_json(doc: &Json) -> Result<HistogramRegistry, String> {
+        let mut map = BTreeMap::new();
+        for (k, v) in doc.as_obj().ok_or("expected a histogram object")? {
+            map.insert(
+                k.clone(),
+                Histogram::from_json(v).map_err(|e| format!("{k}: {e}"))?,
+            );
+        }
+        Ok(HistogramRegistry { map })
     }
 }
 
@@ -302,7 +314,7 @@ impl HistogramRegistry {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HistogramBaseline {
     /// expected distributions by name
-    pub histograms: BTreeMap<String, Histogram>,
+    pub histograms: HistogramRegistry,
 }
 
 impl HistogramBaseline {
@@ -316,15 +328,9 @@ impl HistogramBaseline {
                 "expected schema {HISTOGRAMS_SCHEMA:?}, found {schema:?}"
             ));
         }
-        let mut histograms = BTreeMap::new();
-        for (k, v) in doc
-            .get("histograms")
-            .and_then(Json::as_obj)
-            .ok_or("missing histograms object")?
-        {
-            histograms.insert(k.clone(), Histogram::from_json(v)?);
-        }
-        Ok(HistogramBaseline { histograms })
+        Ok(HistogramBaseline {
+            histograms: doc.req("histograms")?,
+        })
     }
 }
 
@@ -335,7 +341,7 @@ impl HistogramBaseline {
 /// same additive-drift policy as [`crate::check_counters`].
 pub fn check_histograms(actual: &HistogramRegistry, baseline: &HistogramBaseline) -> Vec<String> {
     let mut failures = Vec::new();
-    for (name, expected) in &baseline.histograms {
+    for (name, expected) in baseline.histograms.iter() {
         match actual.get(name) {
             None => failures.push(format!("{name}: histogram missing from run")),
             Some(got) if got != expected => failures.push(format!(

@@ -5,9 +5,18 @@
 //! document explicitly: object members keep insertion order, floats print
 //! through Rust's shortest-roundtrip `Display` (stable for equal bit
 //! patterns), and strings are escaped per RFC 8259. The reader side
-//! ([`Json::parse`]) exists for the artifacts we consume back: the
-//! checked-in counter baseline (`BENCH_counters.json`) and Chrome-trace
-//! schema validation (`slc trace-check`).
+//! ([`Json::parse`]) exists for the artifacts and wire messages we consume
+//! back: checked-in baselines, Chrome-trace validation, and the shard and
+//! serve protocols.
+//!
+//! **Codecs.** A type encodes through `From<&T> for Json` (or `From<T>`)
+//! and decodes through [`FromJson`]; the field accessors [`Json::req`] and
+//! [`Json::opt`] decode one object member each. Integers decode with a
+//! range check (a negative value is an error for an unsigned type), and a
+//! full-range `u64` such as a store key travels as [`Hex`], since JSON
+//! integers here stop at `i64::MAX`. Finite floats need nothing special:
+//! the writer prints the shortest decimal that round-trips, so a decoded
+//! `f64` has the bits that were encoded.
 
 use std::fmt::Write as _;
 
@@ -47,6 +56,32 @@ impl Json {
         self
     }
 
+    /// Append a member only when `value` is `Some` (builder use only).
+    pub fn field_opt(self, key: &str, value: Option<impl Into<Json>>) -> Json {
+        match value {
+            Some(v) => self.field(key, v),
+            None => self,
+        }
+    }
+
+    /// An array of each item's encoding.
+    pub fn arr<I>(items: I) -> Json
+    where
+        I: IntoIterator,
+        I::Item: Into<Json>,
+    {
+        Json::Arr(items.into_iter().map(Into::into).collect())
+    }
+
+    /// Append every member of the object `more` (builder use only).
+    pub fn extend(mut self, more: Json) -> Json {
+        match (&mut self, more) {
+            (Json::Obj(members), Json::Obj(more)) => members.extend(more),
+            _ => panic!("extend() on non-objects"),
+        }
+        self
+    }
+
     /// Serialize with two-space indentation, deterministically.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
@@ -56,11 +91,14 @@ impl Json {
     }
 
     /// Parse a JSON document. The whole input must be consumed (modulo
-    /// trailing whitespace); errors carry a byte offset.
+    /// trailing whitespace); errors carry a byte offset. Arrays and objects
+    /// may nest at most [`MAX_DEPTH`] deep, so hostile input cannot exhaust
+    /// the stack.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -69,6 +107,24 @@ impl Json {
             return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(v)
+    }
+
+    /// Decode the required member `key`.
+    pub fn req<T: FromJson>(&self, key: &str) -> Result<T, String> {
+        let v = self
+            .get(key)
+            .ok_or_else(|| format!("missing field `{key}`"))?;
+        T::from_json(v).map_err(|e| format!("field `{key}`: {e}"))
+    }
+
+    /// Decode the optional member `key`: absent or `null` is `None`.
+    pub fn opt<T: FromJson>(&self, key: &str) -> Result<Option<T>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(v) => T::from_json(v)
+                .map(Some)
+                .map_err(|e| format!("field `{key}`: {e}")),
+        }
     }
 
     /// Member lookup on objects (first match); `None` otherwise.
@@ -199,9 +255,13 @@ impl std::fmt::Display for Json {
     }
 }
 
+/// How deep arrays and objects may nest in a parsed document.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -239,10 +299,27 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            )),
+            Some(b'[' | b'{') => {
+                self.depth += 1;
+                let v = self.container();
+                self.depth -= 1;
+                v
+            }
             Some(b'n') => self.lit("null", Json::Null),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(format!("unexpected input at byte {}", self.pos)),
+        }
+    }
+
+    fn container(&mut self) -> Result<Json, String> {
+        match self.peek() {
             Some(b'[') => {
                 self.pos += 1;
                 let mut items = Vec::new();
@@ -292,8 +369,7 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("unexpected input at byte {}", self.pos)),
+            _ => unreachable!("container() is entered on '[' or '{{'"),
         }
     }
 
@@ -458,7 +534,7 @@ impl From<u64> for Json {
 }
 impl From<usize> for Json {
     fn from(v: usize) -> Json {
-        Json::from(v as u64)
+        Json::Int(i64::try_from(v).expect("counter exceeds i64::MAX"))
     }
 }
 impl From<u32> for Json {
@@ -486,9 +562,95 @@ impl<T: Into<Json>> From<Option<T>> for Json {
         v.map_or(Json::Null, Into::into)
     }
 }
-impl From<Vec<Json>> for Json {
-    fn from(v: Vec<Json>) -> Json {
-        Json::Arr(v)
+impl<T: Into<Json>> From<Vec<T>> for Json {
+    fn from(v: Vec<T>) -> Json {
+        Json::Arr(v.into_iter().map(Into::into).collect())
+    }
+}
+
+/// A full-range `u64` (a store key, a fingerprint, a float's bit pattern)
+/// on the wire: exactly 16 lowercase hex digits, the form trace ids take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Hex(pub u64);
+
+impl From<Hex> for Json {
+    fn from(h: Hex) -> Json {
+        Json::Str(format!("{:016x}", h.0))
+    }
+}
+
+impl FromJson for Hex {
+    fn from_json(j: &Json) -> Result<Hex, String> {
+        match j.as_str() {
+            Some(s) if s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit()) => {
+                u64::from_str_radix(s, 16)
+                    .map(Hex)
+                    .map_err(|e| e.to_string())
+            }
+            _ => Err("expected 16 hex digits".into()),
+        }
+    }
+}
+
+/// Decoding from a [`Json`] value: the one decode trait. Encoding goes
+/// through `Into<Json>`.
+pub trait FromJson: Sized {
+    /// Decode `j`, or say what is wrong with it.
+    fn from_json(j: &Json) -> Result<Self, String>;
+}
+
+macro_rules! int_from_json {
+    ($($t:ty),*) => {$(
+        impl FromJson for $t {
+            fn from_json(j: &Json) -> Result<$t, String> {
+                let i = j.as_i64().ok_or("expected an integer")?;
+                <$t>::try_from(i).map_err(|_| format!("{i} is out of range"))
+            }
+        }
+    )*};
+}
+int_from_json!(u8, u32, u64, usize, i64);
+
+impl FromJson for bool {
+    fn from_json(j: &Json) -> Result<bool, String> {
+        match j {
+            Json::Bool(b) => Ok(*b),
+            _ => Err("expected a boolean".into()),
+        }
+    }
+}
+
+impl FromJson for String {
+    fn from_json(j: &Json) -> Result<String, String> {
+        j.as_str()
+            .map(str::to_string)
+            .ok_or("expected a string".into())
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(j: &Json) -> Result<f64, String> {
+        j.as_f64().ok_or("expected a number".into())
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(j: &Json) -> Result<Vec<T>, String> {
+        let items = j.as_arr().ok_or("expected an array")?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(k, it)| T::from_json(it).map_err(|e| format!("[{k}]: {e}")))
+            .collect()
+    }
+}
+
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(j: &Json) -> Result<Option<T>, String> {
+        match j {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
     }
 }
 
@@ -558,6 +720,61 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let deep = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&deep).unwrap_err().contains("nesting"));
+        // the daemon's reported crash input: 20 000 bytes of '['
+        assert!(Json::parse(&"[".repeat(20_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(20_000)).is_err());
+    }
+
+    #[test]
+    fn decoders_check_types_and_ranges() {
+        let j = Json::parse(r#"{"n":-1,"u":7,"s":"x","b":true,"f":0.30000000000000004,"z":null}"#)
+            .unwrap();
+        assert!(j.req::<u64>("n").unwrap_err().contains("out of range"));
+        assert_eq!(j.req::<i64>("n"), Ok(-1));
+        assert_eq!(j.req::<u8>("u"), Ok(7));
+        assert_eq!(j.req::<String>("s"), Ok("x".to_string()));
+        assert_eq!(j.req::<bool>("b"), Ok(true));
+        assert_eq!(
+            j.req::<f64>("f").unwrap().to_bits(),
+            (0.1f64 + 0.2).to_bits()
+        );
+        assert_eq!(j.req::<Option<u64>>("z"), Ok(None));
+        assert_eq!(j.opt::<u64>("missing"), Ok(None));
+        assert_eq!(j.opt::<u64>("u"), Ok(Some(7)));
+        assert!(j
+            .req::<u64>("missing")
+            .unwrap_err()
+            .contains("missing field"));
+        assert!(j.req::<bool>("s").is_err());
+        assert!(Json::parse("[1,-2]").unwrap().req::<u64>("x").is_err());
+        assert!(<Vec<u64>>::from_json(&Json::parse("[1,-2]").unwrap()).is_err());
+        let v: Vec<u32> = vec![1, 2];
+        assert_eq!(<Vec<u32>>::from_json(&Json::from(v.clone())), Ok(v));
+    }
+
+    #[test]
+    fn hex_round_trips_the_full_u64_range() {
+        for v in [0, 1, i64::MAX as u64, u64::MAX - 3, u64::MAX] {
+            let text = Json::from(Hex(v)).to_string();
+            assert_eq!(text.len(), 18, "{text}");
+            assert_eq!(Hex::from_json(&Json::parse(&text).unwrap()), Ok(Hex(v)));
+        }
+        for bad in [
+            r#""ff""#,
+            r#""-000000000000001""#,
+            "12",
+            r#""000000000000000g""#,
+        ] {
+            assert!(Hex::from_json(&Json::parse(bad).unwrap()).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use hist::{
     bucket_of, bucket_upper, check_histograms, Histogram, HistogramBaseline, HistogramRegistry,
     HISTOGRAMS_SCHEMA,
 };
-pub use json::Json;
+pub use json::{FromJson, Hex, Json};
 pub use recorder::{
     install_panic_hook, validate_flight_dump, FlightRecorder, FlightSummary, RecEvent, RecKind,
     FLIGHT_SCHEMA,

@@ -286,38 +286,26 @@ pub fn validate_flight_dump(text: &str) -> Result<FlightSummary, String> {
         .filter(|(_, l)| !l.trim().is_empty());
     let (_, header) = lines.next().ok_or("empty flight dump")?;
     let header = Json::parse(header).map_err(|e| format!("header: not valid JSON: {e}"))?;
-    match header.get("schema").and_then(Json::as_str) {
+    match header.opt::<String>("schema")?.as_deref() {
         Some(FLIGHT_SCHEMA) => {}
         other => return Err(format!("unknown flight dump schema {other:?}")),
     }
     header
-        .get("pid")
-        .and_then(Json::as_i64)
-        .ok_or("header: missing integer pid")?;
-    let recorded = header
-        .get("recorded")
-        .and_then(Json::as_i64)
-        .ok_or("header: missing integer recorded")? as u64;
+        .req::<i64>("pid")
+        .map_err(|e| format!("header: {e}"))?;
+    let recorded: u64 = header.req("recorded").map_err(|e| format!("header: {e}"))?;
     let mut events = 0usize;
     let mut kinds = std::collections::BTreeSet::new();
     let mut last_ts = 0u64;
     for (i, line) in lines {
-        let obj = Json::parse(line).map_err(|e| format!("line {}: not valid JSON: {e}", i + 1))?;
-        let ts = obj
-            .get("ts_ns")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("line {}: missing integer ts_ns", i + 1))?
-            as u64;
-        let kind = obj
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing string kind", i + 1))?;
-        if RecKind::from_label(kind).is_none() {
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let obj = Json::parse(line).map_err(|e| at(format!("not valid JSON: {e}")))?;
+        let ts: u64 = obj.req("ts_ns").map_err(at)?;
+        let kind: String = obj.req("kind").map_err(at)?;
+        if RecKind::from_label(&kind).is_none() {
             return Err(format!("line {}: unknown event kind `{kind}`", i + 1));
         }
-        obj.get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing string name", i + 1))?;
+        obj.req::<String>("name").map_err(at)?;
         if ts < last_ts {
             return Err(format!(
                 "line {}: ts_ns {ts} regresses below {last_ts}",
@@ -325,7 +313,7 @@ pub fn validate_flight_dump(text: &str) -> Result<FlightSummary, String> {
             ));
         }
         last_ts = ts;
-        kinds.insert(kind.to_string());
+        kinds.insert(kind);
         events += 1;
     }
     if recorded < events as u64 {

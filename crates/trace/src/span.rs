@@ -389,15 +389,13 @@ impl Tracer {
     /// disabled.
     pub fn export_process_dump(&self, process_name: &str) -> Option<String> {
         let buf = self.buf.as_ref()?;
-        let mut doc = Json::obj()
+        let ctx = self.ctx();
+        let doc = Json::obj()
             .field("schema", SPAN_DUMP_SCHEMA)
             .field("process", process_name)
-            .field("t0_epoch_ns", Json::Str(format!("{}", buf.t0_epoch_ns)));
-        if let Some(ctx) = self.ctx() {
-            doc = doc
-                .field("trace_id", ctx.trace_id_hex())
-                .field("parent_span", ctx.parent_span_hex());
-        }
+            .field("t0_epoch_ns", Json::Str(format!("{}", buf.t0_epoch_ns)))
+            .field_opt("trace_id", ctx.map(|c| c.trace_id_hex()))
+            .field_opt("parent_span", ctx.map(|c| c.parent_span_hex()));
         let tracks: Vec<Json> = self
             .tracks()
             .into_iter()
@@ -439,12 +437,11 @@ impl Tracer {
             return Ok(0);
         };
         let doc = Json::parse(text).map_err(|e| format!("span dump is not JSON: {e}"))?;
-        match doc.get("schema").and_then(Json::as_str) {
+        match doc.opt::<String>("schema")?.as_deref() {
             Some(SPAN_DUMP_SCHEMA) => {}
             other => return Err(format!("unknown span dump schema {other:?}")),
         }
-        if let (Some(mine), Some(theirs)) = (self.ctx(), doc.get("trace_id").and_then(Json::as_str))
-        {
+        if let (Some(mine), Some(theirs)) = (self.ctx(), doc.opt::<String>("trace_id")?) {
             if mine.trace_id_hex() != theirs {
                 return Err(format!(
                     "span dump belongs to trace {theirs}, this tracer is bound to {}",
@@ -452,38 +449,27 @@ impl Tracer {
                 ));
             }
         }
-        let parse_u = |j: Option<&Json>| -> Option<u64> {
-            match j {
-                Some(Json::Str(s)) => s.parse().ok(),
-                Some(other) => other.as_i64().map(|v| v as u64),
-                None => None,
-            }
+        // full-range u64 nanoseconds travel as decimal strings
+        let nanos = |j: &Json, key: &str| -> Result<u64, String> {
+            j.req::<String>(key)?
+                .parse()
+                .map_err(|e| format!("field `{key}`: {e}"))
         };
-        let their_epoch = parse_u(doc.get("t0_epoch_ns")).unwrap_or(buf.t0_epoch_ns);
+        let their_epoch = nanos(&doc, "t0_epoch_ns").unwrap_or(buf.t0_epoch_ns);
         // shift the remote timeline onto ours; clamp at 0 if the remote
         // anchor predates ours (clock skew)
         let shift = their_epoch as i128 - buf.t0_epoch_ns as i128;
-        let proc_name = doc
-            .get("process")
-            .and_then(Json::as_str)
-            .unwrap_or(name)
-            .to_string();
-        {
-            let mut procs = buf.processes.lock().unwrap();
-            procs.entry(pid).or_insert(proc_name);
-        }
+        let proc_name = doc.opt("process")?.unwrap_or_else(|| name.to_string());
+        buf.processes
+            .lock()
+            .unwrap()
+            .entry(pid)
+            .or_insert(proc_name);
         {
             let mut remote = buf.remote_tracks.lock().unwrap();
-            if let Some(tracks) = doc.get("tracks").and_then(Json::as_arr) {
-                for t in tracks {
-                    if let (Some(tid), Some(tname)) = (
-                        t.get("tid").and_then(Json::as_i64),
-                        t.get("name").and_then(Json::as_str),
-                    ) {
-                        remote
-                            .entry((pid, tid as u32 + 1))
-                            .or_insert_with(|| tname.to_string());
-                    }
+            for t in doc.get("tracks").and_then(Json::as_arr).unwrap_or_default() {
+                if let (Ok(tid), Ok(tname)) = (t.req::<u32>("tid"), t.req::<String>("name")) {
+                    remote.entry((pid, tid + 1)).or_insert(tname);
                 }
             }
         }
@@ -493,19 +479,12 @@ impl Tracer {
             .ok_or("span dump carries no events array")?;
         let mut imported = Vec::with_capacity(events.len());
         for (i, ev) in events.iter().enumerate() {
-            let name = ev
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or_else(|| format!("dump event {i}: missing name"))?;
-            let tid = ev
-                .get("tid")
-                .and_then(Json::as_i64)
-                .ok_or_else(|| format!("dump event {i}: missing tid"))?;
-            let ts_ns =
-                parse_u(ev.get("ts_ns")).ok_or_else(|| format!("dump event {i}: missing ts_ns"))?;
-            let dur_ns = parse_u(ev.get("dur_ns"))
-                .ok_or_else(|| format!("dump event {i}: missing dur_ns"))?;
-            let cat = match ev.get("cat").and_then(Json::as_str) {
+            let at = |e: String| format!("dump event {i}: {e}");
+            let name: String = ev.req("name").map_err(at)?;
+            let tid: u32 = ev.req("tid").map_err(at)?;
+            let ts_ns = nanos(ev, "ts_ns").map_err(at)?;
+            let dur_ns = nanos(ev, "dur_ns").map_err(at)?;
+            let cat = match ev.opt::<String>("cat").ok().flatten().as_deref() {
                 Some("batch") => "batch",
                 Some("stage") => "stage",
                 Some("pass") => "pass",
@@ -529,10 +508,10 @@ impl Tracer {
                 }
             }
             imported.push(TraceEvent {
-                name: name.to_string(),
+                name,
                 cat,
                 pid,
-                tid: tid as u32 + 1,
+                tid: tid + 1,
                 ts_ns: (ts_ns as i128 + shift).max(0) as u64,
                 dur_ns,
                 args,
@@ -621,10 +600,9 @@ impl Tracer {
                     .field("args", args),
             );
         }
-        let mut other = Json::obj().field("generator", "slc-trace");
-        if let Some(ctx) = self.ctx() {
-            other = other.field("trace_id", ctx.trace_id_hex());
-        }
+        let other = Json::obj()
+            .field("generator", "slc-trace")
+            .field_opt("trace_id", self.ctx().map(|c| c.trace_id_hex()));
         let doc = Json::obj()
             .field("displayTimeUnit", "ms")
             .field("otherData", other)
@@ -746,45 +724,29 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let mut track_names = BTreeMap::new();
     let mut span_names = std::collections::BTreeSet::new();
     for (i, ev) in events.iter().enumerate() {
-        let ph = ev
-            .get("ph")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing string ph"))?;
-        let name = ev
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("event {i}: missing string name"))?;
-        let tid = ev
-            .get("tid")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("event {i}: missing integer tid"))?;
-        ev.get("pid")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("event {i}: missing integer pid"))?;
-        match ph {
+        let at = |e: String| format!("event {i}: {e}");
+        let ph: String = ev.req("ph").map_err(at)?;
+        let name: String = ev.req("name").map_err(at)?;
+        let tid: i64 = ev.req("tid").map_err(at)?;
+        ev.req::<i64>("pid").map_err(at)?;
+        match ph.as_str() {
             "X" => {
-                let ts = ev
-                    .get("ts")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("event {i}: X event missing numeric ts"))?;
-                let dur = ev
-                    .get("dur")
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| format!("event {i}: X event missing numeric dur"))?;
+                let ts: f64 = ev.req("ts").map_err(at)?;
+                let dur: f64 = ev.req("dur").map_err(at)?;
                 if ts < 0.0 || dur < 0.0 {
                     return Err(format!("event {i}: negative ts/dur"));
                 }
                 spans += 1;
                 tracks.insert(tid);
-                span_names.insert(name.to_string());
+                span_names.insert(name);
             }
             "M" if name == "thread_name" => {
                 let tname = ev
                     .get("args")
-                    .and_then(|a| a.get("name"))
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| format!("event {i}: thread_name without args.name"))?;
-                track_names.insert(tid, tname.to_string());
+                    .ok_or("missing field `args`".to_string())
+                    .and_then(|a| a.req::<String>("name"))
+                    .map_err(|e| at(format!("thread_name args: {e}")))?;
+                track_names.insert(tid, tname);
             }
             "M" => {}
             other => return Err(format!("event {i}: unsupported phase {other:?}")),
@@ -825,33 +787,17 @@ pub fn validate_event_log(text: &str) -> Result<EventLogSummary, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let obj = Json::parse(line).map_err(|e| format!("line {}: not valid JSON: {e}", i + 1))?;
-        let ts = obj
-            .get("ts_us")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("line {}: missing numeric ts_us", i + 1))?;
-        let dur = obj
-            .get("dur_us")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("line {}: missing numeric dur_us", i + 1))?;
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        let obj = Json::parse(line).map_err(|e| at(format!("not valid JSON: {e}")))?;
+        let ts: f64 = obj.req("ts_us").map_err(at)?;
+        let dur: f64 = obj.req("dur_us").map_err(at)?;
         if ts < 0.0 || dur < 0.0 {
             return Err(format!("line {}: negative ts_us/dur_us", i + 1));
         }
-        let pid = obj
-            .get("pid")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("line {}: missing integer pid", i + 1))?;
-        let tid = obj
-            .get("tid")
-            .and_then(Json::as_i64)
-            .ok_or_else(|| format!("line {}: missing integer tid", i + 1))?;
-        obj.get("cat")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing string cat", i + 1))?;
-        let name = obj
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing string name", i + 1))?;
+        let pid: i64 = obj.req("pid").map_err(at)?;
+        let tid: i64 = obj.req("tid").map_err(at)?;
+        obj.req::<String>("cat").map_err(at)?;
+        let name: String = obj.req("name").map_err(at)?;
         let prev = last_ts.entry((pid, tid)).or_insert(0.0);
         if ts < *prev {
             return Err(format!(
@@ -861,7 +807,7 @@ pub fn validate_event_log(text: &str) -> Result<EventLogSummary, String> {
             ));
         }
         *prev = ts;
-        span_names.insert(name.to_string());
+        span_names.insert(name);
         events += 1;
     }
     if events == 0 {

@@ -785,10 +785,7 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
         bad |= lints.iter().any(|l| l.severity == LintSeverity::Error);
         if json {
             for l in &lints {
-                let mut o = Json::obj();
-                if let Some(n) = name {
-                    o = o.field("workload", n);
-                }
+                let o = Json::obj().field_opt("workload", name);
                 println!(
                     "{}",
                     o.field("code", l.code)
@@ -919,10 +916,7 @@ fn deps_main(args: impl Iterator<Item = String>) -> ! {
             let id = LoopId::of(f, idx);
             let skip = |why: &str, json: bool| {
                 if json {
-                    let mut o = Json::obj();
-                    if let Some(n) = name {
-                        o = o.field("workload", n);
-                    }
+                    let o = Json::obj().field_opt("workload", name);
                     println!("{}", o.field("loop", id.to_string()).field("skipped", why));
                 } else {
                     println!("{id}: skipped — {why}");
@@ -965,31 +959,23 @@ fn deps_main(args: impl Iterator<Item = String>) -> ! {
                     }
                 };
                 if json {
-                    let mut o = Json::obj();
-                    if let Some(n) = name {
-                        o = o.field("workload", n);
-                    }
-                    o = o
+                    let distances = match &p.verdict {
+                        DepVerdict::Distances(ds) => Some(ds.clone()),
+                        _ => None,
+                    };
+                    let o = Json::obj()
+                        .field_opt("workload", name)
                         .field("loop", id.to_string())
                         .field("array", p.array.as_str())
                         .field("from_mi", p.from_mi as u64)
                         .field("from_ord", p.from_ord as u64)
                         .field("to_mi", p.to_mi as u64)
                         .field("to_ord", p.to_ord as u64)
-                        .field("verdict", p.verdict.name());
-                    if let Some(l) = p.layer {
-                        o = o.field("layer", l.name());
-                    }
-                    if let DepVerdict::Distances(ds) = &p.verdict {
-                        o = o.field(
-                            "distances",
-                            Json::Arr(ds.iter().map(|&d| Json::Int(d)).collect()),
-                        );
-                    }
-                    if let Some(cert) = &p.certificate {
-                        o = o.field("certificate", dep_cert_json(cert));
-                    }
-                    o = match &recheck {
+                        .field("verdict", p.verdict.name())
+                        .field_opt("layer", p.layer.map(|l| l.name()))
+                        .field_opt("distances", distances)
+                        .field_opt("certificate", p.certificate.as_ref().map(dep_cert_json));
+                    let o = match &recheck {
                         None => o.field("recheck", "none"),
                         Some(Ok(())) => o.field("recheck", "ok"),
                         Some(Err(e)) => o.field("recheck", format!("failed: {e}")),
@@ -1014,10 +1000,7 @@ fn deps_main(args: impl Iterator<Item = String>) -> ! {
                 let _ = ok;
             }
             if json {
-                let mut o = Json::obj();
-                if let Some(n) = name {
-                    o = o.field("workload", n);
-                }
+                let o = Json::obj().field_opt("workload", name);
                 println!(
                     "{}",
                     o.field("loop", id.to_string())

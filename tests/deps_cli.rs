@@ -80,6 +80,19 @@ fn deps_all_workloads_exit_zero() {
     assert!(!stdout.contains("CERTIFICATE FAILED"), "stdout:\n{stdout}");
 }
 
+/// `slc deps --all --json` is pinned: its JSONL equals the checked-in
+/// `BENCH_deps.jsonl` byte for byte (regenerate with
+/// `slc deps --all --json > BENCH_deps.jsonl`).
+#[test]
+fn deps_all_json_matches_checked_in_golden() {
+    let out = slc().args(["deps", "--all", "--json"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert!(
+        out.stdout == include_bytes!("../BENCH_deps.jsonl"),
+        "slc deps --all --json differs from BENCH_deps.jsonl"
+    );
+}
+
 #[test]
 fn deps_bad_flag_exits_two() {
     let out = slc().args(["deps", "--bogus"]).output().unwrap();

@@ -7,6 +7,22 @@
 use slc_core::{DiagEvent, SlmsConfig};
 use slc_pipeline::{explain_all, explain_workload, PassManager, PassPlan};
 
+/// `slc explain --all --json` is pinned: its JSONL equals the checked-in
+/// `BENCH_explain.jsonl` byte for byte (regenerate with
+/// `slc explain --all --json > BENCH_explain.jsonl`).
+#[test]
+fn explain_all_json_matches_checked_in_golden() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_slc"))
+        .args(["explain", "--all", "--json"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(0));
+    assert!(
+        out.stdout == include_bytes!("../BENCH_explain.jsonl"),
+        "slc explain --all --json differs from BENCH_explain.jsonl"
+    );
+}
+
 #[test]
 fn explain_covers_every_workload_without_panicking() {
     let cfg = SlmsConfig::default();

@@ -328,6 +328,77 @@ fn malformed_and_failing_requests_keep_the_connection_alive() {
     shutdown_clean(handle, &addr);
 }
 
+/// Hostile input is refused with a typed error and never takes the daemon
+/// down: deeply nested JSON (`usage`), a source nesting 3 000 parentheses
+/// (`parse`), and a 2 MiB line without a newline (`too-large`, exit code 2,
+/// then the connection closes). `ping` answers after each.
+#[test]
+fn hostile_requests_are_refused_and_the_daemon_survives() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let (handle, addr) = spawn(ServeConfig::default());
+
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut line = "[".repeat(20_000);
+    line.push('\n');
+    stream.write_all(line.as_bytes()).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut got = String::new();
+    reader.read_line(&mut got).unwrap();
+    match Response::parse(got.trim_end()).unwrap() {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, ErrorKind::Usage);
+            assert!(message.contains("nesting"), "{message}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    stream.write_all(b"{\"type\":\"ping\"}\n").unwrap();
+    got.clear();
+    reader.read_line(&mut got).unwrap();
+    assert_eq!(Response::parse(got.trim_end()).unwrap(), Response::Pong);
+
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let source = format!("float x; x = {}1.0{};", "(".repeat(3000), ")".repeat(3000));
+    match client
+        .request(&Request::Compile {
+            source,
+            opts: opts_for("slms"),
+        })
+        .unwrap()
+    {
+        Response::Error { kind, message } => {
+            assert_eq!(kind, ErrorKind::Parse);
+            assert!(message.contains("nesting deeper"), "{message}");
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    assert_eq!(client.request(&Request::Ping).unwrap(), Response::Pong);
+
+    let stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut writer = stream.try_clone().unwrap();
+    let flood = std::thread::spawn(move || {
+        // the daemon may close before reading all of it
+        let _ = writer.write_all(&vec![b'x'; 2 << 20]);
+    });
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    got.clear();
+    reader.read_line(&mut got).unwrap();
+    match Response::parse(got.trim_end()).unwrap() {
+        Response::Error { kind, .. } => {
+            assert_eq!(kind, ErrorKind::TooLarge);
+            assert_eq!(kind.exit_code(), 2);
+        }
+        other => panic!("unexpected {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "expected EOF");
+    flood.join().unwrap();
+    drop(stream);
+
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    assert_eq!(client.request(&Request::Ping).unwrap(), Response::Pong);
+    shutdown_clean(handle, &addr);
+}
+
 /// A bounded daemon under a capacity smaller than the corpus evicts and
 /// recompiles — and the recompiled bytes are identical (refp check clean).
 #[test]

@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use slc_core::{SchedulerKind, SlmsConfig};
 use slc_pipeline::{run_batch, BatchConfig, CompilerKind, PassPlan, ShardFault, ShardOptions};
-use slc_trace::Tracer;
+use slc_trace::{Json, Tracer};
 use slc_workloads::{Suite, Workload};
 
 /// Exec the test-built `slc` binary in worker mode; the dispatcher itself
@@ -64,6 +64,72 @@ fn sharded_report_identical_across_shard_counts() {
         assert_eq!(rep.timing.shards.len(), shards);
         let cells: u64 = rep.timing.shards.iter().map(|s| s.cells).sum();
         assert_eq!(cells as usize, cfg.n_cells());
+    }
+}
+
+/// Every timing-sidecar number is derived from one accumulator: `stage_ms`
+/// and `pass_ms` are the sums and counts of the `wall.*` histograms the same
+/// sidecar carries, and `sim_steady_state` is the `sim.*` counters. Holds
+/// in process and across shards (whose histograms the dispatcher merges).
+#[test]
+fn timing_sidecar_derives_from_the_registries() {
+    let cfg = BatchConfig {
+        verify: true,
+        ..small_config()
+    };
+    for rep in [run_batch(&cfg), run_with(&cfg, &opts(2))] {
+        let t = Json::parse(&rep.timing_json()).unwrap();
+        let wall = t.get("wall_histograms").unwrap();
+        let hist = |name: &str, field: &str| {
+            wall.get(name)
+                .and_then(|h| h.get(field))
+                .and_then(Json::as_i64)
+                .unwrap_or(0)
+        };
+        let ms = |name: &str| hist(name, "sum") as f64 / 1e6;
+        let stage = t.get("stage_ms").unwrap();
+        for (key, name) in [
+            ("parse", "wall.parse_ns"),
+            ("slms", "wall.plan_ns"),
+            ("lower", "wall.lower_ns"),
+            ("compile", "wall.compile_ns"),
+            ("simulate", "wall.sim_ns"),
+        ] {
+            assert!(hist(name, "count") > 0, "{name} is empty");
+            assert_eq!(
+                stage.get(key).and_then(Json::as_f64),
+                Some(ms(name)),
+                "{key}"
+            );
+        }
+        let passes = t.get("pass_ms").and_then(Json::as_obj).unwrap();
+        let pass_families = wall
+            .as_obj()
+            .unwrap()
+            .iter()
+            .filter(|(k, _)| k.starts_with("wall.pass."))
+            .count();
+        assert!(!passes.is_empty());
+        assert_eq!(passes.len(), pass_families);
+        for (pass, v) in passes {
+            let name = format!("wall.pass.{pass}_ns");
+            assert_eq!(
+                v.get("ms").and_then(Json::as_f64),
+                Some(ms(&name)),
+                "{pass}"
+            );
+            assert_eq!(
+                v.get("runs").and_then(Json::as_i64),
+                Some(hist(&name, "count"))
+            );
+        }
+        let steady = t.get("sim_steady_state").and_then(Json::as_obj).unwrap();
+        assert_eq!(steady.len(), 6);
+        assert!(rep.counters.get("sim.trips_total") > 0);
+        for (key, v) in steady {
+            let counter = rep.counters.get(&format!("sim.{key}"));
+            assert_eq!(v.as_i64(), Some(counter as i64), "{key}");
+        }
     }
 }
 
