@@ -14,6 +14,16 @@
 //! the same core, which is what lets solver statistics flow into the
 //! byte-identical batch report.
 //!
+//! **Invariant: the search is a pure function of the clause list.** The
+//! clauses and their order fix every decision, propagation, learned
+//! clause, restart, model, core and [`Stats`] field. A change to how the
+//! solver *represents* its state (origin sets as bitsets over original
+//! clause ids, reused analysis scratch, watch lists compacted in place)
+//! may make it faster but may not alter any of them; the repository's
+//! solver-trajectory golden (`tests/sat_trajectory.rs` at the workspace
+//! root) compares them byte for byte. A [`Solver`] memoizes only its own
+//! outcome; nothing is shared between solvers.
+//!
 //! ```
 //! use slc_sat::{Lit, Outcome, Solver};
 //! let mut s = Solver::new();
@@ -24,8 +34,6 @@
 //!     Outcome::Unsat(_) => unreachable!(),
 //! }
 //! ```
-
-use std::collections::BTreeSet;
 
 /// Variable index (0-based, dense).
 pub type Var = usize;
@@ -117,9 +125,10 @@ pub struct Stats {
 /// One stored clause (original or learned).
 struct Clause {
     lits: Vec<Lit>,
-    /// sorted original clause ids this clause is derived from (an original
-    /// clause's origin set is just itself)
-    origins: Vec<usize>,
+    /// bitset over the original clause ids a learned clause was resolved
+    /// from (bit `i` of word `i / 64`); empty for an original clause, whose
+    /// origin set is just its own id
+    origins: Vec<u64>,
 }
 
 /// Conflict-driven clause-learning solver. Build with [`Solver::new`],
@@ -146,6 +155,14 @@ pub struct Solver {
     root_unsat: Option<Vec<usize>>,
     memo: Option<Outcome>,
     stats: Stats,
+    /// conflict-analysis marks, all false between analyses
+    seen: Vec<bool>,
+    /// level-0 reason-chain marks, all false between analyses; the
+    /// variables set are listed in `seen0_set`
+    seen0: Vec<bool>,
+    seen0_set: Vec<Var>,
+    /// DFS stack of the level-0 reason-chain walk
+    stack: Vec<Var>,
 }
 
 impl Default for Solver {
@@ -192,6 +209,10 @@ impl Solver {
             root_unsat: None,
             memo: None,
             stats: Stats::default(),
+            seen: Vec::new(),
+            seen0: Vec::new(),
+            seen0_set: Vec::new(),
+            stack: Vec::new(),
         }
     }
 
@@ -212,6 +233,8 @@ impl Solver {
             self.level.push(0);
             self.reason.push(None);
             self.activity.push(0.0);
+            self.seen.push(false);
+            self.seen0.push(false);
             self.watches.push(Vec::new());
             self.watches.push(Vec::new());
         }
@@ -248,7 +271,7 @@ impl Solver {
         // tautologies are stored (for id stability) but never attached
         self.clauses.push(Clause {
             lits: ls,
-            origins: vec![id],
+            origins: Vec::new(),
         });
         self.n_original = self.clauses.len();
         id
@@ -281,12 +304,19 @@ impl Solver {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             let false_lit = p.negate();
-            let watchers = std::mem::take(&mut self.watches[false_lit.idx()]);
-            let mut kept = Vec::with_capacity(watchers.len());
+            // Compact the watch list in place: `ws[..kept]` holds the
+            // clauses that still watch `false_lit`, in their old order. A
+            // clause that moves its watch never moves it back onto
+            // `false_lit` (that literal is false), so nothing is pushed
+            // onto the list while it is out of `self.watches`.
+            let mut ws = std::mem::take(&mut self.watches[false_lit.idx()]);
+            let mut kept = 0;
             let mut conflict = None;
-            for (wi, &ci) in watchers.iter().enumerate() {
+            for wi in 0..ws.len() {
+                let ci = ws[wi];
                 if conflict.is_some() {
-                    kept.push(ci);
+                    ws[kept] = ci;
+                    kept += 1;
                     continue;
                 }
                 if self.clauses[ci].lits[0] == false_lit {
@@ -294,7 +324,8 @@ impl Solver {
                 }
                 let first = self.clauses[ci].lits[0];
                 if self.lit_value(first) == Some(true) {
-                    kept.push(ci);
+                    ws[kept] = ci;
+                    kept += 1;
                     continue;
                 }
                 let mut moved = false;
@@ -311,16 +342,17 @@ impl Solver {
                 if moved {
                     continue;
                 }
-                kept.push(ci);
+                ws[kept] = ci;
+                kept += 1;
                 if self.lit_value(first) == Some(false) {
+                    // the rest of this watch list is kept untouched
                     conflict = Some(ci);
-                    // requeue the rest of this watch list untouched
-                    let _ = wi;
                 } else {
                     self.enqueue(first, Some(ci));
                 }
             }
-            self.watches[false_lit.idx()] = kept;
+            ws.truncate(kept);
+            self.watches[false_lit.idx()] = ws;
             if let Some(ci) = conflict {
                 self.qhead = self.trail.len();
                 return Some(ci);
@@ -343,47 +375,73 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
+    /// An empty origin set: one bit per original clause.
+    fn no_origins(&self) -> Vec<u64> {
+        vec![0; self.n_original.div_ceil(64)]
+    }
+
+    /// Union clause `ci`'s origin set into `out`.
+    fn add_origins(&self, ci: usize, out: &mut [u64]) {
+        if ci < self.n_original {
+            out[ci / 64] |= 1 << (ci % 64);
+        } else {
+            for (o, w) in out.iter_mut().zip(&self.clauses[ci].origins) {
+                *o |= w;
+            }
+        }
+    }
+
     /// Union the origin closure of a level-0 assigned variable into `out`
-    /// (the reason chain that forced it).
-    fn level0_origins(&self, v0: Var, out: &mut BTreeSet<usize>) {
-        let mut stack = vec![v0];
-        let mut seen = vec![false; self.num_vars()];
+    /// (the reason chain that forced it). Variables already walked since
+    /// the last [`Solver::clear_seen0`] are skipped: their origins are in
+    /// `out` already, and union is idempotent.
+    fn level0_origins(&mut self, v0: Var, out: &mut [u64]) {
+        let mut stack = std::mem::take(&mut self.stack);
+        stack.push(v0);
         while let Some(v) = stack.pop() {
-            if seen[v] {
+            if self.seen0[v] {
                 continue;
             }
-            seen[v] = true;
+            self.seen0[v] = true;
+            self.seen0_set.push(v);
             if let Some(r) = self.reason[v] {
-                out.extend(self.clauses[r].origins.iter().copied());
+                self.add_origins(r, out);
                 for &q in &self.clauses[r].lits {
-                    if q.var() != v {
+                    if q.var() != v && !self.seen0[q.var()] {
                         stack.push(q.var());
                     }
                 }
             }
+        }
+        self.stack = stack;
+    }
+
+    /// Reset the marks [`Solver::level0_origins`] set.
+    fn clear_seen0(&mut self) {
+        for v in self.seen0_set.drain(..) {
+            self.seen0[v] = false;
         }
     }
 
     /// First-UIP conflict analysis. Returns the learned clause (asserting
     /// literal first, second-highest-level literal second), the backjump
     /// level, and the origin set of the resolution.
-    fn analyze(&mut self, mut confl: usize) -> (Vec<Lit>, u32, Vec<usize>) {
+    fn analyze(&mut self, mut confl: usize) -> (Vec<Lit>, u32, Vec<u64>) {
         let cur = self.decision_level();
         let mut learnt: Vec<Lit> = Vec::new();
-        let mut origins: BTreeSet<usize> = BTreeSet::new();
-        let mut seen = vec![false; self.num_vars()];
+        let mut origins = self.no_origins();
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
         loop {
-            origins.extend(self.clauses[confl].origins.iter().copied());
-            let lits = self.clauses[confl].lits.clone();
-            for q in lits {
+            self.add_origins(confl, &mut origins);
+            for k in 0..self.clauses[confl].lits.len() {
+                let q = self.clauses[confl].lits[k];
                 if Some(q) == p {
                     continue;
                 }
                 let v = q.var();
-                if seen[v] {
+                if self.seen[v] {
                     continue;
                 }
                 if self.level[v] == 0 {
@@ -392,7 +450,7 @@ impl Solver {
                     self.level0_origins(v, &mut origins);
                     continue;
                 }
-                seen[v] = true;
+                self.seen[v] = true;
                 self.bump(v);
                 if self.level[v] >= cur {
                     counter += 1;
@@ -402,12 +460,12 @@ impl Solver {
             }
             loop {
                 idx -= 1;
-                if seen[self.trail[idx].var()] {
+                if self.seen[self.trail[idx].var()] {
                     break;
                 }
             }
             let pl = self.trail[idx];
-            seen[pl.var()] = false;
+            self.seen[pl.var()] = false;
             counter -= 1;
             if counter == 0 {
                 learnt.insert(0, pl.negate());
@@ -416,6 +474,12 @@ impl Solver {
             p = Some(pl);
             confl = self.reason[pl.var()].expect("non-UIP literal has a reason");
         }
+        // every current-level mark was cleared on the trail walk; the
+        // lower-level ones are exactly the rest of the learned clause
+        for l in &learnt[1..] {
+            self.seen[l.var()] = false;
+        }
+        self.clear_seen0();
         let mut back = 0;
         if learnt.len() > 1 {
             let mut mi = 1;
@@ -427,7 +491,7 @@ impl Solver {
             learnt.swap(1, mi);
             back = self.level[learnt[1].var()];
         }
-        (learnt, back, origins.into_iter().collect())
+        (learnt, back, origins)
     }
 
     fn cancel_until(&mut self, lvl: u32) {
@@ -446,7 +510,7 @@ impl Solver {
 
     /// Store a learned clause, attach watches, and assert its first
     /// literal.
-    fn learn(&mut self, lits: Vec<Lit>, origins: Vec<usize>) {
+    fn learn(&mut self, lits: Vec<Lit>, origins: Vec<u64>) {
         self.stats.learned += 1;
         let ci = self.clauses.len();
         let asserting = lits[0];
@@ -461,12 +525,24 @@ impl Solver {
 
     /// Unsat core of a conflict at decision level 0: resolve the conflict
     /// clause against the reason chain of every falsified literal.
-    fn final_core(&self, confl: usize) -> Vec<usize> {
-        let mut origins: BTreeSet<usize> = self.clauses[confl].origins.iter().copied().collect();
-        for &q in &self.clauses[confl].lits {
-            self.level0_origins(q.var(), &mut origins);
+    fn final_core(&mut self, confl: usize) -> Vec<usize> {
+        let mut origins = self.no_origins();
+        self.add_origins(confl, &mut origins);
+        for k in 0..self.clauses[confl].lits.len() {
+            let v = self.clauses[confl].lits[k].var();
+            self.level0_origins(v, &mut origins);
         }
-        origins.into_iter().collect()
+        self.clear_seen0();
+        // set bits in ascending order: the sorted core
+        let mut core = Vec::new();
+        for (wi, &w) in origins.iter().enumerate() {
+            let mut w = w;
+            while w != 0 {
+                core.push(wi * 64 + w.trailing_zeros() as usize);
+                w &= w - 1;
+            }
+        }
+        core
     }
 
     /// Pick the unassigned variable with the highest activity (ties →
