@@ -676,7 +676,8 @@ impl CompileService {
         self.counters.lock().unwrap().add("serve.requests", 1);
     }
 
-    /// Count one admission-control rejection (`busy` response).
+    /// Count one `busy` response: a request refused admission or a
+    /// connection refused at accept.
     pub fn note_rejection(&self) {
         self.counters.lock().unwrap().add("serve.rejections", 1);
     }

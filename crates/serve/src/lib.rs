@@ -30,6 +30,6 @@ pub mod proto;
 
 pub use bench::{run_bench, BenchConfig, BenchCounts, BenchReport, BENCH_SCHEMA};
 pub use client::Client;
-pub use daemon::{DrainStats, Endpoint, ServeConfig, Server, ServerHandle};
+pub use daemon::{DrainStats, Endpoint, ServeConfig, Server, ServerHandle, MAX_CONNECTIONS};
 pub use metrics::{prometheus_name, render_prometheus};
 pub use proto::{ErrorKind, Request, RequestOpts, Response, MAX_LINE, PROTO_SCHEMA};
