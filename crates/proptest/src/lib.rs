@@ -393,7 +393,8 @@ pub fn __run_case<F: FnOnce() -> TestCaseResult>(
 }
 
 /// The property-test harness macro. Supports the subset used here: an
-/// optional `#![proptest_config(..)]` header followed by `#[test]` fns with
+/// optional `#![proptest_config(..)]` header followed by `#[test]` fns
+/// (optionally `#[ignore]`d, for long runs selected with `--ignored`) with
 /// `name in strategy` bindings and a `Result`-free body.
 #[macro_export]
 macro_rules! proptest {
@@ -402,12 +403,14 @@ macro_rules! proptest {
         $(
             $(#[doc = $doc:expr])*
             #[test]
+            $(#[$ignore:ident])?
             fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block
         )*
     ) => {
         $(
             $(#[doc = $doc])*
             #[test]
+            $(#[$ignore])?
             fn $name() {
                 let cfg: $crate::ProptestConfig = $cfg;
                 let mut rng = $crate::TestRng::new($crate::fnv1a(concat!(
@@ -428,6 +431,7 @@ macro_rules! proptest {
         $(
             $(#[doc = $doc:expr])*
             #[test]
+            $(#[$ignore:ident])?
             fn $name:ident($($arg:ident in $strat:expr),+ $(,)?) $body:block
         )*
     ) => {
@@ -436,6 +440,7 @@ macro_rules! proptest {
             $(
                 $(#[doc = $doc])*
                 #[test]
+                $(#[$ignore])?
                 fn $name($($arg in $strat),+) $body
             )*
         }

@@ -20,58 +20,101 @@ fn cnf_strategy(num_vars: usize) -> impl Strategy<Value = Vec<Vec<Lit>>> {
     proptest::collection::vec(clause_strategy(num_vars), 1..40)
 }
 
+/// sat/unsat agreement with the brute-force enumerator on CNF of up to 20
+/// variables; models returned by the solver must actually satisfy the
+/// formula, and unsat cores must be unsatisfiable subsets.
+fn agrees_with_brute_force(clauses: &[Vec<Lit>]) -> TestCaseResult {
+    let reference = brute_force(20, clauses);
+    let mut s = Solver::new();
+    for c in clauses {
+        s.add_clause(c);
+    }
+    match s.solve() {
+        Outcome::Sat(mut model) => {
+            prop_assert!(
+                reference.is_some(),
+                "solver SAT but enumerator found no model"
+            );
+            model.resize(20, false);
+            prop_assert!(
+                check_model(&model, clauses),
+                "solver model does not satisfy CNF"
+            );
+        }
+        Outcome::Unsat(core) => {
+            prop_assert!(
+                reference.is_none(),
+                "solver UNSAT but enumerator found a model"
+            );
+            // the core must itself be an unsatisfiable subset
+            let subset: Vec<Vec<Lit>> = core.iter().map(|&i| clauses[i].clone()).collect();
+            prop_assert!(
+                brute_force(20, &subset).is_none(),
+                "unsat core is satisfiable"
+            );
+        }
+    }
+    Ok(())
+}
+
+/// `solve_subset` and `minimize_core` preserve unsatisfiability and
+/// produce cores in the original id space.
+fn minimized_core_is_minimal(clauses: &[Vec<Lit>]) -> TestCaseResult {
+    let mut s = Solver::new();
+    for c in clauses {
+        s.add_clause(c);
+    }
+    if let Outcome::Unsat(core) = s.solve() {
+        let min = minimize_core(clauses, &core);
+        prop_assert!(min.iter().all(|i| core.contains(i)), "minimized core grew");
+        let subset: Vec<Vec<Lit>> = min.iter().map(|&i| clauses[i].clone()).collect();
+        prop_assert!(
+            brute_force(8, &subset).is_none(),
+            "minimized core is satisfiable"
+        );
+        // minimality: dropping any single clause makes it satisfiable
+        for k in 0..min.len() {
+            let mut trial = min.clone();
+            trial.remove(k);
+            prop_assert!(
+                solve_subset(clauses, &trial).is_sat(),
+                "core is not minimal: clause {} is redundant",
+                min[k]
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
 
-    /// sat/unsat agreement with the brute-force enumerator on CNF of up
-    /// to 20 variables; models returned by the solver must actually
-    /// satisfy the formula, and unsat cores must be unsatisfiable subsets.
     #[test]
     fn cdcl_agrees_with_brute_force(clauses in cnf_strategy(20)) {
-        let reference = brute_force(20, &clauses);
-        let mut s = Solver::new();
-        for c in &clauses {
-            s.add_clause(c);
-        }
-        match s.solve() {
-            Outcome::Sat(mut model) => {
-                prop_assert!(reference.is_some(), "solver SAT but enumerator found no model");
-                model.resize(20, false);
-                prop_assert!(check_model(&model, &clauses), "solver model does not satisfy CNF");
-            }
-            Outcome::Unsat(core) => {
-                prop_assert!(reference.is_none(), "solver UNSAT but enumerator found a model");
-                // the core must itself be an unsatisfiable subset
-                let subset: Vec<Vec<Lit>> = core.iter().map(|&i| clauses[i].clone()).collect();
-                prop_assert!(brute_force(20, &subset).is_none(), "unsat core is satisfiable");
-            }
-        }
+        agrees_with_brute_force(&clauses)?;
     }
 
-    /// `solve_subset` and `minimize_core` preserve unsatisfiability and
-    /// produce cores in the original id space.
     #[test]
     fn minimized_cores_stay_unsat(clauses in cnf_strategy(8)) {
-        let mut s = Solver::new();
-        for c in &clauses {
-            s.add_clause(c);
-        }
-        if let Outcome::Unsat(core) = s.solve() {
-            let min = minimize_core(&clauses, &core);
-            prop_assert!(min.iter().all(|i| core.contains(i)), "minimized core grew");
-            let subset: Vec<Vec<Lit>> = min.iter().map(|&i| clauses[i].clone()).collect();
-            prop_assert!(brute_force(8, &subset).is_none(), "minimized core is satisfiable");
-            // minimality: dropping any single clause makes it satisfiable
-            for k in 0..min.len() {
-                let mut trial = min.clone();
-                trial.remove(k);
-                prop_assert!(
-                    solve_subset(&clauses, &trial).is_sat(),
-                    "core is not minimal: clause {} is redundant",
-                    min[k]
-                );
-            }
-        }
+        minimized_core_is_minimal(&clauses)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20_000, ..ProptestConfig::default() })]
+
+    /// The same properties over 20 000 cases each, for the CI long-run
+    /// fuzz job (`cargo test --release -- --ignored`).
+    #[test]
+    #[ignore]
+    fn cdcl_agrees_with_brute_force_long(clauses in cnf_strategy(20)) {
+        agrees_with_brute_force(&clauses)?;
+    }
+
+    #[test]
+    #[ignore]
+    fn minimized_cores_stay_unsat_long(clauses in cnf_strategy(8)) {
+        minimized_core_is_minimal(&clauses)?;
     }
 }
 

@@ -180,6 +180,13 @@ fn mutate(seed: &str, kind: u8, at: u64, byte: u8, len: usize) -> String {
     String::from_utf8_lossy(&b).into_owned()
 }
 
+/// Decode one mutation of the seed `pick` selects.
+fn fuzz_one(pick: u64, kind: u8, at: u64, byte: u8, len: usize) {
+    let all = seeds();
+    let seed = &all[(pick % all.len() as u64) as usize];
+    decode_all(&mutate(seed, kind, at, byte, len));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 512, .. ProptestConfig::default() })]
 
@@ -192,9 +199,25 @@ proptest! {
         byte in any::<u8>(),
         len in 0usize..64,
     ) {
-        let all = seeds();
-        let seed = &all[(pick % all.len() as u64) as usize];
-        decode_all(&mutate(seed, kind, at, byte, len));
+        fuzz_one(pick, kind, at, byte, len);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 20_000, .. ProptestConfig::default() })]
+
+    /// The same property over 20 000 cases, for the CI long-run fuzz job
+    /// (`cargo test --release -- --ignored`).
+    #[test]
+    #[ignore]
+    fn decoders_never_panic_long(
+        pick in any::<u64>(),
+        kind in 0u8..8,
+        at in any::<u64>(),
+        byte in any::<u8>(),
+        len in 0usize..64,
+    ) {
+        fuzz_one(pick, kind, at, byte, len);
     }
 }
 
