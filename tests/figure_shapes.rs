@@ -240,3 +240,24 @@ fn fig16_gap_closure_positive_on_average() {
         "some loop should close a quarter of the gap"
     );
 }
+
+#[test]
+fn full_report_matches_checked_in_golden() {
+    // Every figure table is pinned byte for byte, not just its shape: the
+    // `figures` example prints `full_report()` plus a newline.
+    let got = format!("{}\n", harness::full_report());
+    let want = include_str!("../BENCH_figures.txt");
+    if got != want {
+        let line = got
+            .lines()
+            .zip(want.lines())
+            .position(|(a, b)| a != b)
+            .unwrap_or_else(|| got.lines().count().min(want.lines().count()));
+        panic!(
+            "figure report differs from BENCH_figures.txt at line {}; regenerate with \
+             `cargo run --release -q --example figures > BENCH_figures.txt` only after \
+             an intended change",
+            line + 1
+        );
+    }
+}
