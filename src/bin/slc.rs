@@ -287,7 +287,10 @@ fn read_input(file: &Option<String>) -> String {
         }),
         None => {
             let mut buf = String::new();
-            std::io::stdin().read_to_string(&mut buf).unwrap();
+            if let Err(e) = std::io::stdin().read_to_string(&mut buf) {
+                eprintln!("slc: cannot read stdin: {e}");
+                exit(1)
+            }
             buf
         }
     }
