@@ -7,8 +7,7 @@
 use slc::ast::{parse_program, to_source};
 use slc::pipeline::{explain_source_json, verify_report, PassManager, PassPlan};
 use slc::serve::{
-    run_bench, BenchConfig, Client, Endpoint, ErrorKind, Request, RequestOpts, Response,
-    ServeConfig, Server, ServerHandle,
+    Client, Endpoint, ErrorKind, Request, RequestOpts, Response, ServeConfig, Server, ServerHandle,
 };
 use slc::slms::SlmsConfig;
 use slc::trace::Tracer;
@@ -165,49 +164,70 @@ fn concurrent_clients_get_identical_bytes() {
     shutdown_clean(handle, &addr);
 }
 
-/// The bench harness replaying the corpus twice sees exactly-predictable
-/// cache behaviour: zero first-pass hits, all-hit second pass, and store
-/// counters that are a pure function of the corpus shape.
+/// Replaying the workload × plan corpus twice over 8 concurrent clients
+/// sees exactly-predictable cache behaviour: zero error responses, zero
+/// first-pass hits, an all-hit second pass, store counters that are a pure
+/// function of the corpus shape, and a clean drain.
 #[test]
 fn replay_hit_counters_are_exact() {
-    let n_workloads = slc::workloads::all().len();
-    let corpus = PLANS.len() * n_workloads;
-    let report = run_bench(&BenchConfig {
-        clients: 4,
-        passes: 2,
-        ..BenchConfig::default()
-    })
-    .expect("bench run");
-    let c = &report.counts;
-    assert_eq!(c.corpus, corpus);
-    assert_eq!(c.requests, 2 * corpus);
-    assert_eq!(c.responses_ok, 2 * corpus);
-    assert_eq!(c.responses_error, 0);
+    const CLIENTS: usize = 8;
+    let workloads = slc::workloads::all();
+    let corpus: Vec<Request> = PLANS
+        .iter()
+        .flat_map(|plan| {
+            workloads.iter().map(|w| Request::Compile {
+                source: w.source.to_string(),
+                opts: opts_for(plan),
+            })
+        })
+        .collect();
+    let n = corpus.len();
+    assert_eq!(n, PLANS.len() * workloads.len());
+    let (handle, addr) = spawn(ServeConfig::default());
+    let mut pass_hits = Vec::new();
+    for _pass in 0..2 {
+        // every client replays its round-robin share; the scope is the
+        // barrier, so pass 2 starts against a fully warm cache
+        let hits: usize = std::thread::scope(|scope| {
+            let joins: Vec<_> = (0..CLIENTS)
+                .map(|id| {
+                    let (corpus, addr) = (&corpus, &addr);
+                    scope.spawn(move || {
+                        let mut client = Client::connect_tcp(addr).expect("connect");
+                        let mut hits = 0;
+                        for req in corpus.iter().skip(id).step_by(CLIENTS) {
+                            match client.request(req).unwrap() {
+                                Response::Compile { cached, .. } => hits += usize::from(cached),
+                                other => panic!("client {id}: unexpected {other:?}"),
+                            }
+                        }
+                        hits
+                    })
+                })
+                .collect();
+            joins.into_iter().map(|j| j.join().unwrap()).sum()
+        });
+        pass_hits.push(hits);
+    }
     // pass 1 populates (every (source, plan) key distinct), pass 2 is
     // answered entirely from cache
-    assert_eq!(c.pass_hits, vec![0, corpus]);
-    assert_eq!(c.final_pass_hit_rate, 1.0);
-    assert_eq!(c.drained_clean, Some(true));
+    assert_eq!(pass_hits, vec![0, n]);
     // serve.* counters: every compile request admitted, none rejected or
     // timed out; artifact-level hits are a pure function of the corpus —
-    // per request one parse lookup (n_workloads distinct sources) and one
-    // plan lookup (corpus distinct keys)
-    let get = |k: &str| {
-        c.serve
-            .iter()
-            .find(|(n, _)| n == k)
-            .map(|(_, v)| *v)
-            .unwrap()
+    // per request one parse lookup (one distinct source per workload) and
+    // one plan lookup (n distinct keys)
+    let mut control = Client::connect_tcp(&addr).expect("connect");
+    let Response::Stats { counters } = control.request(&Request::Stats).unwrap() else {
+        panic!("stats request answered with a non-stats response");
     };
-    assert_eq!(get("serve.requests"), 2 * corpus as u64);
-    assert_eq!(get("serve.rejections"), 0);
-    assert_eq!(get("serve.timeouts"), 0);
-    assert_eq!(get("serve.evictions"), 0);
-    assert_eq!(get("serve.refp_mismatches"), 0);
-    let parse_hits = (2 * corpus - n_workloads) as u64;
-    let plan_hits = corpus as u64;
-    assert_eq!(get("serve.hits"), parse_hits + plan_hits);
-    assert!(report.gate(0.9).is_ok());
+    assert_eq!(counters.get("serve.requests"), 2 * n as u64);
+    assert_eq!(counters.get("serve.rejections"), 0);
+    assert_eq!(counters.get("serve.timeouts"), 0);
+    assert_eq!(counters.get("serve.evictions"), 0);
+    assert_eq!(counters.get("serve.refp_mismatches"), 0);
+    let parse_hits = (2 * n - workloads.len()) as u64;
+    assert_eq!(counters.get("serve.hits"), parse_hits + n as u64);
+    shutdown_clean(handle, &addr);
 }
 
 /// With a zero-slot admission queue every compile request answers `busy`
