@@ -1,9 +1,10 @@
 //! Figure-regeneration harness.
 //!
 //! One function per figure of §9 (and per §6/§7 case study). Each returns
-//! the measured rows *and* a formatted table identical to what the criterion
-//! benches print and EXPERIMENTS.md records. The absolute numbers come from
-//! the workspace's synthetic machines, so only the *shape* (who wins, by
+//! the measured rows *and* a formatted table; [`full_report`] concatenates
+//! every table into the text pinned byte for byte by `BENCH_figures.txt`,
+//! which EXPERIMENTS.md quotes. The absolute numbers come from the
+//! workspace's synthetic machines, so only the *shape* (who wins, by
 //! roughly what factor) is comparable with the paper.
 
 use slc_core::{slms_program, Expansion, SlmsConfig};
@@ -13,7 +14,7 @@ use slc_pipeline::{
     GapRow, LoopRow, PassManager, PassPlan,
 };
 use slc_sim::presets::{arm7tdmi, itanium2, pentium, power4};
-use slc_workloads::{by_suite, linpack, livermore, nas, paper_examples, stone, Suite, Workload};
+use slc_workloads::{linpack, livermore, nas, stone, Workload};
 use std::sync::OnceLock;
 
 /// One artifact cache shared by every figure of the harness: fig14/fig18
@@ -473,8 +474,8 @@ pub fn ii_table() -> String {
     out
 }
 
-/// Collect every figure table into one report (used by the `figures`
-/// example and the EXPERIMENTS.md refresh flow).
+/// Collect every figure table into one report (printed by the `figures`
+/// example and pinned as `BENCH_figures.txt`).
 pub fn full_report() -> String {
     let mut out = String::new();
     let (a, b) = fig14();
@@ -513,40 +514,4 @@ pub fn full_report() -> String {
     out.push('\n');
     out.push_str(&ii_table());
     out
-}
-
-/// Workloads of a suite — re-export convenience for the benches.
-pub fn suite(s: Suite) -> Vec<Workload> {
-    by_suite(s)
-}
-
-/// The paper-examples suite.
-pub fn paper_suite() -> Vec<Workload> {
-    paper_examples()
-}
-
-/// Itanium-II preset passthrough for benches.
-pub fn default_machine() -> MachineDesc {
-    itanium2()
-}
-
-/// Expansion modes (for MVE-vs-scalar-expansion ablations).
-pub fn expansion_modes() -> [(&'static str, Expansion); 3] {
-    [
-        ("off", Expansion::Off),
-        ("mve", Expansion::Mve),
-        ("scalar-expand", Expansion::ScalarExpand),
-    ]
-}
-
-/// One representative quick measurement (used as the criterion benchmark
-/// body so `cargo bench` measures real end-to-end work).
-pub fn quick_measure() -> f64 {
-    let w = paper_examples()
-        .into_iter()
-        .find(|w| w.name == "intro_dot")
-        .unwrap();
-    measure_workload(&w, &itanium2(), CompilerKind::Optimizing, &default_cfg())
-        .unwrap()
-        .speedup
 }

@@ -1,7 +1,7 @@
-//! # slc-bench — benchmark harness regenerating every figure of the paper
+//! # slc-bench — the harness regenerating every figure of the paper
 //!
-//! See [`harness`] for one function per figure; the criterion benches under
-//! `benches/` print each figure's table once and then time a representative
-//! end-to-end measurement.
+//! See [`harness`] for one function per figure. `cargo run --release
+//! --example figures` prints them all; the output is pinned as
+//! `BENCH_figures.txt`. Timing questions belong to `perfbench/`.
 
 pub mod harness;

@@ -364,38 +364,6 @@ impl BatchReport {
         self.histograms.to_baseline_json()
     }
 
-    /// Simulator throughput baseline (`BENCH_sim.json`): the simulate
-    /// stage's wall clock against the trip counts it covered, plus the
-    /// steady-state fast-forward counters that explain the rate. Derived
-    /// from the timing sidecar, so it is wall-clock data — a baseline to
-    /// compare against, not part of the canonical deterministic report.
-    pub fn sim_bench_json(&self) -> String {
-        let sim_ns = self.timing.stage().sim;
-        let steady = steady_state(&self.counters);
-        let sim_s = sim_ns as f64 / 1e9;
-        let trips_per_sec = if sim_s > 0.0 {
-            steady.trips_total as f64 / sim_s
-        } else {
-            0.0
-        };
-        Json::obj()
-            .field("schema", "slc-sim-bench-v1")
-            .field("threads", self.timing.threads)
-            .field("simulate_ms", sim_ns as f64 / 1e6)
-            .field("trips_total", steady.trips_total)
-            .field("trips_per_sec", trips_per_sec)
-            .field(
-                "steady_state",
-                Json::obj()
-                    .field("fast_loops", steady.fast_loops)
-                    .field("fallback_loops", steady.fallback_loops)
-                    .field("ff_hits", steady.ff_hits)
-                    .field("ff_misses", steady.ff_misses)
-                    .field("trips_skipped", steady.trips_skipped),
-            )
-            .to_pretty()
-    }
-
     /// Short human summary (cells, failures, hit rate, wall time).
     pub fn summary(&self) -> String {
         format!(

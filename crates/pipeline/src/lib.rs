@@ -52,7 +52,6 @@ pub use service::{
     ServiceError, StageNs, VerifyOutcome, VerifySummary,
 };
 pub use shard::{
-    run_sharded, shard_worker, ShardFault, ShardMsg, ShardOptions, WireCell, SHARD_BENCH_SCHEMA,
-    SHARD_PROTO_SCHEMA,
+    run_sharded, shard_worker, ShardFault, ShardMsg, ShardOptions, WireCell, SHARD_PROTO_SCHEMA,
 };
 pub use slc_trace::Json;

@@ -72,9 +72,6 @@ use std::time::{Duration, Instant};
 /// Schema tag of the parent↔shard NDJSON wire protocol.
 pub const SHARD_PROTO_SCHEMA: &str = "slc-shard-proto-v2";
 
-/// Schema tag of the sharding benchmark document (`BENCH_shard.json`).
-pub const SHARD_BENCH_SCHEMA: &str = "slc-shard-bench-v1";
-
 /// Fault injections for the degradation tests (never used by the normal
 /// CLI path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

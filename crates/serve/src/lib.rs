@@ -15,20 +15,15 @@
 //! - [`client`] — a minimal blocking client for the protocol.
 //! - [`metrics`] — Prometheus text exposition of the deterministic
 //!   counters and histograms, behind the daemon's `metrics` verb.
-//! - [`mod@bench`] — the `slc bench-serve` load generator and its
-//!   `BENCH_serve.json` report (deterministic counts separated from
-//!   wall-clock latency histograms).
 //!
 //! Responses are byte-identical to one-shot `slc` output for the same
 //! source and knobs — pinned by `tests/serve_differential.rs`.
 
-pub mod bench;
 pub mod client;
 pub mod daemon;
 pub mod metrics;
 pub mod proto;
 
-pub use bench::{run_bench, BenchConfig, BenchCounts, BenchReport, BENCH_SCHEMA};
 pub use client::Client;
 pub use daemon::{DrainStats, Endpoint, ServeConfig, Server, ServerHandle, MAX_CONNECTIONS};
 pub use metrics::{prometheus_name, render_prometheus};

@@ -1,19 +1,10 @@
 //! Regenerate every figure/table of the paper and print the full report.
 //!
 //! ```bash
-//! cargo run --release --example figures            # figure tables (stdout)
-//! cargo run --release --example figures -- --batch # + full-matrix batch run,
-//!                                                  #   writes BENCH_batch.json
+//! cargo run --release --example figures                          # print
+//! cargo run --release -q --example figures > BENCH_figures.txt   # re-pin
 //! ```
 
 fn main() {
     println!("{}", slc_bench::harness::full_report());
-
-    if std::env::args().any(|a| a == "--batch") {
-        let cfg = slc::pipeline::BatchConfig::full_matrix();
-        let report = slc::pipeline::run_batch(&cfg);
-        eprintln!("batch: {}", report.summary());
-        std::fs::write("BENCH_batch.json", report.to_json()).expect("write BENCH_batch.json");
-        eprintln!("batch: wrote BENCH_batch.json");
-    }
 }

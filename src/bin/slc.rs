@@ -16,8 +16,6 @@
 //!        slc trace-check FILE          (validate a Chrome trace, span log, or
 //!                                       flight-recorder dump — autodetected)
 //!        slc serve [SERVE OPTIONS]     (persistent compile daemon, NDJSON/TCP)
-//!        slc bench-serve [BENCH OPTIONS] (load-test a daemon, BENCH_serve.json)
-//!        slc bench-shards [BENCH OPTIONS] (sweep --shards, BENCH_shard.json)
 //!
 //!   --passes <PLAN>                comma-separated pass plan (default: slms)
 //!                                  e.g. `normalize,fuse:0+1,slms`
@@ -96,11 +94,6 @@
 //!   --timing <PATH>                wall-clock sidecar JSON (not written
 //!                                  unless requested; not deterministic;
 //!                                  includes the per-pass breakdown)
-//!   --sim-bench <PATH>             simulator throughput baseline JSON
-//!                                  (BENCH_sim.json: simulate wall clock,
-//!                                  trips/sec, steady-state fast-forward
-//!                                  counters; wall-clock data, not part of
-//!                                  the canonical report)
 //!   --repeat <N>                   run the matrix N times on one shared
 //!                                  cache (N>1 demonstrates memoization)
 //!   --verify                       statically verify every slms pass; the
@@ -161,33 +154,6 @@
 //!                                  shutdown (one track per connection)
 //!   (drains gracefully on SIGTERM/SIGINT or a `shutdown` request;
 //!   exit 0 = drained clean, 3 = requests abandoned at the deadline)
-//!
-//! BENCH-SERVE OPTIONS — replay the workload × pass-plan corpus against a
-//! daemon at fixed client concurrency and write BENCH_serve.json
-//! (`slc-serve-bench-v2`: log2-bucketed latency histogram with
-//! p50/p90/p99/p99.9/max and recorded bucket boundaries + cache hit rate;
-//! deterministic counts live in a separate section from wall-clock
-//! timing). Without --addr the bench spawns an
-//! in-process daemon on an ephemeral port and drives the full lifecycle
-//! including shutdown drain (what the CI serve-smoke job gates):
-//!   --addr <HOST:PORT>             target an already-running daemon
-//!   --clients <N>                  concurrent connections (default 8)
-//!   --passes <N>                   full corpus replays; pass 2+ must be
-//!                                  served from cache (default 2)
-//!   --plan <PLAN>                  pass plan (repeatable; default slms and
-//!                                  normalize,slms)
-//!   --out <PATH>                   report path (default BENCH_serve.json)
-//!   --min-hit-rate <F>             final-pass hit-rate gate in [0,1]
-//!                                  (default 0.9; exit 1 below it)
-//!   --timeout-ms / --queue / --cache-capacity   in-process daemon knobs
-//!
-//! BENCH-SHARDS OPTIONS — run the full matrix in-process and then at
-//! --shards 1/2/4/7 (one thread per shard by default), assert every run's
-//! canonical report and counter registry byte-identical, and write
-//! BENCH_shard.json (`slc-shard-bench-v1`: deterministic counts in one
-//! section, wall-clock/speedup timing strictly in another):
-//!   --out <PATH>                   report path (default BENCH_shard.json)
-//!   --threads <N>                  in-process map threads per shard (1)
 //! ```
 
 use slc::ast::{parse_program, to_paper_style, to_source};
@@ -212,16 +178,12 @@ fn usage() -> ! {
          \x20      slc lint [--all] [--json] [FILE]\n\
          \x20      slc deps [--all] [--json] [FILE]\n\
          \x20      slc batch [--passes PLAN] [--scheduler ...] [--threads N] [--out PATH] [--timing PATH]\n\
-         \x20                [--sim-bench PATH] [--repeat N] [--verify] [--trace PATH] [--events PATH]\n\
+         \x20                [--repeat N] [--verify] [--trace PATH] [--events PATH]\n\
          \x20      slc stats [--threads N] [--json] [--out PATH] [--check PATH]\n\
          \x20                [--histograms] [--hist-out PATH] [--hist-check PATH]\n\
          \x20      slc trace-check FILE\n\
          \x20      slc serve [--addr HOST:PORT] [--unix PATH] [--queue N] [--timeout-ms N]\n\
-         \x20                [--cache-capacity N] [--trace PATH]\n\
-         \x20      slc bench-serve [--addr HOST:PORT] [--clients N] [--passes N] [--plan P]...\n\
-         \x20                [--out PATH] [--min-hit-rate F] [--timeout-ms N] [--queue N]\n\
-         \x20                [--cache-capacity N]\n\
-         \x20      slc bench-shards [--out PATH] [--threads N]"
+         \x20                [--cache-capacity N] [--trace PATH]"
     );
     exit(2)
 }
@@ -299,7 +261,7 @@ fn read_input(file: &Option<String>) -> String {
 fn batch_usage() -> ! {
     eprintln!(
         "usage: slc batch [--passes PLAN] [--scheduler heuristic|exact] [--threads N]\n\
-         \x20               [--shards N] [--out PATH] [--timing PATH] [--sim-bench PATH]\n\
+         \x20               [--shards N] [--out PATH] [--timing PATH]\n\
          \x20               [--repeat N] [--verify] [--trace PATH] [--events PATH]"
     );
     exit(2)
@@ -312,7 +274,6 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
     let mut shards: Option<usize> = None;
     let mut out_path: Option<String> = None;
     let mut timing_path: Option<String> = None;
-    let mut sim_bench_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut events_path: Option<String> = None;
     let mut repeat = 1usize;
@@ -345,7 +306,6 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
             }
             "--out" => out_path = Some(args.next().unwrap_or_else(|| batch_usage())),
             "--timing" => timing_path = Some(args.next().unwrap_or_else(|| batch_usage())),
-            "--sim-bench" => sim_bench_path = Some(args.next().unwrap_or_else(|| batch_usage())),
             "--trace" => trace_path = Some(args.next().unwrap_or_else(|| batch_usage())),
             "--events" => events_path = Some(args.next().unwrap_or_else(|| batch_usage())),
             "--verify" => cfg.verify = true,
@@ -420,13 +380,6 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
             exit(1)
         }
         eprintln!("slc batch: wrote {tp}");
-    }
-    if let Some(sp) = sim_bench_path {
-        if let Err(e) = std::fs::write(&sp, report.sim_bench_json()) {
-            eprintln!("slc batch: cannot write {sp}: {e}");
-            exit(1)
-        }
-        eprintln!("slc batch: wrote {sp}");
     }
     if let Some(tp) = trace_path {
         let doc = tracer.to_chrome_json().expect("tracer enabled for --trace");
@@ -1205,276 +1158,6 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
     exit(3)
 }
 
-fn bench_serve_usage() -> ! {
-    eprintln!(
-        "usage: slc bench-serve [--addr HOST:PORT] [--clients N] [--passes N] [--plan P]...\n\
-         \x20                     [--out PATH] [--min-hit-rate F] [--timeout-ms N] [--queue N]\n\
-         \x20                     [--cache-capacity N]"
-    );
-    exit(2)
-}
-
-/// `slc bench-serve`: replay the workload × plan corpus against a daemon
-/// and write `BENCH_serve.json`. Exit 1 when the count-based gate fails
-/// (any error response, final-pass hit rate below the floor, dirty drain).
-fn bench_serve_main(args: impl Iterator<Item = String>) -> ! {
-    use slc::serve::{run_bench, BenchConfig};
-    use std::time::Duration;
-
-    let mut cfg = BenchConfig::default();
-    let mut out_path = String::from("BENCH_serve.json");
-    let mut min_hit_rate = 0.9f64;
-    let mut plans_given = false;
-
-    let mut args = args;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--addr" => cfg.addr = Some(args.next().unwrap_or_else(|| bench_serve_usage())),
-            "--clients" => {
-                cfg.clients = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| bench_serve_usage())
-            }
-            "--passes" => {
-                cfg.passes = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| bench_serve_usage())
-            }
-            "--plan" => {
-                let p = args.next().unwrap_or_else(|| bench_serve_usage());
-                // validate locally so a typo is a usage error here, not a
-                // stream of daemon-side `usage` responses
-                PassPlan::parse(&p).unwrap_or_else(|e| {
-                    eprintln!("slc bench-serve: invalid value `{p}` for --plan: {e}");
-                    exit(2)
-                });
-                if !plans_given {
-                    cfg.plans.clear();
-                    plans_given = true;
-                }
-                cfg.plans.push(p);
-            }
-            "--out" => out_path = args.next().unwrap_or_else(|| bench_serve_usage()),
-            "--min-hit-rate" => {
-                min_hit_rate = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&f| (0.0..=1.0).contains(&f))
-                    .unwrap_or_else(|| bench_serve_usage())
-            }
-            "--timeout-ms" => {
-                cfg.timeout = Duration::from_millis(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| bench_serve_usage()),
-                )
-            }
-            "--queue" => {
-                cfg.queue = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| bench_serve_usage())
-            }
-            "--cache-capacity" => {
-                cfg.capacity = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| bench_serve_usage()),
-                )
-            }
-            _ => bench_serve_usage(),
-        }
-    }
-
-    let report = run_bench(&cfg).unwrap_or_else(|e| {
-        eprintln!("slc bench-serve: {e}");
-        exit(1)
-    });
-    eprintln!("slc bench-serve: {}", report.summary());
-    if let Err(e) = std::fs::write(&out_path, report.to_json()) {
-        eprintln!("slc bench-serve: cannot write {out_path}: {e}");
-        exit(1)
-    }
-    eprintln!("slc bench-serve: wrote {out_path}");
-    match report.gate(min_hit_rate) {
-        Ok(()) => {
-            eprintln!("slc bench-serve: gate OK (0 errors, hit rate ≥ {min_hit_rate:.3})");
-            exit(0)
-        }
-        Err(e) => {
-            eprintln!("slc bench-serve: GATE FAILURE: {e}");
-            exit(1)
-        }
-    }
-}
-
-fn bench_shards_usage() -> ! {
-    eprintln!("usage: slc bench-shards [--out PATH] [--threads N]");
-    exit(2)
-}
-
-fn bench_shards_main(mut args: impl Iterator<Item = String>) -> ! {
-    use slc::pipeline::{
-        run_sharded, BatchConfig, BatchEngine, Json, ShardOptions, SHARD_BENCH_SCHEMA,
-    };
-    use std::time::Instant;
-
-    let mut out_path = "BENCH_shard.json".to_string();
-    let mut threads = 1usize;
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--out" => out_path = args.next().unwrap_or_else(|| bench_shards_usage()),
-            "--threads" => {
-                threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| bench_shards_usage())
-            }
-            _ => bench_shards_usage(),
-        }
-    }
-
-    let mut cfg = BatchConfig::full_matrix();
-    cfg.threads = Some(threads);
-    let tracer = Tracer::disabled();
-
-    // in-process reference: the canonical report and counters every sharded
-    // run must reproduce byte-for-byte
-    let t0 = Instant::now();
-    let reference = BatchEngine::new().run(&cfg);
-    let in_process_wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let canon = reference.to_json();
-    let counters = reference.counters_json();
-    eprintln!("slc bench-shards: in-process: {}", reference.summary());
-
-    const SWEEP: [usize; 4] = [1, 2, 4, 7];
-    let mut runs: Vec<Json> = Vec::new();
-    let mut wall_by_shards: Vec<(usize, f64, f64)> = Vec::new();
-    let mut all_identical = true;
-    let mut failed_cells = reference.failed();
-    for shards in SWEEP {
-        let opts = ShardOptions {
-            shards,
-            threads_per_shard: Some(threads),
-            ..ShardOptions::default()
-        };
-        let t0 = Instant::now();
-        let rep = run_sharded(&cfg, &opts, &tracer).unwrap_or_else(|e| {
-            eprintln!("slc bench-shards: --shards {shards} failed: {e}");
-            exit(1)
-        });
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let same = rep.to_json() == canon && rep.counters_json() == counters;
-        all_identical &= same;
-        failed_cells += rep.failed();
-        // simulate+compile speedup is judged on the busiest shard's
-        // critical path: the shard's CPU time apportioned to the
-        // compile+simulate stages by their share of its miss wall clock.
-        // CPU time (not wall) keeps the metric meaningful when shards
-        // outnumber cores — it is exactly the wall clock those stages cost
-        // once every shard owns a core. Falls back to raw stage wall when
-        // the platform offers no CPU accounting.
-        let sim_compile_ms = rep
-            .timing
-            .shards
-            .iter()
-            .map(|s| {
-                let sc = (s.stage.compile + s.stage.sim) as f64 / 1e6;
-                let total =
-                    (s.stage.parse + s.stage.slms + s.stage.lower + s.stage.compile + s.stage.sim)
-                        as f64
-                        / 1e6;
-                if s.cpu_ms > 0.0 && total > 0.0 {
-                    s.cpu_ms * (sc / total)
-                } else {
-                    sc
-                }
-            })
-            .fold(0.0_f64, f64::max);
-        wall_by_shards.push((shards, wall_ms, sim_compile_ms));
-        let shard_stats: Vec<Json> = rep
-            .timing
-            .shards
-            .iter()
-            .map(|s| {
-                Json::obj()
-                    .field("shard", s.shard as u64)
-                    .field("cells", s.cells)
-                    .field("chunks", s.chunks)
-                    .field("steals_received", s.steals_received)
-                    .field("chunk_ms_p50", s.chunk_ms_p50)
-                    .field("chunk_ms_p99", s.chunk_ms_p99)
-                    .field("cpu_ms", s.cpu_ms)
-            })
-            .collect();
-        runs.push(
-            Json::obj()
-                .field("shards", shards as u64)
-                .field("byte_identical", same)
-                .field("wall_ms", wall_ms)
-                .field("simulate_compile_ms", sim_compile_ms)
-                .field("shard_stats", Json::Arr(shard_stats)),
-        );
-        eprintln!(
-            "slc bench-shards: --shards {shards}: {:.1} ms wall, {:.1} ms simulate+compile \
-             (critical path), byte-identical: {same}",
-            wall_ms, sim_compile_ms
-        );
-    }
-
-    let find = |n: usize| wall_by_shards.iter().find(|r| r.0 == n).unwrap();
-    let (_, wall1, sc1) = *find(1);
-    let (_, wall4, sc4) = *find(4);
-    let doc = Json::obj()
-        .field("schema", SHARD_BENCH_SCHEMA)
-        .field("threads_per_shard", threads as u64)
-        .field(
-            // deterministic facts only: cell totals and the byte-identity
-            // verdict — never wall-clock
-            "counts",
-            Json::obj()
-                .field("cells_total", reference.cells.len() as u64)
-                .field("cells_completed", reference.completed() as u64)
-                .field("cells_failed", reference.failed() as u64)
-                .field("byte_identical", all_identical)
-                .field(
-                    "shard_counts",
-                    Json::Arr(SWEEP.iter().map(|&s| Json::Int(s as i64)).collect()),
-                ),
-        )
-        .field(
-            // scheduling-dependent wall clock, quarantined from the counts
-            "timing",
-            Json::obj()
-                .field("in_process_wall_ms", in_process_wall_ms)
-                .field("runs", Json::Arr(runs))
-                .field("wall_speedup_4x", wall1 / wall4)
-                .field("simulate_compile_speedup_4x", sc1 / sc4),
-        );
-    if let Err(e) = std::fs::write(&out_path, doc.to_pretty()) {
-        eprintln!("slc bench-shards: cannot write {out_path}: {e}");
-        exit(1)
-    }
-    eprintln!(
-        "slc bench-shards: wrote {out_path} (wall ×{:.2}, simulate+compile ×{:.2} at 4 shards)",
-        wall1 / wall4,
-        sc1 / sc4
-    );
-    if !all_identical || failed_cells > 0 {
-        eprintln!("slc bench-shards: GATE FAILURE: non-identical report or failed cells");
-        exit(1)
-    }
-    exit(0)
-}
-
 fn main() {
     let mut cfg = SlmsConfig::default();
     let mut plan = PassPlan::slms_only();
@@ -1507,10 +1190,6 @@ fn main() {
             }
             exit(slc::pipeline::shard_worker(fail_after, garbage_after));
         }
-        Some("bench-shards") => {
-            args.next();
-            bench_shards_main(args);
-        }
         Some("explain") => {
             args.next();
             explain_main(args);
@@ -1538,10 +1217,6 @@ fn main() {
         Some("serve") => {
             args.next();
             serve_main(args);
-        }
-        Some("bench-serve") => {
-            args.next();
-            bench_serve_main(args);
         }
         _ => {}
     }
