@@ -5,6 +5,10 @@
 //! optimized source, and (optionally) verifies equivalence and simulates
 //! both versions on one of the built-in machine models.
 //!
+//! Wall-clock benchmarking is not a mode of this tool: `python3
+//! perfbench/run.py` measures the end-to-end and per-layer costs, and the
+//! paper's figures are pinned in `BENCH_figures.txt`.
+//!
 //! ```text
 //! USAGE: slc [OPTIONS] [FILE]          (FILE defaults to stdin)
 //!        slc explain [OPTIONS] [FILE]  (print the per-loop decision trace)
@@ -82,7 +86,7 @@
 //!   --shards <N>                   evaluate the matrix across N worker
 //!                                  *processes* (fork/exec of this binary in
 //!                                  a hidden `batch-shard` mode, NDJSON
-//!                                  pipes, schema `slc-shard-proto-v1`).
+//!                                  pipes, schema `slc-shard-proto-v2`).
 //!                                  The canonical report, counters and
 //!                                  report file are byte-identical to the
 //!                                  in-process engine for every N; the
@@ -168,77 +172,135 @@ use slc::trace::Tracer;
 use std::io::Read;
 use std::process::exit;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: slc [--passes PLAN] [--scheduler heuristic|exact] [--expansion mve|scalar|off]\n\
-         \x20          [--no-filter] [--paper-style] [--report] [--verify] [--simulate MACHINE]\n\
-         \x20          [--compiler weak|opt|ms] [FILE]\n\
-         \x20      slc explain [--passes PLAN] [--expansion ...] [--no-filter] [--all] [--json] [FILE]\n\
-         \x20      slc verify [--expansion ...] [--no-filter] [--scheduler ...] [--all] [FILE]\n\
-         \x20      slc lint [--all] [--json] [FILE]\n\
-         \x20      slc deps [--all] [--json] [FILE]\n\
-         \x20      slc batch [--passes PLAN] [--scheduler ...] [--threads N] [--out PATH] [--timing PATH]\n\
-         \x20                [--repeat N] [--verify] [--trace PATH] [--events PATH]\n\
-         \x20      slc stats [--threads N] [--json] [--out PATH] [--check PATH]\n\
-         \x20                [--histograms] [--hist-out PATH] [--hist-check PATH]\n\
-         \x20      slc trace-check FILE\n\
-         \x20      slc serve [--addr HOST:PORT] [--unix PATH] [--queue N] [--timeout-ms N]\n\
-         \x20                [--cache-capacity N] [--trace PATH]"
-    );
-    exit(2)
-}
-
-/// Reject an option value with the accepted alternatives spelled out.
-fn die_invalid(flag: &str, got: Option<&str>, valid: &str) -> ! {
-    match got {
-        Some(v) => eprintln!("slc: invalid value `{v}` for {flag} (valid: {valid})"),
-        None => eprintln!("slc: {flag} requires a value (valid: {valid})"),
-    }
-    exit(2)
-}
+// One synopsis per mode. A bad invocation prints its mode's synopsis (the
+// default mode prints all of them) and exits 2.
+const SLC: &str =
+    "slc [--passes PLAN] [--scheduler heuristic|exact] [--expansion mve|scalar|off]\n\
+    \x20          [--no-filter] [--paper-style] [--report] [--verify] [--simulate MACHINE]\n\
+    \x20          [--compiler weak|opt|ms] [--emit-asm] [FILE]";
+const EXPLAIN: &str =
+    "slc explain [--passes PLAN] [--expansion ...] [--no-filter] [--all] [--json] [FILE]";
+const VERIFY: &str = "slc verify [--expansion ...] [--no-filter] [--scheduler ...] [--all] [FILE]";
+const LINT: &str = "slc lint [--all] [--json] [FILE]";
+const DEPS: &str = "slc deps [--all] [--json] [FILE]";
+const BATCH: &str = "slc batch [--passes PLAN] [--scheduler ...] [--threads N] [--shards N]\n\
+    \x20                [--out PATH] [--timing PATH] [--repeat N] [--verify]\n\
+    \x20                [--trace PATH] [--events PATH]";
+const STATS: &str = "slc stats [--threads N] [--json] [--out PATH] [--check PATH]\n\
+    \x20                [--histograms] [--hist-out PATH] [--hist-check PATH]";
+const TRACE_CHECK: &str = "slc trace-check FILE...";
+const SERVE: &str = "slc serve [--addr HOST:PORT] [--unix PATH] [--queue N] [--timeout-ms N]\n\
+    \x20                [--cache-capacity N] [--trace PATH]";
+const ALL: [&str; 9] = [
+    SLC,
+    EXPLAIN,
+    VERIFY,
+    LINT,
+    DEPS,
+    BATCH,
+    STATS,
+    TRACE_CHECK,
+    SERVE,
+];
 
 const MACHINES: &str = "itanium2, pentium, power4, arm7";
 const COMPILERS: &str = "weak, opt, ms";
 const EXPANSIONS: &str = "mve, scalar, off";
 const SCHEDULERS: &str = "heuristic, exact";
 
-fn parse_machine(flag: &str, got: Option<&str>) -> slc::machine::mach::MachineDesc {
-    match got {
-        Some("itanium2") => presets::itanium2(),
-        Some("pentium") => presets::pentium(),
-        Some("power4") => presets::power4(),
-        Some("arm7") => presets::arm7tdmi(),
-        other => die_invalid(flag, other, MACHINES),
+/// The option cursor of one mode: its remaining arguments, the flag last
+/// taken, and the synopsis a bad invocation prints. Every value accessor
+/// consumes the current flag's value and exits 2 when it is missing or
+/// invalid.
+struct Args {
+    rest: std::vec::IntoIter<String>,
+    flag: String,
+    usage: &'static [&'static str],
+}
+
+impl Args {
+    fn new(rest: impl Iterator<Item = String>, usage: &'static [&'static str]) -> Args {
+        let rest = rest.collect::<Vec<_>>().into_iter();
+        Args {
+            rest,
+            flag: String::new(),
+            usage,
+        }
+    }
+
+    /// The next argument, which becomes the current flag.
+    fn next(&mut self) -> Option<String> {
+        self.flag = self.rest.next()?;
+        Some(self.flag.clone())
+    }
+
+    fn usage(&self) -> ! {
+        for (i, synopsis) in self.usage.iter().enumerate() {
+            eprintln!("{} {synopsis}", if i == 0 { "usage:" } else { "      " });
+        }
+        exit(2)
+    }
+
+    /// A path or address.
+    fn value(&mut self) -> String {
+        self.rest.next().unwrap_or_else(|| self.usage())
+    }
+
+    /// A positive count.
+    fn count(&mut self) -> usize {
+        self.rest
+            .next()
+            .and_then(|s| s.parse().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| self.usage())
+    }
+
+    /// One of a fixed set of labels; a bad one exits naming the `valid` list.
+    fn choice<T>(&mut self, valid: &str, parse: impl FnOnce(&str) -> Option<T>) -> T {
+        let got = self.rest.next();
+        if let Some(v) = got.as_deref().and_then(parse) {
+            return v;
+        }
+        match got {
+            Some(v) => eprintln!(
+                "slc: invalid value `{v}` for {} (valid: {valid})",
+                self.flag
+            ),
+            None => eprintln!("slc: {} requires a value (valid: {valid})", self.flag),
+        }
+        exit(2)
+    }
+
+    /// A pass plan.
+    fn plan(&mut self) -> PassPlan {
+        let text = self.choice(
+            "a comma-separated pass plan, e.g. normalize,fuse:0+1,slms",
+            |s| Some(s.to_string()),
+        );
+        PassPlan::parse(&text).unwrap_or_else(|e| {
+            eprintln!("slc: invalid value `{text}` for {}: {e}", self.flag);
+            exit(2)
+        })
+    }
+
+    /// Take the current argument as the FILE operand: there is at most one,
+    /// and it is not a flag.
+    fn file(&self, file: &mut Option<String>) {
+        if file.is_some() || self.flag.starts_with('-') {
+            self.usage()
+        }
+        *file = Some(self.flag.clone());
     }
 }
 
-fn parse_compiler(flag: &str, got: Option<&str>) -> CompilerKind {
-    got.and_then(CompilerKind::from_label)
-        .unwrap_or_else(|| die_invalid(flag, got, COMPILERS))
-}
-
-fn parse_expansion(flag: &str, got: Option<&str>) -> Expansion {
-    got.and_then(Expansion::from_label)
-        .unwrap_or_else(|| die_invalid(flag, got, EXPANSIONS))
-}
-
-fn parse_scheduler(flag: &str, got: Option<&str>) -> SchedulerKind {
-    got.and_then(SchedulerKind::from_label)
-        .unwrap_or_else(|| die_invalid(flag, got, SCHEDULERS))
-}
-
-fn parse_plan(flag: &str, got: Option<&str>) -> PassPlan {
-    let text = got.unwrap_or_else(|| {
-        die_invalid(
-            flag,
-            None,
-            "a comma-separated pass plan, e.g. normalize,fuse:0+1,slms",
-        )
-    });
-    PassPlan::parse(text).unwrap_or_else(|e| {
-        eprintln!("slc: invalid value `{text}` for {flag}: {e}");
-        exit(2)
-    })
+fn machine(label: &str) -> Option<slc::machine::mach::MachineDesc> {
+    match label {
+        "itanium2" => Some(presets::itanium2()),
+        "pentium" => Some(presets::pentium()),
+        "power4" => Some(presets::power4()),
+        "arm7" => Some(presets::arm7tdmi()),
+        _ => None,
+    }
 }
 
 fn read_input(file: &Option<String>) -> String {
@@ -258,16 +320,7 @@ fn read_input(file: &Option<String>) -> String {
     }
 }
 
-fn batch_usage() -> ! {
-    eprintln!(
-        "usage: slc batch [--passes PLAN] [--scheduler heuristic|exact] [--threads N]\n\
-         \x20               [--shards N] [--out PATH] [--timing PATH]\n\
-         \x20               [--repeat N] [--verify] [--trace PATH] [--events PATH]"
-    );
-    exit(2)
-}
-
-fn batch_main(args: impl Iterator<Item = String>) -> ! {
+fn batch_main(mut args: Args) -> ! {
     use slc::pipeline::{run_sharded, BatchConfig, BatchEngine, ShardOptions};
 
     let mut cfg = BatchConfig::full_matrix();
@@ -280,43 +333,22 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
     let mut scheduler = SchedulerKind::Heuristic;
     let mut passes_given = false;
 
-    let mut args = args;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--threads" => {
-                cfg.threads = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| batch_usage()),
-                )
-            }
+            "--threads" => cfg.threads = Some(args.count()),
             "--passes" => {
-                cfg.plan = parse_plan("--passes", args.next().as_deref());
+                cfg.plan = args.plan();
                 passes_given = true;
             }
-            "--scheduler" => scheduler = parse_scheduler("--scheduler", args.next().as_deref()),
-            "--shards" => {
-                shards = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| batch_usage()),
-                )
-            }
-            "--out" => out_path = Some(args.next().unwrap_or_else(|| batch_usage())),
-            "--timing" => timing_path = Some(args.next().unwrap_or_else(|| batch_usage())),
-            "--trace" => trace_path = Some(args.next().unwrap_or_else(|| batch_usage())),
-            "--events" => events_path = Some(args.next().unwrap_or_else(|| batch_usage())),
+            "--scheduler" => scheduler = args.choice(SCHEDULERS, SchedulerKind::from_label),
+            "--shards" => shards = Some(args.count()),
+            "--out" => out_path = Some(args.value()),
+            "--timing" => timing_path = Some(args.value()),
+            "--trace" => trace_path = Some(args.value()),
+            "--events" => events_path = Some(args.value()),
             "--verify" => cfg.verify = true,
-            "--repeat" => {
-                repeat = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| batch_usage())
-            }
-            _ => batch_usage(),
+            "--repeat" => repeat = args.count(),
+            _ => args.usage(),
         }
     }
 
@@ -449,21 +481,13 @@ fn batch_main(args: impl Iterator<Item = String>) -> ! {
     exit(if report.failed() == 0 { 0 } else { 1 })
 }
 
-fn stats_usage() -> ! {
-    eprintln!(
-        "usage: slc stats [--threads N] [--json] [--out PATH] [--check PATH]\n\
-         \x20               [--histograms] [--hist-out PATH] [--hist-check PATH]"
-    );
-    exit(2)
-}
-
 /// `slc stats`: run the full matrix twice on one engine — the heuristic
 /// plan and then the exact plan, static verification on both times — and
 /// render the cumulative deterministic counter registry (the `slms.*`,
 /// `verify.*` and `exact.*` families all populate). `--check` turns it
 /// into the CI counter gate; `--histograms`/`--hist-out`/`--hist-check`
 /// do the same for the deterministic work histograms.
-fn stats_main(args: impl Iterator<Item = String>) -> ! {
+fn stats_main(mut args: Args) -> ! {
     use slc::pipeline::{BatchConfig, BatchEngine};
     use slc::trace::{check_counters, check_histograms, CounterBaseline, HistogramBaseline};
 
@@ -475,24 +499,16 @@ fn stats_main(args: impl Iterator<Item = String>) -> ! {
     let mut hist_out_path: Option<String> = None;
     let mut hist_check_path: Option<String> = None;
 
-    let mut args = args;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--threads" => {
-                threads = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| stats_usage()),
-                )
-            }
+            "--threads" => threads = Some(args.count()),
             "--json" => json = true,
-            "--out" => out_path = Some(args.next().unwrap_or_else(|| stats_usage())),
-            "--check" => check_path = Some(args.next().unwrap_or_else(|| stats_usage())),
+            "--out" => out_path = Some(args.value()),
+            "--check" => check_path = Some(args.value()),
             "--histograms" => histograms = true,
-            "--hist-out" => hist_out_path = Some(args.next().unwrap_or_else(|| stats_usage())),
-            "--hist-check" => hist_check_path = Some(args.next().unwrap_or_else(|| stats_usage())),
-            _ => stats_usage(),
+            "--hist-out" => hist_out_path = Some(args.value()),
+            "--hist-check" => hist_check_path = Some(args.value()),
+            _ => args.usage(),
         }
     }
 
@@ -602,12 +618,11 @@ fn stats_main(args: impl Iterator<Item = String>) -> ! {
 /// a Chrome trace-event JSON (the Perfetto smoke check CI runs against
 /// `slc batch --trace` output). Exit 0 = every file valid, 1 = any
 /// invalid, 2 = bad usage — the same contract for all three formats.
-fn trace_check_main(args: impl Iterator<Item = String>) -> ! {
+fn trace_check_main(mut args: Args) -> ! {
     use slc::trace::{validate_chrome_trace, validate_event_log, validate_flight_dump};
-    let paths: Vec<String> = args.collect();
+    let paths: Vec<String> = std::iter::from_fn(|| args.next()).collect();
     if paths.is_empty() || paths.iter().any(|p| p.starts_with('-')) {
-        eprintln!("usage: slc trace-check FILE...");
-        exit(2)
+        args.usage()
     }
     let mut bad = false;
     for p in &paths {
@@ -655,14 +670,6 @@ fn trace_check_main(args: impl Iterator<Item = String>) -> ! {
     exit(if bad { 1 } else { 0 })
 }
 
-fn verify_usage() -> ! {
-    eprintln!(
-        "usage: slc verify [--expansion mve|scalar|off] [--no-filter]\n\
-         \x20                [--scheduler heuristic|exact] [--all] [FILE]"
-    );
-    exit(2)
-}
-
 /// Lint + statically verify one program; returns true when anything failed.
 /// The rendering is shared with the `slc serve` daemon's `verify` request
 /// (`slc::pipeline::verify_report`), so both stay byte-identical.
@@ -672,21 +679,18 @@ fn verify_one(prog: &slc::ast::Program, cfg: &SlmsConfig) -> bool {
     !clean
 }
 
-fn verify_main(args: impl Iterator<Item = String>) -> ! {
+fn verify_main(mut args: Args) -> ! {
     let mut cfg = SlmsConfig::default();
     let mut all = false;
     let mut file: Option<String> = None;
 
-    let mut args = args;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--no-filter" => cfg.apply_filter = false,
-            "--expansion" => cfg.expansion = parse_expansion("--expansion", args.next().as_deref()),
-            "--scheduler" => cfg.scheduler = parse_scheduler("--scheduler", args.next().as_deref()),
+            "--expansion" => cfg.expansion = args.choice(EXPANSIONS, Expansion::from_label),
+            "--scheduler" => cfg.scheduler = args.choice(SCHEDULERS, SchedulerKind::from_label),
             "--all" => all = true,
-            "--help" | "-h" => verify_usage(),
-            _ if file.is_none() && !a.starts_with('-') => file = Some(a),
-            _ => verify_usage(),
+            _ => args.file(&mut file),
         }
     }
 
@@ -710,28 +714,21 @@ fn verify_main(args: impl Iterator<Item = String>) -> ! {
     exit(if bad { 1 } else { 0 })
 }
 
-fn lint_usage() -> ! {
-    eprintln!("usage: slc lint [--all] [--json] [FILE]");
-    exit(2)
-}
-
 /// `slc lint`: run the SLMS-Lxxx source lint suite standalone, without the
 /// translation validator. Exit 0 = no error-severity findings, 1 = at least
 /// one error (or parse failure), 2 = bad usage — the same contract as
 /// `slc verify`.
-fn lint_main(args: impl Iterator<Item = String>) -> ! {
+fn lint_main(mut args: Args) -> ! {
     use slc::verify::{lint_program, LintSeverity};
 
     let mut all = false;
     let mut json = false;
     let mut file: Option<String> = None;
-    for a in args {
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--all" => all = true,
             "--json" => json = true,
-            "--help" | "-h" => lint_usage(),
-            _ if file.is_none() && !a.starts_with('-') => file = Some(a),
-            _ => lint_usage(),
+            _ => args.file(&mut file),
         }
     }
 
@@ -780,11 +777,6 @@ fn lint_main(args: impl Iterator<Item = String>) -> ! {
     exit(if bad { 1 } else { 0 })
 }
 
-fn deps_usage() -> ! {
-    eprintln!("usage: slc deps [--all] [--json] [FILE]");
-    exit(2)
-}
-
 /// Render one dependence certificate as JSON.
 fn dep_cert_json(cert: &slc::analysis::DepCertificate) -> Json {
     use slc::analysis::DepCertificate;
@@ -820,7 +812,7 @@ fn dep_cert_json(cert: &slc::analysis::DepCertificate) -> Json {
 /// each certificate on the spot. Exit 0 = every certificate re-checks
 /// clean, 1 = a certificate failed to re-check (or the input failed to
 /// parse), 2 = bad usage.
-fn deps_main(args: impl Iterator<Item = String>) -> ! {
+fn deps_main(mut args: Args) -> ! {
     use slc::analysis::{
         build_ddg_ranged, check_dep_certificate, partition_mis, DepStats, DepVerdict, LoopRange,
     };
@@ -829,13 +821,11 @@ fn deps_main(args: impl Iterator<Item = String>) -> ! {
     let mut all = false;
     let mut json = false;
     let mut file: Option<String> = None;
-    for a in args {
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--all" => all = true,
             "--json" => json = true,
-            "--help" | "-h" => deps_usage(),
-            _ if file.is_none() && !a.starts_with('-') => file = Some(a),
-            _ => deps_usage(),
+            _ => args.file(&mut file),
         }
     }
 
@@ -907,13 +897,7 @@ fn deps_main(args: impl Iterator<Item = String>) -> ! {
                     .certificate
                     .as_ref()
                     .map(|cert| check_dep_certificate(a, b, &f.var, &range, cert));
-                let ok = match &recheck {
-                    None | Some(Ok(())) => true,
-                    Some(Err(_)) => {
-                        bad = true;
-                        false
-                    }
-                };
+                bad |= matches!(recheck, Some(Err(_)));
                 if json {
                     let distances = match &p.verdict {
                         DepVerdict::Distances(ds) => Some(ds.clone()),
@@ -953,7 +937,6 @@ fn deps_main(args: impl Iterator<Item = String>) -> ! {
                         p.array, p.from_mi, p.from_ord, p.to_mi, p.to_ord
                     );
                 }
-                let _ = ok;
             }
             if json {
                 let o = Json::obj().field_opt("workload", name);
@@ -1002,23 +985,21 @@ fn deps_main(args: impl Iterator<Item = String>) -> ! {
     exit(if bad { 1 } else { 0 })
 }
 
-fn explain_main(args: impl Iterator<Item = String>) -> ! {
+fn explain_main(mut args: Args) -> ! {
     let mut cfg = SlmsConfig::default();
     let mut plan = PassPlan::slms_only();
     let mut all = false;
     let mut json = false;
     let mut file: Option<String> = None;
 
-    let mut args = args;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--passes" => plan = parse_plan("--passes", args.next().as_deref()),
+            "--passes" => plan = args.plan(),
             "--no-filter" => cfg.apply_filter = false,
-            "--expansion" => cfg.expansion = parse_expansion("--expansion", args.next().as_deref()),
+            "--expansion" => cfg.expansion = args.choice(EXPANSIONS, Expansion::from_label),
             "--all" => all = true,
             "--json" => json = true,
-            _ if file.is_none() && !a.starts_with('-') => file = Some(a),
-            _ => usage(),
+            _ => args.file(&mut file),
         }
     }
 
@@ -1055,18 +1036,10 @@ fn explain_main(args: impl Iterator<Item = String>) -> ! {
     )
 }
 
-fn serve_usage() -> ! {
-    eprintln!(
-        "usage: slc serve [--addr HOST:PORT] [--unix PATH] [--queue N] [--timeout-ms N]\n\
-         \x20               [--cache-capacity N] [--trace PATH]"
-    );
-    exit(2)
-}
-
 /// `slc serve`: the persistent compile daemon. Blocks until a `shutdown`
 /// request or SIGTERM/SIGINT, then drains in-flight work and exits 0 on a
 /// clean drain (3 when requests had to be abandoned at the deadline).
-fn serve_main(args: impl Iterator<Item = String>) -> ! {
+fn serve_main(mut args: Args) -> ! {
     use slc::serve::{Endpoint, ServeConfig, Server};
     use std::time::Duration;
 
@@ -1075,36 +1048,15 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
     let mut cfg = ServeConfig::default();
     let mut trace_path: Option<String> = None;
 
-    let mut args = args;
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--addr" => addr = args.next().unwrap_or_else(|| serve_usage()),
-            "--unix" => unix_path = Some(args.next().unwrap_or_else(|| serve_usage())),
-            "--queue" => {
-                cfg.queue = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n > 0)
-                    .unwrap_or_else(|| serve_usage())
-            }
-            "--timeout-ms" => {
-                cfg.timeout = Duration::from_millis(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| serve_usage()),
-                )
-            }
-            "--cache-capacity" => {
-                cfg.capacity = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&n| n > 0)
-                        .unwrap_or_else(|| serve_usage()),
-                )
-            }
-            "--trace" => trace_path = Some(args.next().unwrap_or_else(|| serve_usage())),
-            _ => serve_usage(),
+            "--addr" => addr = args.value(),
+            "--unix" => unix_path = Some(args.value()),
+            "--queue" => cfg.queue = args.count(),
+            "--timeout-ms" => cfg.timeout = Duration::from_millis(args.count() as u64),
+            "--cache-capacity" => cfg.capacity = Some(args.count()),
+            "--trace" => trace_path = Some(args.value()),
+            _ => args.usage(),
         }
     }
 
@@ -1158,7 +1110,43 @@ fn serve_main(args: impl Iterator<Item = String>) -> ! {
     exit(3)
 }
 
+/// Hidden worker mode spawned by `slc batch --shards N` (and the
+/// fault-injection tests); speaks slc-shard-proto-v2 on stdio. Its parsing
+/// is lenient: unknown arguments and unparsable values are ignored.
+fn batch_shard_main(mut args: Args) -> ! {
+    let mut fail_after = None;
+    let mut garbage_after = None;
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--fail-after" => fail_after = args.next().and_then(|s| s.parse().ok()),
+            "--garbage-after" => garbage_after = args.next().and_then(|s| s.parse().ok()),
+            _ => {}
+        }
+    }
+    exit(slc::pipeline::shard_worker(fail_after, garbage_after))
+}
+
 fn main() {
+    type Mode = (fn(Args) -> !, &'static [&'static str]);
+    let mut argv = std::env::args().skip(1).peekable();
+    let mode: Option<Mode> = match argv.peek().map(String::as_str) {
+        Some("explain") => Some((explain_main, &[EXPLAIN])),
+        Some("verify") => Some((verify_main, &[VERIFY])),
+        Some("lint") => Some((lint_main, &[LINT])),
+        Some("deps") => Some((deps_main, &[DEPS])),
+        Some("batch") => Some((batch_main, &[BATCH])),
+        Some("batch-shard") => Some((batch_shard_main, &[])),
+        Some("stats") => Some((stats_main, &[STATS])),
+        Some("trace-check") => Some((trace_check_main, &[TRACE_CHECK])),
+        Some("serve") => Some((serve_main, &[SERVE])),
+        _ => None,
+    };
+    if let Some((run_mode, usage)) = mode {
+        argv.next();
+        run_mode(Args::new(argv, usage));
+    }
+    let mut args = Args::new(argv, &ALL);
+
     let mut cfg = SlmsConfig::default();
     let mut plan = PassPlan::slms_only();
     let mut paper_style = false;
@@ -1168,77 +1156,23 @@ fn main() {
     let mut emit_asm = false;
     let mut compiler = CompilerKind::Optimizing;
     let mut file: Option<String> = None;
-
-    let mut args = std::env::args().skip(1).peekable();
-    match args.peek().map(String::as_str) {
-        Some("batch") => {
-            args.next();
-            batch_main(args);
-        }
-        // hidden: worker mode spawned by `slc batch --shards N` (and the
-        // fault-injection tests); speaks slc-shard-proto-v1 on stdio
-        Some("batch-shard") => {
-            args.next();
-            let mut fail_after = None;
-            let mut garbage_after = None;
-            while let Some(a) = args.next() {
-                match a.as_str() {
-                    "--fail-after" => fail_after = args.next().and_then(|s| s.parse().ok()),
-                    "--garbage-after" => garbage_after = args.next().and_then(|s| s.parse().ok()),
-                    _ => {}
-                }
-            }
-            exit(slc::pipeline::shard_worker(fail_after, garbage_after));
-        }
-        Some("explain") => {
-            args.next();
-            explain_main(args);
-        }
-        Some("verify") => {
-            args.next();
-            verify_main(args);
-        }
-        Some("lint") => {
-            args.next();
-            lint_main(args);
-        }
-        Some("deps") => {
-            args.next();
-            deps_main(args);
-        }
-        Some("stats") => {
-            args.next();
-            stats_main(args);
-        }
-        Some("trace-check") => {
-            args.next();
-            trace_check_main(args);
-        }
-        Some("serve") => {
-            args.next();
-            serve_main(args);
-        }
-        _ => {}
-    }
     let mut passes_given = false;
     while let Some(a) = args.next() {
         match a.as_str() {
             "--passes" => {
-                plan = parse_plan("--passes", args.next().as_deref());
+                plan = args.plan();
                 passes_given = true;
             }
-            "--scheduler" => cfg.scheduler = parse_scheduler("--scheduler", args.next().as_deref()),
-            "--expansion" => cfg.expansion = parse_expansion("--expansion", args.next().as_deref()),
+            "--scheduler" => cfg.scheduler = args.choice(SCHEDULERS, SchedulerKind::from_label),
+            "--expansion" => cfg.expansion = args.choice(EXPANSIONS, Expansion::from_label),
             "--no-filter" => cfg.apply_filter = false,
             "--paper-style" => paper_style = true,
             "--report" => report = true,
             "--verify" => verify = true,
             "--emit-asm" => emit_asm = true,
-            "--simulate" => simulate = Some(parse_machine("--simulate", args.next().as_deref())),
-            "--compiler" => compiler = parse_compiler("--compiler", args.next().as_deref()),
-            "--help" | "-h" => usage(),
-            _ if file.is_none() && !a.starts_with('-') => file = Some(a),
-            _ => usage(),
+            "--simulate" => simulate = Some(args.choice(MACHINES, machine)),
+            "--compiler" => compiler = args.choice(COMPILERS, CompilerKind::from_label),
+            _ => args.file(&mut file),
         }
     }
 
