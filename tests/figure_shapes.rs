@@ -261,3 +261,13 @@ fn full_report_matches_checked_in_golden() {
         );
     }
 }
+
+#[test]
+fn experiments_md_quotes_the_golden_verbatim() {
+    let doc = include_str!("../EXPERIMENTS.md");
+    let golden = include_str!("../BENCH_figures.txt");
+    assert!(
+        doc.contains(&format!("```text\n{golden}```\n")),
+        "EXPERIMENTS.md's fenced tables differ from BENCH_figures.txt; paste the golden in"
+    );
+}
