@@ -1,8 +1,8 @@
 //! # slc-sat — a small CDCL SAT solver with unsat cores
 //!
 //! In-workspace solver backing the exact modulo scheduler (`slc-exact`).
-//! Like the proptest/criterion shims, it exists because the build
-//! environment has no registry access; unlike them it is a real solver:
+//! Like the proptest shim, it exists because the build environment has
+//! no registry access; unlike it, this is a real solver:
 //! two-watched-literal propagation, first-UIP clause learning, Luby
 //! restarts, and — the part the certificate machinery depends on —
 //! **unsat-core extraction**: every learned clause carries the set of
