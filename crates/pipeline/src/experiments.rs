@@ -1,14 +1,14 @@
-//! The experiment harness: run a workload original-vs-SLMS on a machine
-//! with a compiler personality and report paper-style rows.
+//! Compile and simulate one program on one machine under one personality,
+//! outside the batch engine: the §6/§7 case studies and the interactive
+//! example measure their own programs this way. The §9 figures read batch
+//! engine cells instead (`slc_bench::harness`).
 
 use crate::compile::{compile, CompileResult, CompilerKind};
 use slc_ast::Program;
-use slc_core::{slms_program, SlmsConfig};
 use slc_machine::lower::LowerError;
 use slc_machine::mach::MachineDesc;
 use slc_sim::cycle::{simulate, SimResult};
 use slc_sim::power::{EnergyModel, PowerReport};
-use slc_workloads::Workload;
 
 /// Everything measured for one (program, machine, compiler) combination.
 #[derive(Debug, Clone)]
@@ -38,286 +38,4 @@ pub fn run(prog: &Program, m: &MachineDesc, kind: CompilerKind) -> Result<Metric
         power,
         compile: c,
     })
-}
-
-/// One row of a paper figure: a loop and its SLMS speedup.
-#[derive(Debug, Clone)]
-pub struct LoopRow {
-    /// workload name
-    pub name: &'static str,
-    /// suite label
-    pub suite: String,
-    /// original cycles
-    pub base_cycles: u64,
-    /// SLMS'd cycles
-    pub slms_cycles: u64,
-    /// speedup = base / slms (>1 is a win)
-    pub speedup: f64,
-    /// power ratio = base_energy / slms_energy (>1 = SLMS saves energy)
-    pub power_ratio: f64,
-    /// did SLMS transform the loop at all?
-    pub transformed: bool,
-    /// source-level II when transformed
-    pub slms_ii: Option<i64>,
-    /// machine-level MS applied to the base compile?
-    pub base_ms: bool,
-    /// machine-level MS applied after SLMS?
-    pub slms_ms: bool,
-    /// bundles per iteration, base vs SLMS (innermost loop, first loop)
-    pub base_bundles: usize,
-    /// bundles per iteration after SLMS
-    pub slms_bundles: usize,
-}
-
-/// Run one workload through original-vs-SLMS and produce a figure row.
-pub fn measure_workload(
-    w: &Workload,
-    m: &MachineDesc,
-    kind: CompilerKind,
-    slms_cfg: &SlmsConfig,
-) -> Result<LoopRow, LowerError> {
-    let orig = w.program();
-    let (slmsed, outcomes) = slms_program(&orig, slms_cfg);
-    let transformed = outcomes.iter().any(|o| o.result.is_ok());
-    let slms_ii = outcomes
-        .iter()
-        .find_map(|o| o.result.as_ref().ok().map(|r| r.ii));
-
-    let base = run(&orig, m, kind)?;
-    let after = run(&slmsed, m, kind)?;
-    let pick = |c: &CompileResult| {
-        c.loops
-            .iter()
-            .max_by_key(|l| l.trips)
-            .map(|l| (l.bundles_per_iter, l.ms_applied))
-            .unwrap_or((0, false))
-    };
-    let (base_bundles, base_ms) = pick(&base.compile);
-    let (slms_bundles, slms_ms) = pick(&after.compile);
-    Ok(LoopRow {
-        name: w.name,
-        suite: w.suite.to_string(),
-        base_cycles: base.cycles(),
-        slms_cycles: after.cycles(),
-        speedup: base.cycles() as f64 / after.cycles().max(1) as f64,
-        power_ratio: base.power.energy / after.power.energy.max(1e-12),
-        transformed,
-        slms_ii,
-        base_ms,
-        slms_ms,
-        base_bundles,
-        slms_bundles,
-    })
-}
-
-/// Run a whole suite through the batch engine (cells evaluated
-/// concurrently, shared artifacts memoized); failures to lower (none
-/// expected in the shipped workloads) panic, as the serial path did. The
-/// rows are bit-identical to mapping [`measure_workload`] over the suite —
-/// `tests/batch_differential.rs` holds the engine to that.
-pub fn measure_suite(
-    ws: &[Workload],
-    m: &MachineDesc,
-    kind: CompilerKind,
-    slms_cfg: &SlmsConfig,
-) -> Vec<LoopRow> {
-    measure_suite_on(&crate::batch::BatchEngine::new(), ws, m, kind, slms_cfg)
-}
-
-/// [`measure_suite`] against a caller-owned engine, so several suites (the
-/// figure harness runs a dozen overlapping ones) share one artifact cache.
-pub fn measure_suite_on(
-    engine: &crate::batch::BatchEngine,
-    ws: &[Workload],
-    m: &MachineDesc,
-    kind: CompilerKind,
-    slms_cfg: &SlmsConfig,
-) -> Vec<LoopRow> {
-    let cfg = crate::batch::BatchConfig {
-        workloads: ws.to_vec(),
-        machines: vec![m.clone()],
-        compilers: vec![kind],
-        slms: slms_cfg.clone(),
-        plan: crate::passes::PassPlan::slms_only(),
-        threads: None,
-        verify: false,
-    };
-    let report = engine.run(&cfg);
-    rows_from_report(ws, &report)
-}
-
-/// Pair up the `orig`/`slms` cells of a single-machine single-personality
-/// batch report into figure rows.
-pub(crate) fn rows_from_report(
-    ws: &[Workload],
-    report: &crate::batch::BatchReport,
-) -> Vec<LoopRow> {
-    assert_eq!(
-        report.cells.len(),
-        2 * ws.len(),
-        "one machine × one personality"
-    );
-    ws.iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let metrics = |cell: &crate::batch::CellResult| {
-                cell.outcome
-                    .clone()
-                    .unwrap_or_else(|e| panic!("workload {} failed: {e}", w.name))
-            };
-            let base = metrics(&report.cells[2 * i]);
-            let after = metrics(&report.cells[2 * i + 1]);
-            let pick = |loops: &[crate::compile::LoopInfo]| {
-                loops
-                    .iter()
-                    .max_by_key(|l| l.trips)
-                    .map(|l| (l.bundles_per_iter, l.ms_applied))
-                    .unwrap_or((0, false))
-            };
-            let (base_bundles, base_ms) = pick(&base.loops);
-            let (slms_bundles, slms_ms) = pick(&after.loops);
-            LoopRow {
-                name: w.name,
-                suite: w.suite.to_string(),
-                base_cycles: base.cycles,
-                slms_cycles: after.cycles,
-                speedup: base.cycles as f64 / after.cycles.max(1) as f64,
-                power_ratio: base.energy / after.energy.max(1e-12),
-                transformed: after.transformed,
-                slms_ii: after.slms_ii,
-                base_ms,
-                slms_ms,
-                base_bundles,
-                slms_bundles,
-            }
-        })
-        .collect()
-}
-
-/// Figure-16 style gap closure: how much of the (weak → optimizing) gap
-/// does SLMS-on-weak recover?
-#[derive(Debug, Clone)]
-pub struct GapRow {
-    /// workload name
-    pub name: &'static str,
-    /// weak-compiler cycles
-    pub weak: u64,
-    /// optimizing-compiler cycles
-    pub opt: u64,
-    /// SLMS + weak-compiler cycles
-    pub slms_weak: u64,
-    /// fraction of the gap closed (1.0 = all of it, may exceed 1)
-    pub gap_closed: f64,
-}
-
-/// Measure gap closure for one workload.
-pub fn measure_gap(
-    w: &Workload,
-    m: &MachineDesc,
-    slms_cfg: &SlmsConfig,
-) -> Result<GapRow, LowerError> {
-    let orig = w.program();
-    let (slmsed, _) = slms_program(&orig, slms_cfg);
-    let weak = run(&orig, m, CompilerKind::Weak)?.cycles();
-    let opt = run(&orig, m, CompilerKind::Optimizing)?.cycles();
-    let slms_weak = run(&slmsed, m, CompilerKind::Weak)?.cycles();
-    let gap = weak.saturating_sub(opt) as f64;
-    let closed = weak.saturating_sub(slms_weak) as f64;
-    Ok(GapRow {
-        name: w.name,
-        weak,
-        opt,
-        slms_weak,
-        gap_closed: if gap > 0.0 { closed / gap } else { 0.0 },
-    })
-}
-
-/// Render rows as an aligned text table (the form the harness prints and
-/// EXPERIMENTS.md records).
-pub fn format_rows(title: &str, rows: &[LoopRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("== {title} ==\n"));
-    out.push_str(&format!(
-        "{:<24} {:>12} {:>12} {:>8} {:>8} {:>6} {:>8} {:>8}\n",
-        "loop", "base(cyc)", "slms(cyc)", "speedup", "power×", "II", "base-MS", "slms-MS"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:<24} {:>12} {:>12} {:>8.3} {:>8.3} {:>6} {:>8} {:>8}\n",
-            r.name,
-            r.base_cycles,
-            r.slms_cycles,
-            r.speedup,
-            r.power_ratio,
-            r.slms_ii.map_or("-".into(), |v| v.to_string()),
-            if r.base_ms { "yes" } else { "no" },
-            if r.slms_ms { "yes" } else { "no" },
-        ));
-    }
-    let wins = rows.iter().filter(|r| r.speedup > 1.0).count();
-    let gm: f64 = if rows.is_empty() {
-        1.0
-    } else {
-        (rows.iter().map(|r| r.speedup.max(1e-9).ln()).sum::<f64>() / rows.len() as f64).exp()
-    };
-    out.push_str(&format!(
-        "-- {} of {} loops speed up; geometric-mean speedup {:.3}\n",
-        wins,
-        rows.len(),
-        gm
-    ));
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use slc_core::SlmsConfig;
-    use slc_sim::presets::itanium2;
-    use slc_workloads::paper_examples;
-
-    #[test]
-    fn dot_product_speeds_up_on_weak_vliw() {
-        let w = paper_examples()
-            .into_iter()
-            .find(|w| w.name == "intro_dot")
-            .unwrap();
-        let row =
-            measure_workload(&w, &itanium2(), CompilerKind::Weak, &SlmsConfig::default()).unwrap();
-        assert!(row.transformed);
-        assert!(
-            row.speedup > 1.0,
-            "expected speedup on weak VLIW, got {row:?}"
-        );
-    }
-
-    #[test]
-    fn kernel8_like_loop_wins_with_list_scheduling() {
-        let w = slc_workloads::livermore()
-            .into_iter()
-            .find(|w| w.name == "kernel8_adi")
-            .unwrap();
-        let row = measure_workload(
-            &w,
-            &itanium2(),
-            CompilerKind::Optimizing,
-            &SlmsConfig::default(),
-        )
-        .unwrap();
-        assert!(row.transformed, "{row:?}");
-        assert!(row.speedup > 1.0, "{row:?}");
-        // fewer bundles per iteration, like the paper's 23 → 16
-        assert!(row.slms_bundles < row.base_bundles, "{row:?}");
-    }
-
-    #[test]
-    fn gap_closure_positive_for_dot() {
-        let w = paper_examples()
-            .into_iter()
-            .find(|w| w.name == "intro_dot")
-            .unwrap();
-        let g = measure_gap(&w, &itanium2(), &SlmsConfig::default()).unwrap();
-        assert!(g.weak >= g.opt);
-        assert!(g.gap_closed > 0.0, "{g:?}");
-    }
 }

@@ -11,13 +11,14 @@
 //!                     cycle simulator + power model (slc-sim)
 //! ```
 //!
-//! [`fn@compile`] builds simulatable programs; [`experiments`] produces the
-//! per-loop speedup rows behind each figure of §9; [`passes`] wraps SLMS
-//! and every §6 transformation behind one [`Pass`] signature driven by
-//! parseable [`PassPlan`]s; [`explain`] renders their per-loop decision
-//! traces; [`batch`] evaluates the whole workload × machine × personality
-//! matrix concurrently with memoization of every shared artifact, keyed by
-//! plan fingerprints.
+//! [`fn@compile`] builds simulatable programs; [`experiments`] compiles and
+//! simulates one program serially (the §6/§7 case studies); [`passes`]
+//! wraps SLMS and every §6 transformation behind one [`Pass`] signature
+//! driven by parseable [`PassPlan`]s; [`explain`] renders their per-loop
+//! decision traces; [`batch`] evaluates the whole workload × machine ×
+//! personality matrix concurrently with memoization of every shared
+//! artifact, keyed by plan fingerprints — every §9 figure is rendered from
+//! its cells.
 
 pub mod batch;
 pub mod cache;
@@ -35,10 +36,7 @@ pub use batch::{
 };
 pub use cache::{CacheReport, KeyedStore, StoreStats};
 pub use compile::{compile, compile_lir, CompileResult, CompilerKind, LoopInfo};
-pub use experiments::{
-    format_rows, measure_gap, measure_suite, measure_suite_on, measure_workload, run, GapRow,
-    LoopRow, Metrics,
-};
+pub use experiments::{run, Metrics};
 pub use explain::{
     explain_all, explain_all_json, explain_source, explain_source_json, explain_workload,
     explain_workload_json,

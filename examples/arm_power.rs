@@ -1,23 +1,15 @@
 //! The embedded-systems experiment (§9.3): power dissipation and cycle
 //! counts of SLMS'd loops on the ARM7TDMI-like scalar core, with the energy
-//! model standing in for sim-panalyzer.
+//! model standing in for sim-panalyzer. The rows are those of Figs 21/22
+//! (`slc_bench::harness::fig21_22`).
 //!
 //! ```bash
 //! cargo run --release --example arm_power
 //! ```
 
-use slc::pipeline::{measure_workload, CompilerKind};
-use slc::sim::presets::arm7tdmi;
-use slc::slms::SlmsConfig;
-use slc::workloads;
+use slc_bench::harness;
 
 fn main() {
-    let m = arm7tdmi();
-    let cfg = SlmsConfig::default();
-    let mut ws = workloads::livermore();
-    ws.extend(workloads::linpack());
-    ws.extend(workloads::stone());
-
     println!("ARM7TDMI-like core — SLMS effect on cycles and energy");
     println!(
         "{:<24} {:>12} {:>12} {:>9} {:>9} {:>10}",
@@ -25,8 +17,7 @@ fn main() {
     );
     let mut better_power = 0;
     let mut worse_power = 0;
-    for w in &ws {
-        let r = measure_workload(w, &m, CompilerKind::Optimizing, &cfg).unwrap();
+    for r in harness::fig21_22().rows {
         let verdict = if !r.transformed {
             "skipped"
         } else if r.power_ratio > 1.01 {

@@ -134,41 +134,6 @@ fn report_is_thread_count_invariant() {
     assert!(second.cache.overall_hit_rate() > first.cache.overall_hit_rate());
 }
 
-/// `measure_suite` (now engine-backed) must agree with the serial
-/// per-workload `measure_workload` it replaced.
-#[test]
-fn measure_suite_matches_measure_workload() {
-    let ws = slc_workloads::paper_examples();
-    let m = slc_sim::presets::power4();
-    let cfg = SlmsConfig::default();
-    let rows = slc_pipeline::measure_suite(&ws, &m, CompilerKind::Optimizing, &cfg);
-    for (w, row) in ws.iter().zip(&rows) {
-        let reference =
-            slc_pipeline::measure_workload(w, &m, CompilerKind::Optimizing, &cfg).unwrap();
-        assert_eq!(row.name, reference.name);
-        assert_eq!(row.base_cycles, reference.base_cycles, "{}", w.name);
-        assert_eq!(row.slms_cycles, reference.slms_cycles, "{}", w.name);
-        assert_eq!(
-            row.speedup.to_bits(),
-            reference.speedup.to_bits(),
-            "{}",
-            w.name
-        );
-        assert_eq!(
-            row.power_ratio.to_bits(),
-            reference.power_ratio.to_bits(),
-            "{}",
-            w.name
-        );
-        assert_eq!(row.transformed, reference.transformed, "{}", w.name);
-        assert_eq!(row.slms_ii, reference.slms_ii, "{}", w.name);
-        assert_eq!(row.base_ms, reference.base_ms, "{}", w.name);
-        assert_eq!(row.slms_ms, reference.slms_ms, "{}", w.name);
-        assert_eq!(row.base_bundles, reference.base_bundles, "{}", w.name);
-        assert_eq!(row.slms_bundles, reference.slms_bundles, "{}", w.name);
-    }
-}
-
 /// Plan-keyed caching: a non-trivial pass plan is (a) thread-count
 /// invariant like the default, and (b) keyed separately from other plans
 /// on a shared engine — changing the plan forces fresh transform work.
