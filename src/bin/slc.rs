@@ -98,8 +98,6 @@
 //!   --timing <PATH>                wall-clock sidecar JSON (not written
 //!                                  unless requested; not deterministic;
 //!                                  includes the per-pass breakdown)
-//!   --repeat <N>                   run the matrix N times on one shared
-//!                                  cache (N>1 demonstrates memoization)
 //!   --verify                       statically verify every slms pass; the
 //!                                  per-workload verdicts land in the
 //!                                  timing sidecar and a violation fails
@@ -184,7 +182,7 @@ const VERIFY: &str = "slc verify [--expansion ...] [--no-filter] [--scheduler ..
 const LINT: &str = "slc lint [--all] [--json] [FILE]";
 const DEPS: &str = "slc deps [--all] [--json] [FILE]";
 const BATCH: &str = "slc batch [--passes PLAN] [--scheduler ...] [--threads N] [--shards N]\n\
-    \x20                [--out PATH] [--timing PATH] [--repeat N] [--verify]\n\
+    \x20                [--out PATH] [--timing PATH] [--verify]\n\
     \x20                [--trace PATH] [--events PATH]";
 const STATS: &str = "slc stats [--threads N] [--json] [--out PATH] [--check PATH]\n\
     \x20                [--histograms] [--hist-out PATH] [--hist-check PATH]";
@@ -329,7 +327,6 @@ fn batch_main(mut args: Args) -> ! {
     let mut timing_path: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let mut events_path: Option<String> = None;
-    let mut repeat = 1usize;
     let mut scheduler = SchedulerKind::Heuristic;
     let mut passes_given = false;
 
@@ -347,7 +344,6 @@ fn batch_main(mut args: Args) -> ! {
             "--trace" => trace_path = Some(args.value()),
             "--events" => events_path = Some(args.value()),
             "--verify" => cfg.verify = true,
-            "--repeat" => repeat = args.count(),
             _ => args.usage(),
         }
     }
@@ -376,29 +372,22 @@ fn batch_main(mut args: Args) -> ! {
     } else {
         Tracer::disabled()
     };
-    // with --shards the matrix fans out over worker processes; --threads
-    // becomes the per-shard in-process map width, and --repeat re-runs the
-    // whole fleet (each repeat is cold — the caches live in the shards)
-    let run_once = |tracer: &Tracer| match shards {
-        None => None,
+    // with --shards the matrix fans out over worker processes, and
+    // --threads becomes the per-shard in-process map width
+    let report = match shards {
+        None => BatchEngine::new().run_traced(&cfg, &tracer),
         Some(s) => {
             let opts = ShardOptions {
                 shards: s,
                 threads_per_shard: cfg.threads,
                 ..ShardOptions::default()
             };
-            Some(run_sharded(&cfg, &opts, tracer).unwrap_or_else(|e| {
+            run_sharded(&cfg, &opts, &tracer).unwrap_or_else(|e| {
                 eprintln!("slc batch: sharded run failed: {e}");
                 exit(1)
-            }))
+            })
         }
     };
-    let engine = BatchEngine::new();
-    let mut report = run_once(&tracer).unwrap_or_else(|| engine.run_traced(&cfg, &tracer));
-    for pass in 1..repeat {
-        eprintln!("slc batch: pass {}: {}", pass, report.summary());
-        report = run_once(&tracer).unwrap_or_else(|| engine.run_traced(&cfg, &tracer));
-    }
     eprintln!("slc batch: {}", report.summary());
 
     if let Err(e) = std::fs::write(&out_path, report.to_json()) {

@@ -74,7 +74,7 @@ fn zero_or_malformed_count_exits_two() {
     for args in [
         &["batch", "--threads", "0"][..],
         &["batch", "--shards", "0"],
-        &["batch", "--repeat", "x"],
+        &["batch", "--threads", "x"],
         &["stats", "--threads", "0"],
         &["serve", "--queue", "0"],
         &["serve", "--timeout-ms", "0"],
