@@ -633,9 +633,17 @@ impl Solver {
 }
 
 /// True when `model` satisfies every clause (an empty clause is never
-/// satisfied).
+/// satisfied). A literal over a variable past the end of `model`
+/// satisfies nothing, so a short model is rejected rather than trusted.
 pub fn check_model(model: &[bool], clauses: &[Vec<Lit>]) -> bool {
-    clauses.iter().all(|c| c.iter().any(|l| l.eval(model)))
+    clauses.iter().all(|c| satisfies(model, c))
+}
+
+/// True when some literal of `clause` is true under `model`.
+fn satisfies(model: &[bool], clause: &[Lit]) -> bool {
+    clause
+        .iter()
+        .any(|l| model.get(l.var()).is_some_and(|&b| b != l.is_neg()))
 }
 
 /// Exhaustive model enumeration — the trusted reference the CDCL solver
@@ -700,17 +708,44 @@ pub fn solve_subset(clauses: &[Vec<Lit>], keep: &[usize]) -> Outcome {
 }
 
 /// Deletion-based unsat-core minimization: drop each clause of `core` in
-/// turn and keep the deletion whenever the remainder is still
-/// unsatisfiable. The result is a *minimal* core (no single clause can be
-/// removed), though not necessarily a minimum one. `core` must be an
-/// unsat core of `clauses`.
+/// turn (in ascending id order) and solve the remainder from scratch with
+/// [`solve_subset`]. A satisfiable remainder means the dropped clause is
+/// needed and the loop moves on; an unsatisfiable one replaces the working
+/// core with the sub-solve's own core, which may shrink it by more than
+/// the dropped clause. The result is a *minimal* core (no single clause
+/// can be removed), though not necessarily a minimum one. `core` must be
+/// an unsat core of `clauses`. This is [`minimize_core_with`] with no
+/// model finder, and the oracle it is tested against.
 pub fn minimize_core(clauses: &[Vec<Lit>], core: &[usize]) -> Vec<usize> {
+    minimize_core_with(clauses, core, |_| None)
+}
+
+/// [`minimize_core`] with a cheap way to settle satisfiable trials. Before
+/// each sub-solve, `find` is asked for a model of the trial (clause ids
+/// into `clauses`, ascending). When it returns one that [`check_model`]
+/// accepts on every clause of the trial, the trial is satisfiable and no
+/// solver runs. Otherwise, a rejected model or `None`, the trial is solved
+/// from scratch exactly as in [`minimize_core`]. A checked model proves the
+/// verdict the solver would have reached, and every unsatisfiable trial
+/// still takes the solver's core, so the result is `minimize_core`'s
+/// whatever `find` returns; only the number of sub-solves changes.
+pub fn minimize_core_with<F>(clauses: &[Vec<Lit>], core: &[usize], mut find: F) -> Vec<usize>
+where
+    F: FnMut(&[usize]) -> Option<Vec<bool>>,
+{
     let mut cur: Vec<usize> = core.to_vec();
     cur.sort_unstable();
+    let mut trial = Vec::with_capacity(cur.len());
     let mut i = 0;
     while i < cur.len() {
-        let mut trial = cur.clone();
-        trial.remove(i);
+        trial.clear();
+        trial.extend(cur[..i].iter().chain(&cur[i + 1..]));
+        let settled =
+            find(&trial).is_some_and(|m| trial.iter().all(|&id| satisfies(&m, &clauses[id])));
+        if settled {
+            i += 1;
+            continue;
+        }
         match solve_subset(clauses, &trial) {
             Outcome::Unsat(smaller) => {
                 // the sub-solve may shrink the core further for free

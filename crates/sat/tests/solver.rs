@@ -4,7 +4,9 @@
 //! unsat cores) are pinned on hand-built instances.
 
 use proptest::prelude::*;
-use slc_sat::{brute_force, check_model, minimize_core, solve_subset, Lit, Outcome, Solver};
+use slc_sat::{
+    brute_force, check_model, minimize_core, minimize_core_with, solve_subset, Lit, Outcome, Solver,
+};
 
 /// A random clause over `num_vars` variables with 1–4 literals.
 fn clause_strategy(num_vars: usize) -> impl Strategy<Value = Vec<Lit>> {
@@ -86,8 +88,53 @@ fn minimized_core_is_minimal(clauses: &[Vec<Lit>]) -> TestCaseResult {
     Ok(())
 }
 
+/// `minimize_core_with` returns exactly `minimize_core`'s core whatever
+/// its model finder answers: nothing, the trial's brute-force model, that
+/// model with one variable flipped, a model cut to half length, or
+/// all-true. The last three also answer unsatisfiable trials (from an
+/// all-false guess), so a wrong or short model that settled a trial would
+/// change the core. Minimization starts from the whole clause set: the
+/// solver's own cores on these instances are nearly always minimal
+/// already, and a minimal core has no unsatisfiable trial to get wrong.
+fn finders_never_change_the_core(clauses: &[Vec<Lit>]) -> TestCaseResult {
+    if brute_force(8, clauses).is_some() {
+        return Ok(());
+    }
+    let core: Vec<usize> = (0..clauses.len()).collect();
+    let plain = minimize_core(clauses, &core);
+    let model_of = |trial: &[usize]| {
+        let subset: Vec<Vec<Lit>> = trial.iter().map(|&i| clauses[i].clone()).collect();
+        brute_force(8, &subset)
+    };
+    let guess = |trial: &[usize]| model_of(trial).unwrap_or_else(|| vec![false; 8]);
+    prop_assert_eq!(minimize_core_with(clauses, &core, |_| None), plain);
+    prop_assert_eq!(minimize_core_with(clauses, &core, model_of), plain);
+    prop_assert_eq!(
+        minimize_core_with(clauses, &core, |trial| {
+            let mut m = guess(trial);
+            m[trial.len() % 8] ^= true;
+            Some(m)
+        }),
+        plain
+    );
+    prop_assert_eq!(
+        minimize_core_with(clauses, &core, |trial| Some(guess(trial)[..4].to_vec())),
+        plain
+    );
+    prop_assert_eq!(
+        minimize_core_with(clauses, &core, |_| Some(vec![true; 8])),
+        plain
+    );
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
+
+    #[test]
+    fn minimize_core_with_any_finder_equals_minimize_core(clauses in cnf_strategy(8)) {
+        finders_never_change_the_core(&clauses)?;
+    }
 
     #[test]
     fn cdcl_agrees_with_brute_force(clauses in cnf_strategy(20)) {
@@ -115,6 +162,12 @@ proptest! {
     #[ignore]
     fn minimized_cores_stay_unsat_long(clauses in cnf_strategy(8)) {
         minimized_core_is_minimal(&clauses)?;
+    }
+
+    #[test]
+    #[ignore]
+    fn minimize_core_with_any_finder_equals_minimize_core_long(clauses in cnf_strategy(8)) {
+        finders_never_change_the_core(&clauses)?;
     }
 }
 
