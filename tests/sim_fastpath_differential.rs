@@ -6,12 +6,45 @@
 //! of the full experiment matrix: every workload × machine × compiler ×
 //! {original, SLMS} combination. The fast path is a pure wall-clock
 //! optimisation; any divergence in cycles, cache stats, op counts or spill
-//! traffic is a bug.
+//! traffic is a bug. A digest of every cell's full result and fast-path
+//! counters is pinned, so a change that moves both fidelities alike is
+//! caught too.
 
 use slc_core::slms_program;
 use slc_pipeline::{compile, BatchConfig};
-use slc_sim::cycle::{simulate_with, FfStats, SimFidelity};
+use slc_sim::cycle::{simulate_with, FfStats, SimFidelity, SimResult};
 use slc_workloads::Variant;
+
+/// FNV-1a over the little-endian bytes of `words`, continuing from `h`.
+fn fold(h: u64, words: &[u64]) -> u64 {
+    words
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(h, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Every field of a cell's result and fast-path counters, in declaration
+/// order.
+fn cell_words(r: &SimResult, ff: &FfStats) -> Vec<u64> {
+    let mut w = vec![r.cycles];
+    w.extend(r.class_counts);
+    w.extend([r.cache.hits, r.cache.misses, r.spill_accesses]);
+    w.extend([
+        ff.fast_loops,
+        ff.fallback_loops,
+        ff.ff_hits,
+        ff.ff_misses,
+        ff.trips_total,
+        ff.trips_skipped,
+    ]);
+    w
+}
+
+/// Digest of every compiled cell's [`SimResult`] and both fidelities'
+/// [`FfStats`], in matrix order. Generated before the two timing walks
+/// were folded into one issue kernel; any change to a reported number or
+/// to when the fast path engages moves it.
+const MATRIX_DIGEST: u64 = 0x8638_074e_280e_bf36;
 
 /// Every cell of the full matrix: Fast == Reference, bit for bit.
 #[test]
@@ -25,6 +58,7 @@ fn fast_equals_reference_on_full_matrix() {
 
     let mut cells = 0usize;
     let mut ff = FfStats::default();
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for (wi, w) in cfg.workloads.iter().enumerate() {
         for m in &cfg.machines {
             for &kind in &cfg.compilers {
@@ -48,6 +82,8 @@ fn fast_equals_reference_on_full_matrix() {
                     // both paths agree on how many trips the program has
                     assert_eq!(fast.ff.trips_total, reference.ff.trips_total, "{ctx}");
                     ff.merge(&fast.ff);
+                    digest = fold(digest, &cell_words(&fast.result, &fast.ff));
+                    digest = fold(digest, &cell_words(&reference.result, &reference.ff));
                     cells += 1;
                 }
             }
@@ -58,6 +94,10 @@ fn fast_equals_reference_on_full_matrix() {
     assert!(
         ff.ff_hits > 0 && ff.trips_skipped > 0,
         "fast-forward never fired over {cells} cells: {ff:?}"
+    );
+    assert_eq!(
+        digest, MATRIX_DIGEST,
+        "digest {digest:#018x} over {cells} cells: {ff:?}"
     );
 }
 

@@ -54,6 +54,13 @@ fn checked_in_counter_baseline_gates_clean() {
             "counter {name} is not in BENCH_counters.json — regenerate it"
         );
     }
+
+    // counters are deterministic: beyond the tolerance gate above, every
+    // one equals its baseline value exactly, so a drift inside a
+    // counter's tolerance (2% of `sim.cycles_total`) still shows here
+    for (name, &want) in &base.counters {
+        assert_eq!(counters.get(name), want, "counter {name}");
+    }
 }
 
 #[test]
