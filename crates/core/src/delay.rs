@@ -16,9 +16,7 @@
 //! the implicit chain `i → i+1 → … → j` always exists and dominates any
 //! data-dependence path (each data edge from `a` to `b > a` contributes at
 //! most `b - a`, by induction). [`forward_delay`] computes the closed form;
-//! [`delay_of_edge`] dispatches on edge shape.
-
-use slc_analysis::DepEdge;
+//! [`edge_delay`] dispatches on edge shape.
 
 /// Delay of a forward dependence edge from MI `i` to MI `j > i`: the longest
 /// path through the implicit delay-1 chain, i.e. `j - i`.
@@ -27,51 +25,38 @@ pub fn forward_delay(i: usize, j: usize) -> i64 {
     (j - i) as i64
 }
 
-/// The §3.5 delay of a dependence edge.
-pub fn delay_of_edge(e: &DepEdge) -> i64 {
-    if e.from == e.to {
-        1 // rule 1: self dependence
-    } else if e.to > e.from {
-        forward_delay(e.from, e.to) // rules 2–3
+/// The §3.5 delay of a dependence edge from MI `from` to MI `to`.
+pub fn edge_delay(from: usize, to: usize) -> i64 {
+    if to > from {
+        forward_delay(from, to) // rules 2–3
     } else {
-        1 // rule 4: back edge
+        1 // rule 1 (self dependence) and rule 4 (back edge)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slc_analysis::{DepKind, Distance};
-
-    fn edge(from: usize, to: usize) -> DepEdge {
-        DepEdge {
-            from,
-            to,
-            kind: DepKind::Flow,
-            dists: vec![Distance::Const(1)],
-            scalar: None,
-        }
-    }
 
     #[test]
     fn rules() {
-        assert_eq!(delay_of_edge(&edge(2, 2)), 1); // self
-        assert_eq!(delay_of_edge(&edge(2, 3)), 1); // consecutive
-        assert_eq!(delay_of_edge(&edge(3, 5)), 2); // forward span 2 (fig 8 d→f)
-        assert_eq!(delay_of_edge(&edge(5, 2)), 1); // back edge (fig 8 f→c)
+        assert_eq!(edge_delay(2, 2), 1); // self
+        assert_eq!(edge_delay(2, 3), 1); // consecutive
+        assert_eq!(edge_delay(3, 5), 2); // forward span 2 (fig 8 d→f)
+        assert_eq!(edge_delay(5, 2), 1); // back edge (fig 8 f→c)
     }
 
     #[test]
     fn figure8_cycle_sums() {
         // C1 = c→d→e→f→c: delays 1+1+1+1 = 4; C2 = c→d→f→c: 1+2+1 = 4.
-        let c1: i64 = [edge(2, 3), edge(3, 4), edge(4, 5), edge(5, 2)]
+        let c1: i64 = [(2, 3), (3, 4), (4, 5), (5, 2)]
             .iter()
-            .map(delay_of_edge)
+            .map(|&(u, v)| edge_delay(u, v))
             .sum();
         assert_eq!(c1, 4);
-        let c2: i64 = [edge(2, 3), edge(3, 5), edge(5, 2)]
+        let c2: i64 = [(2, 3), (3, 5), (5, 2)]
             .iter()
-            .map(delay_of_edge)
+            .map(|&(u, v)| edge_delay(u, v))
             .sum();
         assert_eq!(c2, 4);
     }

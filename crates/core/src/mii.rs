@@ -6,10 +6,12 @@
 //!   Shortest Path** method of Zaky/Allan over a `difMin` matrix. For a
 //!   candidate II every dependence edge gets weight `delay − II·distance`
 //!   (taking the max over the edge's several `<distance, delay>` pairs); the
-//!   II is feasible iff the max-plus closure has no positive diagonal — i.e.
-//!   no dependence cycle whose delays exceed `II ×` its distances. The first
+//!   II is feasible iff the graph has no positive cycle — i.e. no
+//!   dependence cycle whose delays exceed `II ×` its distances. The first
 //!   feasible `II < n` is the recurrence-constrained MII (SLMS uses no
-//!   resource MII, §3.6).
+//!   resource MII, §3.6). Feasibility is monotone in II, so the search is
+//!   the exact scheduler's binary search ([`slc_exact::min_feasible_ii`])
+//!   rather than the paper's scan of max-plus closures.
 //!
 //! * [`placement_mii`] — the tighter bound required by SLMS's *fixed* kernel
 //!   placement. SLMS does not schedule freely: MI`k` of iteration `j` lands
@@ -32,8 +34,7 @@
 //! excluded from both computations via the filter argument — this is what
 //! lets the paper pipeline `t = A[i]*B[i]; s = s + t;` at `II = 1`.
 
-#![allow(clippy::needless_range_loop)] // index loops mirror the papers' pseudo-code
-use crate::delay::delay_of_edge;
+use crate::delay::edge_delay;
 use slc_analysis::{Ddg, DepEdge, Distance};
 
 /// One scheduling constraint extracted from the DDG: edge `u → v` at
@@ -99,61 +100,19 @@ pub fn placement_mii(constraints: &[Constraint], n: usize) -> Option<i64> {
     }
 }
 
-/// The paper's recurrence MII: smallest `II < n` with no positive-weight
-/// dependence cycle, found by iterating the shortest-path (max-plus) closure
-/// of the `difMin` matrix. Returns `None` when no such II exists or when a
-/// distance is unknown.
+/// The paper's recurrence MII: smallest `II < n` with no dependence cycle
+/// whose §3.5 delays exceed `II ×` its distances, found by
+/// [`slc_exact::min_feasible_ii`]. Returns `None` when no such II exists
+/// or when a distance is unknown.
 pub fn cycles_mii(constraints: &[Constraint], n: usize) -> Option<i64> {
     if n < 2 {
         return None;
     }
-    if constraints.iter().any(|c| c.d.is_none()) {
-        return None;
-    }
-    'next_ii: for ii in 1..n as i64 {
-        // difMin[u][v]: maximum over edges u→v of (delay − II·distance).
-        const NEG: i64 = i64::MIN / 4;
-        let mut w = vec![vec![NEG; n]; n];
-        for c in constraints {
-            let d = c.d.unwrap();
-            let delay = delay_of_edge(&DepEdge {
-                from: c.u,
-                to: c.v,
-                kind: slc_analysis::DepKind::Flow, // delay ignores kind
-                dists: vec![],
-                scalar: None,
-            });
-            let weight = delay - ii * d;
-            if weight > w[c.u][c.v] {
-                w[c.u][c.v] = weight;
-            }
-        }
-        // max-plus Floyd–Warshall closure
-        let mut dist = w.clone();
-        for k in 0..n {
-            for i in 0..n {
-                if dist[i][k] == NEG {
-                    continue;
-                }
-                for j in 0..n {
-                    if dist[k][j] == NEG {
-                        continue;
-                    }
-                    let cand = dist[i][k] + dist[k][j];
-                    if cand > dist[i][j] {
-                        dist[i][j] = cand;
-                    }
-                }
-            }
-        }
-        for i in 0..n {
-            if dist[i][i] > 0 {
-                continue 'next_ii;
-            }
-        }
-        return Some(ii);
-    }
-    None
+    let edges = constraints
+        .iter()
+        .map(|c| Some((c.u, c.v, edge_delay(c.u, c.v), c.d?)))
+        .collect::<Option<Vec<_>>>()?;
+    slc_exact::min_feasible_ii(n, &edges, 1, n as i64 - 1)
 }
 
 #[cfg(test)]
