@@ -1,8 +1,8 @@
 //! Stable content hashing for cacheable compilation artifacts.
 //!
 //! The batch experiment engine (`slc-pipeline`) memoizes expensive per-loop
-//! artifacts — parsed programs, SLMS outputs, lowered LIR, schedules — in
-//! maps keyed by *content* fingerprints, so identical inputs reached
+//! artifacts — parsed programs, SLMS outputs, lowered LIR, simulated
+//! cells — in maps keyed by *content* fingerprints, so identical inputs reached
 //! through different matrix cells share one computation. The hash must be
 //! stable across runs, platforms and thread counts (the report generated
 //! from cache statistics is asserted byte-identical), so we use FNV-1a

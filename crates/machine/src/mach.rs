@@ -160,7 +160,7 @@ impl MachineDesc {
     }
 
     /// Stable content fingerprint of the machine description, part of the
-    /// cache key for memoized schedules and simulations in the batch
+    /// cache key for memoized cell simulations in the batch
     /// experiment engine. Exhaustive destructuring keeps this in sync with
     /// the struct definition.
     pub fn fingerprint(&self) -> u64 {

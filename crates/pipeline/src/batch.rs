@@ -742,6 +742,12 @@ mod tests {
         }
         assert_eq!(rep.failed(), 2);
         assert_eq!(rep.completed(), rep.cells.len() - 2);
+        // both bad_while cells look their cell artifact up (the untransformed
+        // slms variant hits the orig one), but neither is simulated: this is
+        // the one place the compile and sim statistics differ
+        let (c, s) = (rep.cache.compile, rep.cache.sim);
+        assert_eq!((c.hits, c.misses), (2, 16), "{:?}", rep.cache);
+        assert_eq!((s.hits, s.misses), (1, 15), "{:?}", rep.cache);
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! The batch engine and the `slc serve` daemon both evaluate requests in
 //! which much work is shared: the SLMS transformation of a workload is
-//! identical for every machine and personality, the lowered LIR is
-//! identical for every machine, and a (program, machine, personality)
-//! schedule is identical for both the figure harness and the CLI. Each
-//! such artifact is cached once under a stable content fingerprint
-//! (see `slc_analysis::fingerprint`).
+//! identical for every machine and personality, and the lowered LIR is
+//! identical for every machine. A (program, machine, personality) cell is
+//! scheduled and simulated once; its loop facts and simulation result are
+//! kept, its machine code is not. Each such artifact is cached once under
+//! a stable content fingerprint (see `slc_analysis::fingerprint`).
 //!
 //! **Determinism invariant.** Each key is computed *exactly once while it
 //! is resident*: the first thread to claim a key holds a per-slot lock
@@ -240,9 +240,12 @@ pub struct CacheReport {
     pub slms: StoreStats,
     /// program → lowered LIR (machine-independent)
     pub lir: StoreStats,
-    /// (program, machine, personality) → schedules + compile facts
+    /// (program, machine, personality) → loop facts + simulation result:
+    /// every lookup of the one cell store
     pub compile: StoreStats,
-    /// (program, machine, personality) → simulation result
+    /// the cell-store lookups whose artifact was simulated (all but those
+    /// of cells that failed lowering); the store's evictions and
+    /// re-fingerprint mismatches count once, under `compile`
     pub sim: StoreStats,
 }
 

@@ -29,7 +29,7 @@
 //! the evicted one (`serve.refp_mismatches` stays 0 unless recompilation
 //! is non-reproducible).
 
-use crate::cache::{CacheReport, KeyedStore};
+use crate::cache::{CacheReport, KeyedStore, StoreStats};
 use crate::compile::{compile_lir, CompilerKind, LoopInfo};
 use crate::passes::{PassManager, PassPlan};
 use slc_ast::{parse_program, to_paper_style, to_source, Program};
@@ -46,6 +46,7 @@ use slc_trace::{
 };
 use slc_workloads::{Variant, Workload};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -309,7 +310,7 @@ impl StageNs {
 }
 
 /// The steady-state fast-forward statistics of every simulation miss, read
-/// back from the `sim.*` counters the sim-miss closure adds.
+/// back from the `sim.*` counters the cell-miss closure adds.
 pub(crate) fn steady_state(c: &CounterRegistry) -> FfStats {
     FfStats {
         fast_loops: c.get("sim.fast_loops"),
@@ -323,9 +324,9 @@ pub(crate) fn steady_state(c: &CounterRegistry) -> FfStats {
 
 /// The store lookups one [`CompileService::eval_cell`] evaluation
 /// performed, by key. `None` means the pipeline degraded before reaching
-/// that store (a parse error performs no plan lookup, a lower error no sim
-/// lookup); `lir` is `Some` whenever the compile lookup happened, but the
-/// lir store is only *consulted* when the compile lookup misses. The
+/// that store (a parse error performs no plan lookup, a lower error no
+/// simulated lookup); `lir` is `Some` whenever the compile lookup happened,
+/// but the lir store is only *consulted* when the compile lookup misses. The
 /// sharded reducer replays these lookups in matrix order to reconstruct
 /// the exact cache statistics a single-process run reports.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -338,7 +339,8 @@ pub struct CellKeys {
     pub compile: Option<u64>,
     /// lir-store key (the program fingerprint; consulted on compile miss)
     pub lir: Option<u64>,
-    /// sim-store key (equals the compile key; absent when lowering failed)
+    /// key of a lookup whose artifact was simulated (equals the compile
+    /// key; absent when lowering failed)
     pub sim: Option<u64>,
 }
 
@@ -371,7 +373,7 @@ impl FromJson for CellKeys {
 /// that produced it.
 #[derive(Debug, Clone)]
 pub struct KeyedDelta {
-    /// attribution stage tag (plan or sim store)
+    /// attribution stage tag (plan store or the cell store's simulation)
     pub stage: u8,
     /// the store key
     pub key: u64,
@@ -400,7 +402,8 @@ impl FromJson for KeyedDelta {
 
 /// Attribution stage tag for plan-store counter deltas.
 pub const STAGE_PLAN: u8 = 1;
-/// Attribution stage tag for sim-store counter deltas.
+/// Attribution stage tag for the simulation counter deltas of cell-store
+/// misses.
 pub const STAGE_SIM: u8 = 2;
 
 /// What [`CompileService::eval_cell`] evaluates: one matrix cell plus the
@@ -482,6 +485,19 @@ type ParseArtifact = Result<(Program, u64), String>;
 /// fingerprint — or the plan's structural failure, which degrades the cell.
 type PlanArtifact = Result<(Program, Vec<LoopOutcome>, u64), String>;
 
+/// What one (program, machine, personality) keeps once it is simulated:
+/// the loop facts the report prints and the simulation result. The
+/// scheduled machine code is dropped inside the miss closure that built
+/// it, since nothing reads it again.
+#[derive(Debug)]
+struct SimulatedCell {
+    loops: Vec<LoopInfo>,
+    sim: SimResult,
+}
+
+/// A simulated cell, or the lowering failure that degrades it.
+type CellArtifact = Result<SimulatedCell, LowerError>;
+
 fn parse_fp(a: &ParseArtifact) -> u64 {
     match a {
         Ok((_, fp)) => *fp,
@@ -500,11 +516,7 @@ fn lir_fp(a: &Result<LirProgram, LowerError>) -> u64 {
     slc_analysis::fingerprint_str(&format!("{a:?}"))
 }
 
-fn compile_fp(a: &Result<crate::compile::CompileResult, LowerError>) -> u64 {
-    slc_analysis::fingerprint_str(&format!("{a:?}"))
-}
-
-fn sim_fp(a: &SimResult) -> u64 {
+fn cell_fp(a: &CellArtifact) -> u64 {
     slc_analysis::fingerprint_str(&format!("{a:?}"))
 }
 
@@ -555,8 +567,14 @@ pub struct CompileService {
     parse: KeyedStore<ParseArtifact>,
     slms: KeyedStore<PlanArtifact>,
     lir: KeyedStore<Result<LirProgram, LowerError>>,
-    compile: KeyedStore<Result<crate::compile::CompileResult, LowerError>>,
-    sim: KeyedStore<SimResult>,
+    /// one artifact per (program, machine, personality): compiled and
+    /// simulated in the same miss. Its lookups are the report's `compile`
+    /// statistics.
+    cells: KeyedStore<CellArtifact>,
+    /// the cell-store lookups whose artifact was simulated (every lookup but
+    /// those of cells that failed lowering): the report's `sim` statistics
+    simulated_hits: AtomicU64,
+    simulated_misses: AtomicU64,
     /// per-workload verification verdicts (filled only when a batch run
     /// gates; keyed by workload name so repeat runs overwrite)
     verify_stats: Mutex<BTreeMap<String, VerifySummary>>,
@@ -604,20 +622,26 @@ impl CompileService {
             parse: KeyedStore::bounded(capacity, Some(parse_fp)),
             slms: KeyedStore::bounded(capacity, Some(plan_fp)),
             lir: KeyedStore::bounded(capacity, Some(lir_fp)),
-            compile: KeyedStore::bounded(capacity, Some(compile_fp)),
-            sim: KeyedStore::bounded(capacity, Some(sim_fp)),
+            cells: KeyedStore::bounded(capacity, Some(cell_fp)),
             ..CompileService::default()
         }
     }
 
-    /// Snapshot cumulative cache statistics.
+    /// Snapshot cumulative cache statistics. `compile` and `sim` both count
+    /// cell-store lookups: `sim` only those whose artifact was simulated,
+    /// and the store's evictions and re-fingerprint checks count once,
+    /// under `compile`.
     pub fn cache_report(&self) -> CacheReport {
         CacheReport {
             parse: self.parse.stats(),
             slms: self.slms.stats(),
             lir: self.lir.stats(),
-            compile: self.compile.stats(),
-            sim: self.sim.stats(),
+            compile: self.cells.stats(),
+            sim: StoreStats {
+                hits: self.simulated_hits.load(Ordering::Relaxed),
+                misses: self.simulated_misses.load(Ordering::Relaxed),
+                ..StoreStats::default()
+            },
         }
     }
 
@@ -634,7 +658,7 @@ impl CompileService {
     }
 
     /// Start recording per-(stage, key) counter deltas alongside the
-    /// registry. Shard workers enable this so every plan- and sim-miss
+    /// registry. Shard workers enable this so every plan- and cell-miss
     /// delta can be shipped to the dispatcher tagged with the store key
     /// that produced it; [`CompileService::take_attribution`] drains what
     /// has accumulated.
@@ -996,44 +1020,30 @@ impl CompileService {
             ),
         };
 
-        // 3. schedule (cached per program × machine × personality; lowering
-        //    cached separately because it is machine-independent)
+        // 3. lower → schedule → simulate, one artifact per program × machine
+        //    × personality (lowering cached separately because it is
+        //    machine-independent). Only the loop facts and the simulation
+        //    result outlive the miss; the machine code is dropped in it.
         let compile_key =
             slc_analysis::fingerprint::combine(&[prog_fp, m.fingerprint(), kind.code()]);
         keys.compile = Some(compile_key);
         keys.lir = Some(prog_fp);
-        let compiled = self.compile.get_or_compute(compile_key, || {
+        let (cell, hit) = self.cells.get_or_compute_hit(compile_key, || {
             let lir = self.lir.get_or_compute(prog_fp, || {
                 let _sp = tracer.span("stage", "lower");
                 self.timed_wall("wall.lower_ns", || lower_program(prog))
             });
-            match lir.as_ref() {
-                Ok(l) => {
-                    let _sp = tracer.span("stage", "compile");
-                    Ok(self.timed_wall("wall.compile_ns", || compile_lir(l, m, kind)))
-                }
-                Err(e) => Err(e.clone()),
-            }
-        });
-        let comp = match compiled.as_ref() {
-            Ok(c) => c,
-            Err(e) => {
-                return (
-                    CellResult {
-                        id,
-                        outcome: Err(format!("lower: {e}")),
-                    },
-                    keys,
-                );
-            }
-        };
-
-        // 4. simulate (cached under the same key as the schedule)
-        keys.sim = Some(compile_key);
-        let sim = self.sim.get_or_compute(compile_key, || {
+            let lir = match lir.as_ref() {
+                Ok(l) => l,
+                Err(e) => return Err(e.clone()),
+            };
+            let comp = {
+                let _sp = tracer.span("stage", "compile");
+                self.timed_wall("wall.compile_ns", || compile_lir(lir, m, kind))
+            };
             let _sp = tracer.span("stage", "simulate");
             FlightRecorder::global().record(RecKind::Enter, "sim.miss", compile_key, 0);
-            let result = self.timed_wall("wall.sim_ns", || {
+            let sim = self.timed_wall("wall.sim_ns", || {
                 let out = simulate_spanned(&comp.compiled, m, SimFidelity::Fast, tracer);
                 let mut delta = CounterRegistry::new();
                 delta.add("sim.cycles_total", out.result.cycles);
@@ -1053,9 +1063,31 @@ impl CompileService {
                 out.result
             });
             FlightRecorder::global().record(RecKind::Exit, "sim.miss", compile_key, 0);
-            result
+            Ok(SimulatedCell {
+                loops: comp.loops,
+                sim,
+            })
         });
-        let power = EnergyModel::default().report(&sim);
+        let SimulatedCell { loops, sim } = match cell.as_ref() {
+            Ok(c) => c,
+            Err(e) => {
+                return (
+                    CellResult {
+                        id,
+                        outcome: Err(format!("lower: {e}")),
+                    },
+                    keys,
+                );
+            }
+        };
+        keys.sim = Some(compile_key);
+        let simulated = if hit {
+            &self.simulated_hits
+        } else {
+            &self.simulated_misses
+        };
+        simulated.fetch_add(1, Ordering::Relaxed);
+        let power = EnergyModel::default().report(sim);
         cell_span.arg("cycles", sim.cycles);
 
         (
@@ -1071,7 +1103,7 @@ impl CompileService {
                     transformed,
                     slms_ii,
                     optimality_gaps,
-                    loops: comp.loops.clone(),
+                    loops: loops.clone(),
                 }),
             },
             keys,

@@ -31,7 +31,7 @@
 //!   distinct keys, which is schedule-independent, so the replay
 //!   reconstructs exactly what one process would have reported;
 //! * the deterministic counter registry is rebuilt from per-(stage, key)
-//!   miss deltas: a shard tags every plan- and sim-miss delta with the
+//!   miss deltas: a shard tags every plan- and cell-miss delta with the
 //!   store key that produced it, the reducer deduplicates by key (two
 //!   shards that both missed the same key computed identical deltas) and
 //!   sums — which is precisely the single-process registry, where each
@@ -1332,9 +1332,16 @@ mod tests {
     #[test]
     fn replay_reconstructs_cache_report() {
         // evaluate a small matrix serially, capture keys, replay — the
-        // replayed report must equal what the service itself counted
+        // replayed report must equal what the service itself counted. The
+        // workload that fails lowering has cell lookups without simulations.
+        let mut workloads = slc_workloads::paper_examples();
+        workloads.push(Workload {
+            name: "bad_while",
+            suite: Suite::Paper,
+            source: "float a[8]; int i; i = 0; while (i < 4) { a[i] = 1.0; i = i + 1; }",
+        });
         let cfg = BatchConfig {
-            workloads: slc_workloads::paper_examples(),
+            workloads,
             machines: vec![itanium2(), power4()],
             compilers: vec![CompilerKind::Weak, CompilerKind::Optimizing],
             slms: SlmsConfig::default(),
@@ -1356,6 +1363,7 @@ mod tests {
         assert_eq!(replayed.lir, real.lir);
         assert_eq!(replayed.compile, real.compile);
         assert_eq!(replayed.sim, real.sim);
+        assert_ne!(real.compile, real.sim);
     }
 
     #[test]
