@@ -1,6 +1,5 @@
 //! Read/write access extraction per multi-instruction.
 
-use slc_ast::visit::walk_expr;
 use slc_ast::{AssignOp, Expr, LValue, Stmt};
 
 /// One array element access inside an MI.
@@ -161,22 +160,6 @@ pub fn accesses_of_stmt(s: &Stmt) -> MiAccesses {
     let mut out = MiAccesses::default();
     collect_stmt(s, &mut out);
     out
-}
-
-/// All scalar variables appearing anywhere in the statement's expressions —
-/// convenience for invariance checks.
-pub fn all_scalars(s: &Stmt) -> Vec<String> {
-    let mut names = Vec::new();
-    slc_ast::visit::for_each_expr(s, true, &mut |e| {
-        walk_expr(e, &mut |n| {
-            if let Expr::Var(v) = n {
-                if !names.iter().any(|x| x == v) {
-                    names.push(v.clone());
-                }
-            }
-        });
-    });
-    names
 }
 
 #[cfg(test)]

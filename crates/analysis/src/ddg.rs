@@ -74,11 +74,6 @@ impl Ddg {
             .any(|e| e.dists.contains(&Distance::Unknown))
     }
 
-    /// All edges out of MI `k`.
-    pub fn out_edges(&self, k: usize) -> impl Iterator<Item = &DepEdge> {
-        self.edges.iter().filter(move |e| e.from == k)
-    }
-
     /// Whether MI `k` has a loop-carried self dependence (distance ≥ 1).
     pub fn has_self_carried(&self, k: usize) -> bool {
         self.edges.iter().any(|e| {

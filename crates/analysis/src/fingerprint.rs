@@ -49,20 +49,9 @@ impl Fnv64 {
         self.write(&v.to_le_bytes())
     }
 
-    /// Feed an `i64`.
-    pub fn write_i64(&mut self, v: i64) -> &mut Self {
-        self.write(&v.to_le_bytes())
-    }
-
     /// Feed a `usize` as `u64`.
     pub fn write_usize(&mut self, v: usize) -> &mut Self {
         self.write_u64(v as u64)
-    }
-
-    /// Feed an `f64` by bit pattern (the configs hashed here never hold
-    /// NaN, so bitwise identity is the right equality).
-    pub fn write_f64(&mut self, v: f64) -> &mut Self {
-        self.write(&v.to_bits().to_le_bytes())
     }
 
     /// Feed a bool.

@@ -25,7 +25,7 @@ use slc_trace::Json;
 #[derive(Debug, Clone, PartialEq)]
 pub enum DiagEvent {
     /// The §4 bad-case filter ran; the verdict carries the measured
-    /// `LS/(LS+AO)` ratio (or arithmetic density) and the threshold.
+    /// `LS/(LS+AO)` ratio and the threshold.
     FilterChecked {
         /// verdict with measured numbers
         verdict: FilterVerdict,
@@ -152,10 +152,6 @@ impl DiagEvent {
                         .field("verdict", "memref_ratio")
                         .field("ratio", *ratio)
                         .field("threshold", *threshold),
-                    FilterVerdict::LowArithDensity { density, min } => j
-                        .field("verdict", "low_arith_density")
-                        .field("density", *density)
-                        .field("min", *min),
                 }
             }
             DiagEvent::IfConverted => Json::obj().field("event", "if_converted"),

@@ -3,35 +3,15 @@
 //! SLMS can *reduce* performance when the loop is dominated by memory
 //! references: overlapping iterations then packs too many loads/stores into
 //! one row and the machine stalls on memory pressure. The paper's filter
-//! skips loops whose memory-ref ratio `LS / (LS + AO)` is ≥ 0.85; the
-//! conclusions add a second heuristic — loops with at least six arithmetic
-//! operations per array reference are almost never bad cases, so a
-//! *minimum* arithmetic density can be demanded. Both thresholds are
-//! machine-specific knobs in [`FilterConfig`].
+//! skips loops whose memory-ref ratio `LS / (LS + AO)` is at or above
+//! [`MAX_MEMREF_RATIO`].
 
 use slc_analysis::memref::op_counts;
 use slc_ast::Stmt;
 
-/// Thresholds of the bad-case filter.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FilterConfig {
-    /// Skip the loop when `LS/(LS+AO)` is at or above this value
-    /// (paper value: 0.85).
-    pub max_memref_ratio: f64,
-    /// When `Some(r)`, additionally require at least `r` arithmetic
-    /// operations per load/store (the conclusion's "six arithmetic
-    /// operations per array reference" rule, off by default).
-    pub min_arith_per_ref: Option<f64>,
-}
-
-impl Default for FilterConfig {
-    fn default() -> Self {
-        FilterConfig {
-            max_memref_ratio: 0.85,
-            min_arith_per_ref: None,
-        }
-    }
-}
+/// The paper's threshold: skip a loop whose `LS/(LS+AO)` is at or above
+/// this value.
+pub const MAX_MEMREF_RATIO: f64 = 0.85;
 
 /// Why a loop was rejected by the filter.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,15 +22,8 @@ pub enum FilterVerdict {
     MemRefRatio {
         /// measured ratio
         ratio: f64,
-        /// configured threshold
+        /// the threshold it met ([`MAX_MEMREF_RATIO`])
         threshold: f64,
-    },
-    /// Not enough arithmetic per memory reference.
-    LowArithDensity {
-        /// measured arithmetic ops per load/store
-        density: f64,
-        /// configured minimum
-        min: f64,
     },
 }
 
@@ -69,33 +42,18 @@ impl std::fmt::Display for FilterVerdict {
                 f,
                 "memory-ref ratio LS/(LS+AO) = {ratio:.3} ≥ threshold {threshold:.2}"
             ),
-            FilterVerdict::LowArithDensity { density, min } => write!(
-                f,
-                "arithmetic density {density:.3} ops/ref below minimum {min:.2}"
-            ),
         }
     }
 }
 
 /// Apply the §4 filter to a loop body.
-pub fn filter_loop(body: &[Stmt], var: &str, cfg: &FilterConfig) -> FilterVerdict {
-    let c = op_counts(body, var);
-    let ratio = c.memref_ratio();
-    if ratio >= cfg.max_memref_ratio {
+pub fn filter_loop(body: &[Stmt], var: &str) -> FilterVerdict {
+    let ratio = op_counts(body, var).memref_ratio();
+    if ratio >= MAX_MEMREF_RATIO {
         return FilterVerdict::MemRefRatio {
             ratio,
-            threshold: cfg.max_memref_ratio,
+            threshold: MAX_MEMREF_RATIO,
         };
-    }
-    if let Some(min) = cfg.min_arith_per_ref {
-        let density = if c.ls == 0 {
-            f64::INFINITY
-        } else {
-            c.ao as f64 / c.ls as f64
-        };
-        if density < min {
-            return FilterVerdict::LowArithDensity { density, min };
-        }
     }
     FilterVerdict::Pass
 }
@@ -108,30 +66,42 @@ mod tests {
     #[test]
     fn swap_loop_filtered() {
         let body = parse_stmts("CT = X[k][i]; X[k][i] = X[k][j] * 2.0; X[k][j] = CT;").unwrap();
-        let v = filter_loop(&body, "k", &FilterConfig::default());
+        let v = filter_loop(&body, "k");
         assert!(matches!(v, FilterVerdict::MemRefRatio { .. }), "{v:?}");
     }
 
     #[test]
     fn dot_product_passes() {
         let body = parse_stmts("t = A[i] * B[i]; s = s + t;").unwrap();
-        assert!(filter_loop(&body, "i", &FilterConfig::default()).passed());
+        assert!(filter_loop(&body, "i").passed());
     }
 
     #[test]
-    fn density_rule() {
-        let cfg = FilterConfig {
-            max_memref_ratio: 0.85,
-            min_arith_per_ref: Some(1.0),
-        };
-        // ratio 3/5 = 0.6 passes the memref filter, density 2/3 < 1 fails
-        let body = parse_stmts("A[i] = B[i] + C[i];").unwrap();
-        assert!(matches!(
-            filter_loop(&body, "i", &cfg),
-            FilterVerdict::LowArithDensity { .. }
-        ));
-        // 5 refs, 5 ops → density 1.0 passes
-        let body = parse_stmts("A[i] = B[i] * B[i] * B[i] + 2.0 * B[i] + 1.0;").unwrap();
-        assert!(filter_loop(&body, "i", &cfg).passed());
+    fn threshold_is_inclusive() {
+        // 5 LS + 3 AO, then six copies of 2 LS each: 17 / 20 = 0.85
+        let copies = "F[i] = G[i]; H[i] = J[i]; K[i] = L[i]; M[i] = N[i]; P[i] = Q[i];";
+        let at = parse_stmts(&format!(
+            "A[i] = B[i] + C[i] + D[i] + E[i]; {copies} R[i] = S[i];"
+        ))
+        .unwrap();
+        let c = op_counts(&at, "i");
+        assert_eq!((c.ls, c.ao), (17, 3));
+        assert_eq!(c.memref_ratio(), 17.0 / 20.0);
+        assert_eq!(
+            filter_loop(&at, "i"),
+            FilterVerdict::MemRefRatio {
+                ratio: 0.85,
+                threshold: MAX_MEMREF_RATIO
+            }
+        );
+        // one memory reference lighter: 16 / 19 ≈ 0.842 passes
+        let below = parse_stmts(&format!(
+            "A[i] = B[i] + C[i] + D[i] + E[i]; {copies} R[i] = 1.0;"
+        ))
+        .unwrap();
+        let c = op_counts(&below, "i");
+        assert_eq!((c.ls, c.ao), (16, 3));
+        assert!(c.memref_ratio() < MAX_MEMREF_RATIO);
+        assert!(filter_loop(&below, "i").passed());
     }
 }

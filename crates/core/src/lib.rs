@@ -38,7 +38,7 @@ pub use diag::{
 pub use emit::{emit, EmitOutput, ExpandVar, Expansion};
 pub use emit_symbolic::emit_symbolic_guarded;
 pub use extensions::{frequent_path_ms, unroll_while, FrequentPathOutput};
-pub use filter::{filter_loop, FilterConfig, FilterVerdict};
+pub use filter::{filter_loop, FilterVerdict};
 pub use ifconv::{if_convert, needs_if_conversion};
 pub use mii::{constraints_of, cycles_mii, placement_mii, Constraint};
 
@@ -47,7 +47,7 @@ use slc_analysis::{
     DepStats, Distance, LoopRange,
 };
 use slc_ast::{AssignOp, LValue, LoopId, Program, Stmt};
-use slc_trace::{FromJson, Hex, Json, Tracer};
+use slc_trace::{FromJson, Json, Tracer};
 use std::collections::HashSet;
 
 /// Which scheduler picks the MI ordering of the emitted body.
@@ -82,24 +82,17 @@ impl SchedulerKind {
     }
 }
 
-/// Configuration of the SLMS driver.
+/// Configuration of the SLMS driver: the settings callers choose. The
+/// §4 threshold ([`filter::MAX_MEMREF_RATIO`]), if-conversion, the
+/// symbolic-bounds guard and the decomposition bound are fixed steps of
+/// the algorithm.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SlmsConfig {
-    /// Bad-case filter thresholds (§4).
-    pub filter: FilterConfig,
     /// Whether to apply the bad-case filter at all (the figure-16/17 style
     /// ablations disable it to measure unfiltered behaviour).
     pub apply_filter: bool,
     /// How scalar/decomposition dependences are expanded away (§3.3–3.4).
     pub expansion: Expansion,
-    /// Apply source-level if-conversion to compound conditionals (§3.1).
-    pub if_conversion: bool,
-    /// Maximum number of decomposition rounds before giving up (§5 step 5).
-    pub max_decompositions: usize,
-    /// Transform unit-stride loops with *symbolic* bounds by emitting a
-    /// runtime-guarded version (pipeline only when the trip count exceeds
-    /// the depth). Expansion is forced off for such loops.
-    pub allow_symbolic_guard: bool,
     /// Which scheduler orders the MIs of the final body.
     pub scheduler: SchedulerKind,
 }
@@ -107,12 +100,8 @@ pub struct SlmsConfig {
 impl Default for SlmsConfig {
     fn default() -> Self {
         SlmsConfig {
-            filter: FilterConfig::default(),
             apply_filter: true,
             expansion: Expansion::Mve,
-            if_conversion: true,
-            max_decompositions: 8,
-            allow_symbolic_guard: true,
             scheduler: SchedulerKind::Heuristic,
         }
     }
@@ -126,29 +115,17 @@ impl SlmsConfig {
     /// method is caught by the exhaustive destructuring below.
     pub fn fingerprint(&self) -> u64 {
         let SlmsConfig {
-            filter,
             apply_filter,
             expansion,
-            if_conversion,
-            max_decompositions,
-            allow_symbolic_guard,
             scheduler,
         } = self;
         let mut h = slc_analysis::Fnv64::new();
-        h.write_f64(filter.max_memref_ratio);
-        match filter.min_arith_per_ref {
-            None => h.write_bool(false),
-            Some(r) => h.write_bool(true).write_f64(r),
-        };
         h.write_bool(*apply_filter);
         h.write_u64(match expansion {
             Expansion::Off => 0,
             Expansion::Mve => 1,
             Expansion::ScalarExpand => 2,
         });
-        h.write_bool(*if_conversion);
-        h.write_usize(*max_decompositions);
-        h.write_bool(*allow_symbolic_guard);
         h.write_u64(match scheduler {
             SchedulerKind::Heuristic => 0,
             SchedulerKind::Exact => 1,
@@ -157,12 +134,9 @@ impl SlmsConfig {
     }
 }
 
-/// Cache key for the SLMS artifact of a program under a configuration:
-/// the memoization boundary the batch engine uses for the expensive
-/// DDG-construction / MII / difMin iteration work inside [`slms_program`].
-pub fn slms_cache_key(program_fingerprint: u64, cfg: &SlmsConfig) -> u64 {
-    slc_analysis::fingerprint::combine(&[program_fingerprint, cfg.fingerprint()])
-}
+/// Decomposition rounds (§5 step 5) before the driver gives up with
+/// [`SlmsError::NoValidIi`]; a termination bound, not a tuning value.
+const MAX_DECOMPOSITIONS: usize = 8;
 
 /// Why SLMS declined or failed to transform a loop.
 #[derive(Debug, Clone, PartialEq)]
@@ -441,7 +415,7 @@ fn slms_loop_inner(
 
     if cfg.apply_filter {
         let mut span = tracer.span("slms", "slms.filter");
-        let verdict = filter_loop(&f.body, &f.var, &cfg.filter);
+        let verdict = filter_loop(&f.body, &f.var);
         span.arg("passed", verdict.passed());
         events.push(DiagEvent::FilterChecked {
             verdict: verdict.clone(),
@@ -455,11 +429,6 @@ fn slms_loop_inner(
     let mut body = f.body.clone();
     let mut if_converted = false;
     if needs_if_conversion(&body) {
-        if !cfg.if_conversion {
-            return Err(SlmsError::Analysis(AnalysisError::UnsupportedLoopForm(
-                "compound conditional without if-conversion".into(),
-            )));
-        }
         let conv = if_convert(&mut scratch, &body);
         body = conv.body;
         if_converted = true;
@@ -467,9 +436,9 @@ fn slms_loop_inner(
     }
 
     // Symbolic bounds: only the guarded, expansion-free path can handle
-    // them; bail out early when it is unavailable.
+    // them, and it needs a unit stride.
     let symbolic = f.trip_count().is_none();
-    if symbolic && (!cfg.allow_symbolic_guard || f.step.abs() != 1) {
+    if symbolic && f.step.abs() != 1 {
         return Err(SlmsError::SymbolicBounds);
     }
     if symbolic {
@@ -512,7 +481,7 @@ fn slms_loop_inner(
         if let Some(ii) = placement {
             break (ii, mis, expand, cons);
         }
-        if decomposed.len() >= cfg.max_decompositions {
+        if decomposed.len() >= MAX_DECOMPOSITIONS {
             push_deps_event(events, range.as_ref(), &dep_stats);
             return Err(SlmsError::NoValidIi);
         }
@@ -829,21 +798,11 @@ fn transform_stmts(
     out
 }
 
-/// The filter thresholds travel as their bit patterns ([`Hex`]), so every
-/// value, non-finite ones included, decodes to the bits that were encoded.
 impl From<&SlmsConfig> for Json {
     fn from(s: &SlmsConfig) -> Json {
         Json::obj()
-            .field("max_memref_ratio", Hex(s.filter.max_memref_ratio.to_bits()))
-            .field(
-                "min_arith_per_ref",
-                s.filter.min_arith_per_ref.map(|r| Hex(r.to_bits())),
-            )
             .field("apply_filter", s.apply_filter)
             .field("expansion", s.expansion.label())
-            .field("if_conversion", s.if_conversion)
-            .field("max_decompositions", s.max_decompositions)
-            .field("allow_symbolic_guard", s.allow_symbolic_guard)
             .field("scheduler", s.scheduler.label())
     }
 }
@@ -853,18 +812,9 @@ impl FromJson for SlmsConfig {
         let expansion: String = j.req("expansion")?;
         let scheduler: String = j.req("scheduler")?;
         Ok(SlmsConfig {
-            filter: FilterConfig {
-                max_memref_ratio: f64::from_bits(j.req::<Hex>("max_memref_ratio")?.0),
-                min_arith_per_ref: j
-                    .opt::<Hex>("min_arith_per_ref")?
-                    .map(|h| f64::from_bits(h.0)),
-            },
             apply_filter: j.req("apply_filter")?,
             expansion: Expansion::from_label(&expansion)
                 .ok_or_else(|| format!("unknown expansion `{expansion}`"))?,
-            if_conversion: j.req("if_conversion")?,
-            max_decompositions: j.req("max_decompositions")?,
-            allow_symbolic_guard: j.req("allow_symbolic_guard")?,
             scheduler: SchedulerKind::from_label(&scheduler)
                 .ok_or_else(|| format!("unknown scheduler `{scheduler}`"))?,
         })

@@ -92,16 +92,6 @@ pub enum BinKind {
     Not,
 }
 
-impl BinKind {
-    /// True for the compare/logic family (all integer-ALU class).
-    pub fn is_logic(&self) -> bool {
-        matches!(
-            self,
-            BinKind::Cmp(_) | BinKind::And | BinKind::Or | BinKind::Not
-        )
-    }
-}
-
 /// Operation payload.
 #[derive(Debug, Clone, PartialEq)]
 pub enum OpKind {

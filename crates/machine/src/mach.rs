@@ -117,18 +117,6 @@ impl MachineDesc {
         self.latency[Self::class_index(c)]
     }
 
-    /// Set the unit count of a class (builder helper).
-    pub fn with_units(mut self, c: OpClass, n: usize) -> Self {
-        self.units[Self::class_index(c)] = n;
-        self
-    }
-
-    /// Set the latency of a class (builder helper).
-    pub fn with_latency(mut self, c: OpClass, l: u32) -> Self {
-        self.latency[Self::class_index(c)] = l;
-        self
-    }
-
     /// Check the geometry the schedulers and the simulator rely on: the
     /// cache line size and set count are nonzero powers of two (the
     /// simulator splits addresses with shifts and masks), and the cache
@@ -284,20 +272,5 @@ impl FromJson for MachineDesc {
         };
         m.validate().map_err(|e| e.to_string())?;
         Ok(m)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_helpers() {
-        let m = MachineDesc::default()
-            .with_units(OpClass::Mem, 3)
-            .with_latency(OpClass::FpDiv, 20);
-        assert_eq!(m.units_of(OpClass::Mem), 3);
-        assert_eq!(m.latency_of(OpClass::FpDiv), 20);
-        assert_eq!(m.units_of(OpClass::Branch), 1);
     }
 }

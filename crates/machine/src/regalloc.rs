@@ -68,13 +68,6 @@ pub fn spills(pressure: usize, arch_regs: usize) -> SpillInfo {
     }
 }
 
-/// Combine ops from a loop body into the pressure measure used for the
-/// pipelined (IMS) path, where the scheduler already reports a
-/// versions-adjusted pressure.
-pub fn pipelined_spills(reg_pressure: usize, arch_regs: usize) -> SpillInfo {
-    spills(reg_pressure, arch_regs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@
 //!
 //! [`fn@compile`] builds simulatable programs; [`experiments`] compiles and
 //! simulates one program serially (the §6/§7 case studies); [`passes`]
-//! wraps SLMS and every §6 transformation behind one [`Pass`] signature
+//! wraps SLMS and every §6 transformation behind one [`PassManager`]
 //! driven by parseable [`PassPlan`]s; [`explain`] renders their per-loop
 //! decision traces; [`batch`] evaluates the whole workload × machine ×
 //! personality matrix concurrently with memoization of every shared
@@ -42,9 +42,7 @@ pub use explain::{
     explain_workload_json,
 };
 pub use par::{effective_threads, par_map_indexed, par_map_indexed_stats, WorkerStats};
-pub use passes::{
-    CompiledPass, Pass, PassError, PassManager, PassPlan, PassSpec, PlanParseError, PLAN_SYNTAX,
-};
+pub use passes::{PassError, PassManager, PassPlan, PassSpec, PlanParseError, PLAN_SYNTAX};
 pub use service::{
     verify_report, CellKeys, CellSpec, CompileOutcome, CompileService, KeyedDelta, PassTiming,
     ServiceError, StageNs, VerifyOutcome, VerifySummary,

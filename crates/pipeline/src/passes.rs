@@ -14,12 +14,10 @@
 //!   memoizes transformed programs under *(program, plan)* keys, so two
 //!   plans that differ anywhere (shape, order, arguments, SLMS config)
 //!   never share a cache entry;
-//! * every pass implements the [`Pass`] trait
-//!   (`apply(&Program, &mut DiagSink) -> Result<Program, PassError>`),
-//!   appending structured per-loop diagnostics to the sink as it runs;
-//! * the [`PassManager`] compiles a plan against a base [`SlmsConfig`] and
-//!   runs it, producing the transformed program plus the full decision
-//!   trace (rendered by `slc explain`).
+//! * the [`PassManager`] runs a plan against a base [`SlmsConfig`], one
+//!   pass at a time, each appending structured per-loop diagnostics to a
+//!   [`DiagSink`] as it runs, producing the transformed program plus the
+//!   full decision trace (rendered by `slc explain`).
 //!
 //! Statement-level transforms address loops by their index among the
 //! program's **top-level** `for` statements, in source order, as the plan
@@ -29,7 +27,7 @@
 //! user-directed and must apply — while SLMS declining a loop is *not* an
 //! error: the loop stays, and the reason lands in the diagnostics.
 
-use slc_ast::{parse_program, Program, Stmt};
+use slc_ast::{Program, Stmt};
 use slc_core::diag::{DiagSink, PassArtifact, PassDiag};
 use slc_core::{slms_program_spanned, SchedulerKind, SlmsConfig};
 use slc_trace::Tracer;
@@ -390,18 +388,6 @@ impl std::fmt::Display for PassError {
 
 impl std::error::Error for PassError {}
 
-/// One executable pass: the uniform signature the whole SLC pipeline is
-/// driven through.
-pub trait Pass {
-    /// Plan-syntax name (`fuse:0+1`, `slms:nofilter`).
-    fn name(&self) -> String;
-    /// Stable fingerprint of the pass (feeds the plan fingerprint).
-    fn fingerprint(&self) -> u64;
-    /// Apply to a program; append diagnostics (and the pass's wall clock)
-    /// to the sink. Must leave `prog` untouched on failure.
-    fn apply(&self, prog: &Program, sink: &mut DiagSink) -> Result<Program, PassError>;
-}
-
 fn resolve_slms(base: &SlmsConfig, no_filter: bool) -> SlmsConfig {
     let mut cfg = base.clone();
     if no_filter {
@@ -426,15 +412,36 @@ fn top_loop_positions(prog: &Program) -> Vec<usize> {
         .collect()
 }
 
-/// A [`PassSpec`] compiled against a base SLMS configuration.
-#[derive(Debug, Clone)]
-pub struct CompiledPass {
-    spec: PassSpec,
-    slms: SlmsConfig,
-    tracer: Tracer,
+/// One [`PassSpec`] of a plan, bound to the base SLMS configuration and
+/// tracer of the [`PassManager`] that runs it.
+struct Step<'a> {
+    spec: &'a PassSpec,
+    slms: &'a SlmsConfig,
+    tracer: &'a Tracer,
 }
 
-impl CompiledPass {
+impl Step<'_> {
+    fn name(&self) -> String {
+        self.spec.to_string()
+    }
+
+    /// Apply to a program; append diagnostics (and the pass's wall clock)
+    /// to the sink. Leaves `prog` untouched on failure.
+    fn apply(&self, prog: &Program, sink: &mut DiagSink) -> Result<Program, PassError> {
+        let mut span = self
+            .tracer
+            .span_dyn("pass", || format!("pass {}", self.name()));
+        let idx = sink.begin_pass(self.name());
+        let t0 = Instant::now();
+        let result = self.apply_inner(prog, sink.pass_mut(idx));
+        sink.pass_mut(idx).elapsed_ns = t0.elapsed().as_nanos() as u64;
+        if let Err(e) = &result {
+            sink.pass_mut(idx).notes.push(format!("FAILED: {e}"));
+        }
+        span.arg("ok", result.is_ok());
+        result
+    }
+
     fn target_pos(&self, prog: &Program, index: usize) -> Result<usize, PassError> {
         let loops = top_loop_positions(prog);
         loops
@@ -464,10 +471,10 @@ impl CompiledPass {
     }
 
     fn apply_inner(&self, prog: &Program, diag: &mut PassDiag) -> Result<Program, PassError> {
-        match &self.spec {
+        match self.spec {
             PassSpec::Slms { no_filter } => {
-                let cfg = resolve_slms(&self.slms, *no_filter);
-                let (out, outcomes) = slms_program_spanned(prog, &cfg, &self.tracer);
+                let cfg = resolve_slms(self.slms, *no_filter);
+                let (out, outcomes) = slms_program_spanned(prog, &cfg, self.tracer);
                 let ok = outcomes.iter().filter(|o| o.result.is_ok()).count();
                 diag.notes.push(format!(
                     "{ok} of {} innermost loop(s) pipelined",
@@ -477,8 +484,8 @@ impl CompiledPass {
                 Ok(out)
             }
             PassSpec::Exact { no_filter } => {
-                let cfg = resolve_exact(&self.slms, *no_filter);
-                let (out, outcomes) = slms_program_spanned(prog, &cfg, &self.tracer);
+                let cfg = resolve_exact(self.slms, *no_filter);
+                let (out, outcomes) = slms_program_spanned(prog, &cfg, self.tracer);
                 let ok = outcomes.iter().filter(|o| o.result.is_ok()).count();
                 for o in &outcomes {
                     if let Ok(r) = &o.result {
@@ -600,35 +607,7 @@ impl CompiledPass {
     }
 }
 
-impl Pass for CompiledPass {
-    fn name(&self) -> String {
-        self.spec.to_string()
-    }
-
-    fn fingerprint(&self) -> u64 {
-        PassPlan {
-            specs: vec![self.spec.clone()],
-        }
-        .fingerprint(&self.slms)
-    }
-
-    fn apply(&self, prog: &Program, sink: &mut DiagSink) -> Result<Program, PassError> {
-        let mut span = self
-            .tracer
-            .span_dyn("pass", || format!("pass {}", self.name()));
-        let idx = sink.begin_pass(self.name());
-        let t0 = Instant::now();
-        let result = self.apply_inner(prog, sink.pass_mut(idx));
-        sink.pass_mut(idx).elapsed_ns = t0.elapsed().as_nanos() as u64;
-        if let Err(e) = &result {
-            sink.pass_mut(idx).notes.push(format!("FAILED: {e}"));
-        }
-        span.arg("ok", result.is_ok());
-        result
-    }
-}
-
-/// Compiles plans against a base SLMS configuration and runs them.
+/// Runs plans against a base SLMS configuration.
 #[derive(Debug, Clone, Default)]
 pub struct PassManager {
     /// base SLMS configuration `slms` passes run with (modifiers like
@@ -653,20 +632,6 @@ impl PassManager {
     pub fn with_tracer(mut self, tracer: Tracer) -> Self {
         self.tracer = tracer;
         self
-    }
-
-    /// Compile a plan into executable passes.
-    pub fn compile(&self, plan: &PassPlan) -> Vec<Box<dyn Pass>> {
-        plan.specs
-            .iter()
-            .map(|spec| {
-                Box::new(CompiledPass {
-                    spec: spec.clone(),
-                    slms: self.slms.clone(),
-                    tracer: self.tracer.clone(),
-                }) as Box<dyn Pass>
-            })
-            .collect()
     }
 
     /// Run a plan over a program. Returns the transformed program and the
@@ -704,10 +669,15 @@ impl PassManager {
         let mut sink = DiagSink::new();
         let mut cur = prog.clone();
         let mut verdicts = Vec::new();
-        for (spec, pass) in plan.specs.iter().zip(self.compile(plan)) {
+        for spec in &plan.specs {
             let is_sched = matches!(spec, PassSpec::Slms { .. } | PassSpec::Exact { .. });
             let pre = (verify && is_sched).then(|| cur.clone());
-            cur = pass.apply(&cur, &mut sink)?;
+            let step = Step {
+                spec,
+                slms: &self.slms,
+                tracer: &self.tracer,
+            };
+            cur = step.apply(&cur, &mut sink)?;
             if let Some(pre) = pre {
                 let cfg = match spec {
                     PassSpec::Slms { no_filter } => resolve_slms(&self.slms, *no_filter),
@@ -723,18 +693,12 @@ impl PassManager {
         }
         Ok((cur, sink, verdicts))
     }
-
-    /// Parse-and-run convenience for CLI-style entry points.
-    pub fn run_source(&self, src: &str, plan: &PassPlan) -> Result<(Program, DiagSink), String> {
-        let prog = parse_program(src).map_err(|e| e.to_string())?;
-        self.run(&prog, plan).map_err(|e| e.to_string())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slc_ast::to_source;
+    use slc_ast::{parse_program, to_source};
     use slc_core::slms_program;
 
     fn plan(s: &str) -> PassPlan {

@@ -6,7 +6,7 @@
 //! schema constant [`PROTO_SCHEMA`], which the `stats` response echoes.
 //!
 //! The sharded batch tier speaks a sibling NDJSON protocol over worker
-//! pipes (`slc-shard-proto-v2`, `slc_pipeline::shard`) with the same
+//! pipes (`slc-shard-proto-v3`, `slc_pipeline::shard`) with the same
 //! framing discipline — one line, one typed object, malformed input is a
 //! protocol fault rather than a wedge. They are deliberately separate
 //! schemas: this one is request/response for interactive clients, that

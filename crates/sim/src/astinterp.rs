@@ -501,30 +501,9 @@ pub fn run_in_env(prog: &Program, env: &mut Env) -> Result<(), RuntimeError> {
     crate::fastinterp::run_resolved(&rp, env, DEFAULT_BUDGET)
 }
 
-/// [`run_in_env`] with a wall-clock span (category `"interp"`, name
-/// `interp.run`) on `tracer` and the number of interpreter steps executed
-/// (the deterministic "statements simulated" measure) returned on success.
-/// Semantics are identical to [`run_in_env`].
-pub fn run_in_env_spanned(
-    prog: &Program,
-    env: &mut Env,
-    tracer: &slc_trace::Tracer,
-) -> Result<u64, RuntimeError> {
-    let mut span = tracer.span("interp", "interp.run");
-    for d in &prog.decls {
-        env.declare(d);
-    }
-    let rp = crate::fastinterp::resolve(prog);
-    let out = crate::fastinterp::run_resolved_counted(&rp, env, DEFAULT_BUDGET);
-    if let Ok(steps) = &out {
-        span.arg("steps", *steps);
-    }
-    out
-}
-
 /// [`run_in_env`] via the original tree-walking interpreter. Kept as the
-/// reference implementation: the differential tests and the interpreter
-/// throughput benchmark run both paths and hold them equal.
+/// reference implementation: the differential tests in
+/// [`fastinterp`](crate::fastinterp) run both paths and hold them equal.
 pub fn run_in_env_tree(prog: &Program, env: &mut Env) -> Result<(), RuntimeError> {
     for d in &prog.decls {
         env.declare(d);

@@ -523,18 +523,6 @@ impl Frame<'_> {
 /// walk's partial-state-on-error behaviour. Scalars are copied in and the
 /// touched slots written back.
 pub fn run_resolved(rp: &ResolvedProgram, env: &mut Env, budget: u64) -> Result<(), RuntimeError> {
-    run_resolved_counted(rp, env, budget).map(|_| ())
-}
-
-/// [`run_resolved`] returning the number of budget steps consumed (the
-/// deterministic "statements simulated" measure: one unit per statement
-/// executed plus one per loop-condition re-check, exactly the accounting
-/// the budget uses).
-pub fn run_resolved_counted(
-    rp: &ResolvedProgram,
-    env: &mut Env,
-    budget: u64,
-) -> Result<u64, RuntimeError> {
     let mut frame = Frame {
         prog: rp,
         scalars: (0..rp.scalars.len() as u32)
@@ -549,7 +537,6 @@ pub fn run_resolved_counted(
         steps_left: budget,
     };
     let out = frame.exec_block(&rp.stmts).map(|_| ());
-    let steps_used = budget - frame.steps_left;
     // write the frame back whatever happened
     for (i, v) in frame.scalars.iter().enumerate() {
         if let Some(v) = v {
@@ -563,7 +550,7 @@ pub fn run_resolved_counted(
                 .insert(rp.arrays.resolve(Symbol(i as u32)).to_string(), a);
         }
     }
-    out.map(|()| steps_used)
+    out
 }
 
 #[cfg(test)]

@@ -28,13 +28,11 @@ pub mod fastinterp;
 pub mod power;
 pub mod presets;
 
-pub use astinterp::{
-    equivalent, random_env, run_in_env_spanned, run_program, Env, RuntimeError, Value,
-};
+pub use astinterp::{equivalent, random_env, run_program, Env, RuntimeError, Value};
 pub use cycle::{
     simulate, simulate_spanned, simulate_with, CacheStats, CompiledProgram, FfStats, Seg,
     SimFidelity, SimLoop, SimOutcome, SimResult,
 };
-pub use fastinterp::{resolve, run_resolved, run_resolved_counted, ResolvedProgram};
+pub use fastinterp::{resolve, run_resolved, ResolvedProgram};
 pub use power::{EnergyModel, PowerReport};
 pub use presets::{arm7tdmi, itanium2, pentium, power4};

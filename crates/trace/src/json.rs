@@ -568,7 +568,7 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     }
 }
 
-/// A full-range `u64` (a store key, a fingerprint, a float's bit pattern)
+/// A full-range `u64` (a store key, a fingerprint, a trace id)
 /// on the wire: exactly 16 lowercase hex digits, the form trace ids take.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hex(pub u64);

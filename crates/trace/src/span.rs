@@ -36,7 +36,7 @@ pub const SPAN_DUMP_SCHEMA: &str = "slc-span-dump-v1";
 /// `trace_id` names the trace (a whole `slc batch --shards N` run, or one
 /// daemon request); `parent_span` is the caller-side span the remote work
 /// hangs under (0 = root). Both travel on the wire as 16-digit hex strings
-/// — in `slc-serve-proto-v1` requests and in the `slc-shard-proto-v1`
+/// — in `slc-serve-proto-v1` requests and in the `slc-shard-proto-v3`
 /// `init` message — and the Chrome exporter stamps the merged document's
 /// `otherData.trace_id` with it, so a stitched multi-process trace provably
 /// belongs to one trace id.

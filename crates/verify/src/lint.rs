@@ -85,11 +85,6 @@ pub fn lint_program(prog: &Program) -> Vec<Lint> {
     out
 }
 
-/// True when no finding is an error.
-pub fn lints_clean(lints: &[Lint]) -> bool {
-    lints.iter().all(|l| l.severity != LintSeverity::Error)
-}
-
 // ── L001: maybe-uninitialized scalar reads ─────────────────────────────
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -85,11 +85,6 @@ impl Workload {
     }
 }
 
-/// Problem size shared by the suites.
-pub fn problem_size() -> usize {
-    1000
-}
-
 /// Livermore kernels (subset exercised by the paper's figures).
 pub fn livermore() -> Vec<Workload> {
     vec![

@@ -86,7 +86,7 @@
 //!   --shards <N>                   evaluate the matrix across N worker
 //!                                  *processes* (fork/exec of this binary in
 //!                                  a hidden `batch-shard` mode, NDJSON
-//!                                  pipes, schema `slc-shard-proto-v2`).
+//!                                  pipes, schema `slc-shard-proto-v3`).
 //!                                  The canonical report, counters and
 //!                                  report file are byte-identical to the
 //!                                  in-process engine for every N; the
@@ -1100,7 +1100,7 @@ fn serve_main(mut args: Args) -> ! {
 }
 
 /// Hidden worker mode spawned by `slc batch --shards N` (and the
-/// fault-injection tests); speaks slc-shard-proto-v2 on stdio. Its parsing
+/// fault-injection tests); speaks slc-shard-proto-v3 on stdio. Its parsing
 /// is lenient: unknown arguments and unparsable values are ignored.
 fn batch_shard_main(mut args: Args) -> ! {
     let mut fail_after = None;

@@ -86,7 +86,7 @@ fn filter_rejections_carry_the_measured_ratio() {
         if text.contains("filter: REJECTED") {
             saw_filtered = true;
             assert!(
-                text.contains("memory-ref ratio LS/(LS+AO)") || text.contains("arithmetic density"),
+                text.contains("memory-ref ratio LS/(LS+AO)"),
                 "{}: rejection without measured numbers:\n{text}",
                 w.name
             );
