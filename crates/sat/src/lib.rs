@@ -717,21 +717,25 @@ pub fn solve_subset(clauses: &[Vec<Lit>], keep: &[usize]) -> Outcome {
 /// an unsat core of `clauses`. This is [`minimize_core_with`] with no
 /// model finder, and the oracle it is tested against.
 pub fn minimize_core(clauses: &[Vec<Lit>], core: &[usize]) -> Vec<usize> {
-    minimize_core_with(clauses, core, |_| None)
+    minimize_core_with(clauses, core, |_, _| None)
 }
 
 /// [`minimize_core`] with a cheap way to settle satisfiable trials. Before
 /// each sub-solve, `find` is asked for a model of the trial (clause ids
-/// into `clauses`, ascending). When it returns one that [`check_model`]
-/// accepts on every clause of the trial, the trial is satisfiable and no
-/// solver runs. Otherwise, a rejected model or `None`, the trial is solved
-/// from scratch exactly as in [`minimize_core`]. A checked model proves the
-/// verdict the solver would have reached, and every unsatisfiable trial
-/// still takes the solver's core, so the result is `minimize_core`'s
-/// whatever `find` returns; only the number of sub-solves changes.
+/// into `clauses`, ascending) and told the id of the clause the trial
+/// drops from the working core. The working core is always
+/// unsatisfiable, so every model of the trial falsifies the dropped
+/// clause: a finder may start its search from that. When `find` returns a
+/// model that [`check_model`] accepts on every clause of the trial, the
+/// trial is satisfiable and no solver runs. Otherwise, a rejected model or
+/// `None`, the trial is solved from scratch exactly as in
+/// [`minimize_core`]. A checked model proves the verdict the solver would
+/// have reached, and every unsatisfiable trial still takes the solver's
+/// core, so the result is `minimize_core`'s whatever `find` returns; only
+/// the number of sub-solves changes.
 pub fn minimize_core_with<F>(clauses: &[Vec<Lit>], core: &[usize], mut find: F) -> Vec<usize>
 where
-    F: FnMut(&[usize]) -> Option<Vec<bool>>,
+    F: FnMut(&[usize], usize) -> Option<Vec<bool>>,
 {
     let mut cur: Vec<usize> = core.to_vec();
     cur.sort_unstable();
@@ -740,8 +744,8 @@ where
     while i < cur.len() {
         trial.clear();
         trial.extend(cur[..i].iter().chain(&cur[i + 1..]));
-        let settled =
-            find(&trial).is_some_and(|m| trial.iter().all(|&id| satisfies(&m, &clauses[id])));
+        let settled = find(&trial, cur[i])
+            .is_some_and(|m| trial.iter().all(|&id| satisfies(&m, &clauses[id])));
         if settled {
             i += 1;
             continue;

@@ -108,6 +108,9 @@ fn minimizes_to_a_minimal_subset(clauses: &[Vec<Lit>], start: &[usize]) -> TestC
 /// change the core. Minimization starts from the whole clause set: the
 /// solver's own cores on these instances are nearly always minimal
 /// already, and a minimal core has no unsatisfiable trial to get wrong.
+/// One more finder checks what it is told: `dropped` is exactly the
+/// working-core clause the trial leaves out, and every model of the trial
+/// falsifies it.
 fn finders_never_change_the_core(clauses: &[Vec<Lit>]) -> TestCaseResult {
     if brute_force(8, clauses).is_some() {
         return Ok(());
@@ -119,10 +122,13 @@ fn finders_never_change_the_core(clauses: &[Vec<Lit>]) -> TestCaseResult {
         brute_force(8, &subset)
     };
     let guess = |trial: &[usize]| model_of(trial).unwrap_or_else(|| vec![false; 8]);
-    prop_assert_eq!(minimize_core_with(clauses, &core, |_| None), plain);
-    prop_assert_eq!(minimize_core_with(clauses, &core, model_of), plain);
+    prop_assert_eq!(minimize_core_with(clauses, &core, |_, _| None), plain);
     prop_assert_eq!(
-        minimize_core_with(clauses, &core, |trial| {
+        minimize_core_with(clauses, &core, |trial, _| model_of(trial)),
+        plain
+    );
+    prop_assert_eq!(
+        minimize_core_with(clauses, &core, |trial, _| {
             let mut m = guess(trial);
             m[trial.len() % 8] ^= true;
             Some(m)
@@ -130,13 +136,48 @@ fn finders_never_change_the_core(clauses: &[Vec<Lit>]) -> TestCaseResult {
         plain
     );
     prop_assert_eq!(
-        minimize_core_with(clauses, &core, |trial| Some(guess(trial)[..4].to_vec())),
+        minimize_core_with(clauses, &core, |trial, _| Some(guess(trial)[..4].to_vec())),
         plain
     );
     prop_assert_eq!(
-        minimize_core_with(clauses, &core, |_| Some(vec![true; 8])),
+        minimize_core_with(clauses, &core, |_, _| Some(vec![true; 8])),
         plain
     );
+
+    // the working core is the trial plus `dropped`: replay it (a settled
+    // trial keeps it, a refuted one takes the sub-solve's core, as
+    // `minimize_core` does) and compare
+    let mut working = core.clone();
+    let mut bad: Option<String> = None;
+    let told = minimize_core_with(clauses, &core, |trial, dropped| {
+        let missing: Vec<usize> = working
+            .iter()
+            .copied()
+            .filter(|id| !trial.contains(id))
+            .collect();
+        if bad.is_none() && (missing != [dropped] || trial.len() + 1 != working.len()) {
+            bad = Some(format!(
+                "trial {trial:?} of working core {working:?}: told {dropped}, missing {missing:?}"
+            ));
+        }
+        let model = model_of(trial);
+        match &model {
+            Some(m) if check_model(m, &clauses[dropped..=dropped]) && bad.is_none() => {
+                bad = Some(format!(
+                    "a model of trial {trial:?} satisfies dropped {dropped}"
+                ));
+            }
+            Some(_) => {}
+            None => {
+                if let Outcome::Unsat(smaller) = solve_subset(clauses, trial) {
+                    working = smaller;
+                }
+            }
+        }
+        model
+    });
+    prop_assert!(bad.is_none(), "{}", bad.unwrap_or_default());
+    prop_assert_eq!(told, plain);
     Ok(())
 }
 

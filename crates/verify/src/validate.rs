@@ -18,7 +18,11 @@
 //!    iteration;
 //! 4. **dependences** — every edge of the original body's DDG, at every
 //!    recorded distance, is executed source-before-sink under the global
-//!    time map `(region, pass, row, member)`;
+//!    time map `(region, pass, row, member)`. Where both instances of an
+//!    edge are kernel instances the check repeats every `unroll`
+//!    iterations (one pass later, same rows), so one kernel period of
+//!    that window decides all of it; every prologue, residual and
+//!    epilogue iteration is still checked (see `dependence_iters`);
 //! 5. **renaming** — MVE kernel copies use the statically-known residue
 //!    `(off_k + copy) mod p` of each version rotation, scalar-expansion
 //!    subscripts index exactly iteration `j`'s cell, and live-out values of
@@ -74,6 +78,98 @@ fn stmt_str(s: &Stmt) -> String {
 /// `(region, major, row, member)` with region 0 = prologue, 1 = kernel,
 /// 2 = residual/epilogue.
 type Time = (u8, i64, i64, i64);
+
+/// The global time of every statement instance of one emission: kernel
+/// instances from the §5 placement, constant instances (prologue,
+/// residual, epilogue) from their matched emitted positions.
+struct Timeline {
+    ii: i64,
+    unroll: i64,
+    /// Iterations each MI spends in the kernel: `passes · unroll`.
+    span: i64,
+    /// Per MI: `(offset, kernel row, position among the row's members)`.
+    place: Vec<(i64, i64, i64)>,
+    times: HashMap<(usize, i64), Time>,
+}
+
+impl Timeline {
+    /// Time of instance `(k, j)`; `None` for an instance the emission lacks.
+    /// Iteration `j` of MI `k` runs in the kernel when
+    /// `off_k ≤ j < off_k + passes·unroll`, in pass `(j − off_k) / unroll`
+    /// of copy `(j − off_k) mod unroll`.
+    fn time_of(&self, k: usize, j: i64) -> Option<Time> {
+        let (jo, row, member) = self.place[k];
+        if j >= jo && j < jo + self.span {
+            let jj = j - jo;
+            Some((
+                1,
+                jj / self.unroll,
+                jj % self.unroll * self.ii + row,
+                member,
+            ))
+        } else {
+            self.times.get(&(k, j)).copied()
+        }
+    }
+
+    /// The iterations `j` the dependence `u → v` at distance `d` is checked
+    /// at: [`dependence_iters`] over the window where both of its instances
+    /// are kernel instances.
+    fn dependence_iters(
+        &self,
+        u: usize,
+        v: usize,
+        d: i64,
+        t_count: i64,
+    ) -> impl Iterator<Item = i64> {
+        let window = kernel_window(self.place[u].0, self.place[v].0, d, self.span);
+        dependence_iters(window, self.unroll, t_count - d)
+    }
+}
+
+/// The iterations `j` at which the source instance `(u, j)` and the sink
+/// instance `(v, j + d)` of a dependence are both kernel instances, for
+/// MIs at offsets `off_u` and `off_v` that each spend `span` iterations
+/// in the kernel. Empty when the two kernel ranges do not overlap.
+fn kernel_window(off_u: i64, off_v: i64, d: i64, span: i64) -> std::ops::Range<i64> {
+    off_u.max(off_v - d)..off_u.min(off_v - d) + span
+}
+
+/// The iterations of `0..end` a dependence must be checked at to find its
+/// first violation: everything outside the kernel `window`, and only the
+/// window's first `unroll` iterations inside it, in ascending order.
+///
+/// Inside the window the check is periodic. Moving `j` to `j + unroll`
+/// moves both instances one kernel pass later and leaves their rows and
+/// row positions unchanged, so both times gain 1 in the pass field and
+/// `t_u ≥ t_v` keeps its answer. A violation at a skipped `j` therefore
+/// recurs at `j − m·unroll`, a kept iteration inside the window, which
+/// the ascending scan reaches first.
+fn dependence_iters(
+    window: std::ops::Range<i64>,
+    unroll: i64,
+    end: i64,
+) -> impl Iterator<Item = i64> {
+    let period_end = window.start + unroll;
+    (0..period_end.min(end)).chain(window.end.max(period_end)..end)
+}
+
+/// The first `j` in `iters` at which the source instance of iteration `j`
+/// does not precede the sink instance of iteration `j + d`, with the two
+/// times. A missing instance is skipped: it is reported already.
+fn first_violation(
+    timeline: &Timeline,
+    u: usize,
+    v: usize,
+    d: i64,
+    iters: impl IntoIterator<Item = i64>,
+) -> Option<(i64, Time, Time)> {
+    iters.into_iter().find_map(|j| {
+        let tu = timeline.time_of(u, j)?;
+        let tv = timeline.time_of(v, j + d)?;
+        (tu >= tv).then_some((j, tu, tv))
+    })
+}
 
 /// Per-variable renaming plan reconstructed from the report.
 enum Plan {
@@ -484,21 +580,18 @@ pub fn verify_emission(
     match_region(consts, &expected_post, 2, "residual/epilogue");
 
     // Kernel instance times from the (already verified) placement.
-    let row_of = |k: usize| k as i64 + ii * off(k) - (n as i64 - ii);
-    let member_pos = |k: usize| -> i64 {
-        let r = row_of(k) as usize;
-        rows[r].iter().position(|&x| x == k).unwrap_or(0) as i64
-    };
-    let time_of = |k: usize, j: i64, times: &HashMap<(usize, i64), Time>| -> Option<Time> {
-        let jo = off(k);
-        if j >= jo && j < jo + passes * unroll {
-            let jj = j - jo;
-            let t = jj / unroll;
-            let c = jj % unroll;
-            Some((1, t, c * ii + row_of(k), member_pos(k)))
-        } else {
-            times.get(&(k, j)).copied()
-        }
+    let timeline = Timeline {
+        ii,
+        unroll,
+        span: passes * unroll,
+        place: (0..n)
+            .map(|k| {
+                let row = k as i64 + ii * off(k) - (n as i64 - ii);
+                let member = rows[row as usize].iter().position(|&x| x == k);
+                (off(k), row, member.unwrap_or(0) as i64)
+            })
+            .collect(),
+        times,
     };
 
     // ---- dependence obligations -------------------------------------------
@@ -602,44 +695,35 @@ pub fn verify_emission(
                 }
                 None => d,
             };
-            let mut edge_ok = true;
-            for j in 0..t_count - d_eff {
-                let (Some(tu), Some(tv)) =
-                    (time_of(e.from, j, &times), time_of(e.to, j + d_eff, &times))
-                else {
-                    continue; // instance missing — already reported
-                };
-                if tu >= tv {
-                    v.push(Violation::DependenceViolated {
-                        from: e.from,
-                        to: e.to,
-                        kind: format!("{:?}", e.kind),
-                        dist: d_eff,
-                        at_iter: j,
-                        detail: format!(
-                            "{:?} dependence MI{} →(d={}) MI{}{}: source instance of \
-                             iteration {} at time {:?} does not precede sink instance of \
-                             iteration {} at time {:?}",
-                            e.kind,
-                            e.from,
-                            d_eff,
-                            e.to,
-                            e.scalar
-                                .as_ref()
-                                .map(|s| format!(" on `{s}`"))
-                                .unwrap_or_default(),
-                            j,
-                            tu,
-                            j + d_eff,
-                            tv
-                        ),
-                    });
-                    edge_ok = false;
-                    break;
-                }
-            }
-            if edge_ok {
-                obligations += 1;
+            #[cfg(test)]
+            tests::check_against_full_scan(&timeline, e.from, e.to, d_eff, t_count);
+            let iters = timeline.dependence_iters(e.from, e.to, d_eff, t_count);
+            match first_violation(&timeline, e.from, e.to, d_eff, iters) {
+                None => obligations += 1,
+                Some((j, tu, tv)) => v.push(Violation::DependenceViolated {
+                    from: e.from,
+                    to: e.to,
+                    kind: format!("{:?}", e.kind),
+                    dist: d_eff,
+                    at_iter: j,
+                    detail: format!(
+                        "{:?} dependence MI{} →(d={}) MI{}{}: source instance of \
+                         iteration {} at time {:?} does not precede sink instance of \
+                         iteration {} at time {:?}",
+                        e.kind,
+                        e.from,
+                        d_eff,
+                        e.to,
+                        e.scalar
+                            .as_ref()
+                            .map(|s| format!(" on `{s}`"))
+                            .unwrap_or_default(),
+                        j,
+                        tu,
+                        j + d_eff,
+                        tv
+                    ),
+                }),
             }
         }
     }
@@ -1131,6 +1215,170 @@ fn check_faithful(
                     stmt_str(want)
                 ),
             });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{verify_slms_program, LoopVerdict};
+    use std::cell::Cell;
+
+    /// Over the dependence obligations checked on this thread: obligations,
+    /// iterations the full per-trip scan visits, iterations the
+    /// kernel-period scan visits.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    struct ScanCounts {
+        edges: usize,
+        full: usize,
+        kept: usize,
+    }
+
+    thread_local! {
+        static SCANS: Cell<ScanCounts> = const {
+            Cell::new(ScanCounts { edges: 0, full: 0, kept: 0 })
+        };
+    }
+
+    /// The oracle [`verify_emission`] runs in a test build before each
+    /// dependence obligation: the full per-trip scan `0..t − d` must find
+    /// the same first violation (or none) as the kernel-period set, and
+    /// every iteration the set skips must have the times of its kept
+    /// translate `j − m·unroll`, `m` kernel passes later.
+    pub(super) fn check_against_full_scan(
+        timeline: &Timeline,
+        u: usize,
+        v: usize,
+        d: i64,
+        t_count: i64,
+    ) {
+        let kept: Vec<i64> = timeline.dependence_iters(u, v, d, t_count).collect();
+        let full = 0..t_count - d;
+        assert_eq!(
+            first_violation(timeline, u, v, d, kept.iter().copied()),
+            first_violation(timeline, u, v, d, full.clone()),
+            "MI{u} →(d={d}) MI{v} over {t_count} iterations"
+        );
+        let window = kernel_window(timeline.place[u].0, timeline.place[v].0, d, timeline.span);
+        let later = |t: Option<Time>, m: i64| t.map(|(r, pass, row, pos)| (r, pass + m, row, pos));
+        for j in full.clone().filter(|j| kept.binary_search(j).is_err()) {
+            let m = (j - window.start) / timeline.unroll;
+            let jt = j - m * timeline.unroll;
+            assert!(
+                m >= 1 && kept.binary_search(&jt).is_ok(),
+                "j {j} has no kept translate"
+            );
+            assert_eq!(timeline.time_of(u, j), later(timeline.time_of(u, jt), m));
+            assert_eq!(
+                timeline.time_of(v, j + d),
+                later(timeline.time_of(v, jt + d), m)
+            );
+        }
+        SCANS.with(|s| {
+            let c = s.get();
+            s.set(ScanCounts {
+                edges: c.edges + 1,
+                full: c.full + full.count(),
+                kept: c.kept + kept.len(),
+            });
+        });
+    }
+
+    /// Every dependence of every corpus loop, under both schedulers, the
+    /// three expansion modes and the filter on and off: the kernel-period
+    /// scan agrees with the full scan (checked per edge above). The counts
+    /// are pinned, so a scan that silently went back to every trip fails
+    /// here by a number.
+    #[test]
+    fn kernel_period_scan_agrees_with_full_scan_on_the_corpus() {
+        SCANS.with(|s| s.set(ScanCounts::default()));
+        let mut verified = 0usize;
+        for w in slc_workloads::all() {
+            let prog = w.program();
+            for scheduler in [SchedulerKind::Heuristic, SchedulerKind::Exact] {
+                for expansion in [Expansion::Mve, Expansion::ScalarExpand, Expansion::Off] {
+                    for apply_filter in [true, false] {
+                        let cfg = SlmsConfig {
+                            apply_filter,
+                            expansion,
+                            scheduler,
+                        };
+                        let verdict = verify_slms_program(&prog, &cfg);
+                        assert!(verdict.clean(), "{}: {}", w.name, verdict.render());
+                        verified += verdict
+                            .loops
+                            .iter()
+                            .filter(|l| matches!(l.verdict, LoopVerdict::Verified { .. }))
+                            .count();
+                    }
+                }
+            }
+        }
+        let counts = SCANS.with(Cell::get);
+        println!(
+            "{verified} loops verified: {} dependence obligations, {} iterations scanned \
+             of the {} a per-trip scan visits",
+            counts.edges, counts.kept, counts.full
+        );
+        assert_eq!(
+            counts,
+            ScanCounts {
+                edges: 3114,
+                full: 2_917_860,
+                kept: 11_366,
+            }
+        );
+    }
+
+    /// The kept set of one random dependence, checked against its
+    /// definition: ascending, inside `0..end`, everything outside the
+    /// kernel window kept, and every skipped `j` a translate of a kept
+    /// `j − m·unroll ≥ lo` inside the window.
+    fn kept_set_covers_every_trip(
+        off_u: i64,
+        off_v: i64,
+        d: i64,
+        unroll: i64,
+        passes: i64,
+        t_count: i64,
+    ) -> proptest::TestCaseResult {
+        let window = kernel_window(off_u, off_v, d, passes * unroll);
+        let end = t_count - d;
+        let kept: Vec<i64> = dependence_iters(window.clone(), unroll, end).collect();
+        proptest::prop_assert!(kept.windows(2).all(|w| w[0] < w[1]), "{:?}", kept);
+        proptest::prop_assert!(kept.iter().all(|j| (0..end).contains(j)), "{:?}", kept);
+        for j in (0..end).filter(|j| kept.binary_search(j).is_err()) {
+            proptest::prop_assert!(window.contains(&j), "skipped {} outside {:?}", j, window);
+            let m = (j - window.start) / unroll;
+            let jt = j - m * unroll;
+            proptest::prop_assert!(
+                m >= 1 && window.contains(&jt) && kept.binary_search(&jt).is_ok(),
+                "skipped {} has no kept translate in {:?} (kept {:?})",
+                j,
+                window,
+                kept
+            );
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig { cases: 2048, ..Default::default() })]
+        #[test]
+        fn kernel_period_set_keeps_a_translate_of_every_skipped_trip(
+            off_u in 0i64..6,
+            off_v in 0i64..6,
+            d in 0i64..8,
+            unroll in 1i64..5,
+            passes in 0i64..6,
+            extra in -12i64..40,
+        ) {
+            // `extra` places t − d anywhere from below 0 to well past the
+            // kernel window, so empty scans and windows shorter than one
+            // period both occur
+            let t_count = off_u.max(off_v) + passes * unroll + extra;
+            kept_set_covers_every_trip(off_u, off_v, d, unroll, passes, t_count)?;
         }
     }
 }

@@ -1,16 +1,16 @@
 //! Mutation harness for the static schedule verifier.
 //!
 //! Take genuine SLMS output, corrupt it in one targeted way, and prove the
-//! verifier rejects the corruption *naming the violated rule*. Ten distinct
+//! verifier rejects the corruption *naming the violated rule*. Eleven distinct
 //! corruptions cover every obligation family: kernel structure, headers,
-//! instance completeness, dependence order, MVE residues, expansion
-//! subscripts and live-out restores. The flip side — genuine outputs are
+//! instance completeness, dependence order (inside the kernel and in the
+//! epilogue), MVE residues, expansion subscripts and live-out restores. The flip side — genuine outputs are
 //! accepted across the whole workload matrix — is asserted at the bottom.
 
 use slc::ast::visit::{map_exprs, rewrite_expr, shift_induction, substitute_scalar};
 use slc::ast::{parse_program, Expr, ForLoop, LValue, Program, Stmt};
 use slc::slms::{slms_loop, Expansion, SlmsConfig, SlmsOutput};
-use slc::verify::{verify_emission, verify_slms_program};
+use slc::verify::{verify_emission, verify_slms_program, Violation};
 
 /// Schedule the first (innermost) loop of `src`; return the pre-transform
 /// program, the loop, and the emission.
@@ -65,6 +65,9 @@ const DOT: &str = "float A[64]; float B[64]; float s; float t; int i;\n\
                    for (i = 0; i < 32; i++) { t = A[i] * B[i]; s = s + t; }";
 const REC: &str = "float A[96]; int i;\n\
                    for (i = 2; i < 60; i++) A[i] = A[i - 1] + A[i - 2] + A[i + 1] + A[i + 2];";
+
+const CHAIN: &str = "float A[64]; float B[64]; float C[64]; float D[64]; int i;\n\
+                     for (i = 0; i < 32; i++) { B[i] = A[i] + 1.0; C[i] = B[i] * 2.0; D[i] = C[i] + B[i]; }";
 
 fn mve_cfg() -> SlmsConfig {
     SlmsConfig {
@@ -313,6 +316,34 @@ fn mutation_remove_kernel() {
     bad.remove(kpos);
     let r = rules(&prog, &f, &out, &bad, &mve_cfg());
     assert!(r.contains(&"kernel-shape"), "got {r:?}");
+}
+
+/// Mutation 11: swapping two dependent epilogue instances runs the sink of
+/// MI 1 → MI 2 (flow on `C`, distance 0) before its source in iteration 31.
+/// Both instances lie after the kernel, outside the iterations where the
+/// check can lean on the kernel's periodicity, and the check must still
+/// name that iteration.
+#[test]
+fn mutation_swap_dependent_epilogue_instances() {
+    let (prog, f, out) = scheduled(CHAIN, &mve_cfg());
+    let kpos = kernel_pos(&out.stmts);
+    let text = |s: &Stmt| slc::ast::pretty::stmts_to_source(std::slice::from_ref(s));
+    assert_eq!(text(&out.stmts[kpos + 2]).trim(), "C[31] = B[31] * 2.0;");
+    assert_eq!(text(&out.stmts[kpos + 3]).trim(), "D[31] = C[31] + B[31];");
+    let mut bad = out.stmts.clone();
+    bad.swap(kpos + 2, kpos + 3);
+    let verdict = verify_emission(&prog, &f, &out.report, &bad, &mve_cfg());
+    let found: Vec<_> = verdict
+        .violations
+        .iter()
+        .map(|v| match v {
+            Violation::DependenceViolated {
+                from, to, at_iter, ..
+            } => (v.rule(), Some((*from, *to, *at_iter))),
+            other => (other.rule(), None),
+        })
+        .collect();
+    assert_eq!(found, [("dependence", Some((1, 2, 31)))]);
 }
 
 /// Acceptance sweep: every built-in workload, under every expansion mode
