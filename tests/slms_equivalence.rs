@@ -7,7 +7,7 @@
 //! up here as a bit difference.
 
 use slc_ast::parse_program;
-use slc_core::{slms_program, Expansion, SlmsConfig};
+use slc_core::{slms_program, DiagEvent, Expansion, SlmsConfig};
 use slc_sim::astinterp::equivalent;
 
 const SEEDS: &[u64] = &[1, 7, 42, 1234, 99999];
@@ -213,15 +213,27 @@ fn interchangeable_2d_loop() {
     );
 }
 
+// The symbolic-bound loops below: `n` is a random small integer per seed,
+// folded into a range that includes values below the pipeline depth.
+const SYMBOLIC_GUARDED: &str = "float A[32]; float B[32]; int i; int n;\n\
+    n = (n % 16 + 16) % 16;\n\
+    for (i = 0; i < n; i++) { A[i] = B[i] * 2.0; B[i] = B[i] + 1.0; }";
+const SYMBOLIC_DOWNWARD: &str = "float A[32]; float B[32]; int i; int n;\n\
+    n = (n % 12 + 12) % 12 + 2;\n\
+    for (i = n; i > 0; i--) { A[i] = B[i] * 2.0; B[i] = B[i] + 1.0; }";
+const SYMBOLIC_DECOMPOSED: &str = "float A[64]; int i; int n;\n\
+    n = (n % 40 + 40) % 40 + 4;\n\
+    for (i = 2; i < n; i++) A[i] = A[i - 1] + A[i + 2];";
+const SYMBOLIC_LE: &str = "float A[40]; float B[40]; int i; int n;\n\
+    n = (n % 30 + 30) % 30 + 2;\n\
+    for (i = 1; i <= n; i++) { A[i] = B[i] + 1.0; B[i] = A[i] * 0.5; }";
+
 #[test]
 fn symbolic_bound_guarded() {
     // `n` is a random small integer per seed (including values below the
     // pipeline depth and negatives) — the runtime guard must route those to
     // the untransformed loop.
-    let src = "float A[32]; float B[32]; int i; int n;\n\
-               n = (n % 16 + 16) % 16;\n\
-               for (i = 0; i < n; i++) { A[i] = B[i] * 2.0; B[i] = B[i] + 1.0; }";
-    let prog = parse_program(src).unwrap();
+    let prog = parse_program(SYMBOLIC_GUARDED).unwrap();
     let (out, outcomes) = slms_program(&prog, &cfg(Expansion::Off));
     assert!(
         outcomes.iter().any(|o| o.result.is_ok()),
@@ -236,10 +248,7 @@ fn symbolic_bound_guarded() {
 
 #[test]
 fn symbolic_bound_downward() {
-    let src = "float A[32]; float B[32]; int i; int n;\n\
-               n = (n % 12 + 12) % 12 + 2;\n\
-               for (i = n; i > 0; i--) { A[i] = B[i] * 2.0; B[i] = B[i] + 1.0; }";
-    let prog = parse_program(src).unwrap();
+    let prog = parse_program(SYMBOLIC_DOWNWARD).unwrap();
     let (out, outcomes) = slms_program(&prog, &cfg(Expansion::Off));
     assert!(outcomes.iter().any(|o| o.result.is_ok()), "{outcomes:?}");
     if let Err(m) = equivalent(&prog, &out, &[11, 22, 33, 44]) {
@@ -253,10 +262,7 @@ fn symbolic_bound_downward() {
 #[test]
 fn symbolic_bound_with_decomposition() {
     // single-MI symbolic loop: decomposition still fires, guard still exact
-    let src = "float A[64]; int i; int n;\n\
-               n = (n % 40 + 40) % 40 + 4;\n\
-               for (i = 2; i < n; i++) A[i] = A[i - 1] + A[i + 2];";
-    let prog = parse_program(src).unwrap();
+    let prog = parse_program(SYMBOLIC_DECOMPOSED).unwrap();
     let (out, outcomes) = slms_program(&prog, &cfg(Expansion::Off));
     assert!(outcomes.iter().any(|o| o.result.is_ok()), "{outcomes:?}");
     if let Err(m) = equivalent(&prog, &out, &[9, 18, 27]) {
@@ -269,14 +275,57 @@ fn symbolic_bound_with_decomposition() {
 
 #[test]
 fn symbolic_le_bound() {
-    let src = "float A[40]; float B[40]; int i; int n;\n\
-               n = (n % 30 + 30) % 30 + 2;\n\
-               for (i = 1; i <= n; i++) { A[i] = B[i] + 1.0; B[i] = A[i] * 0.5; }";
-    let prog = parse_program(src).unwrap();
+    let prog = parse_program(SYMBOLIC_LE).unwrap();
     let (out, outcomes) = slms_program(&prog, &cfg(Expansion::Off));
     assert!(outcomes.iter().any(|o| o.result.is_ok()), "{outcomes:?}");
     if let Err(m) = equivalent(&prog, &out, &[5, 55, 555]) {
         panic!("symbolic <= mismatch: {m:?}\n{}", slc_ast::to_source(&out));
+    }
+}
+
+/// A loop whose range is not a compile-time constant gets the classic pair
+/// test: its report carries no per-pair verdicts and its trace no
+/// `DepsAnalyzed` event. The same body over a constant bound goes through
+/// the exact engine and has both. The mismatched-coefficient pair
+/// `A[2 * i]` / `A[i]` is where the two pair tests differ.
+#[test]
+fn symbolic_bounds_take_the_classic_pair_test() {
+    const COEFF_SYMBOLIC: &str = "float A[64]; float B[64]; int i; int n;\n\
+        n = (n % 16 + 16) % 16;\n\
+        for (i = 0; i < n; i++) { A[2 * i] = B[i] + 1.0; B[i] = A[i] * 0.5; }";
+    const COEFF_CONSTANT: &str = "float A[64]; float B[64]; int i;\n\
+        for (i = 0; i < 16; i++) { A[2 * i] = B[i] + 1.0; B[i] = A[i] * 0.5; }";
+    let cases: [(&str, bool, &str); 6] = [
+        (SYMBOLIC_GUARDED, true, "ii=1 n_mis=2 decomposed=[]"),
+        (SYMBOLIC_DOWNWARD, true, "ii=1 n_mis=2 decomposed=[]"),
+        (SYMBOLIC_DECOMPOSED, true, "ii=1 n_mis=2 decomposed=[reg1]"),
+        (SYMBOLIC_LE, true, "ii=1 n_mis=2 decomposed=[]"),
+        (COEFF_SYMBOLIC, true, "no valid initiation interval"),
+        (COEFF_CONSTANT, false, "ii=1 n_mis=2 decomposed=[]"),
+    ];
+    for (src, symbolic, want) in cases {
+        let prog = parse_program(src).unwrap();
+        let (out, outcomes) = slms_program(&prog, &cfg(Expansion::Off));
+        if let Err(m) = equivalent(&prog, &out, SEEDS) {
+            panic!("mismatch: {m:?}\n{}", slc_ast::to_source(&out));
+        }
+        let [o] = &outcomes[..] else {
+            panic!("one loop expected: {outcomes:?}")
+        };
+        let analyzed = o
+            .trace
+            .iter()
+            .any(|e| matches!(e, DiagEvent::DepsAnalyzed { .. }));
+        assert_eq!(analyzed, !symbolic, "DepsAnalyzed event for:\n{src}");
+        let got = match &o.result {
+            Ok(r) => {
+                assert_eq!(r.dep_pairs.is_empty(), symbolic, "dep_pairs for:\n{src}");
+                let decomposed = r.decomposed.join(",");
+                format!("ii={} n_mis={} decomposed=[{decomposed}]", r.ii, r.n_mis)
+            }
+            Err(e) => e.to_string(),
+        };
+        assert_eq!(got, want, "outcome for:\n{src}");
     }
 }
 
