@@ -4,9 +4,10 @@
 //! integer constants, the oracle enumerates iterations over a given range,
 //! records the concrete cells touched by every MI, and derives the exact set
 //! of dependences. Property tests assert that [`crate::build_ddg`] *covers*
-//! this ground truth — the analytical test may be conservative (extra edges,
-//! `Unknown` distances) but must never miss a real dependence, which is the
-//! soundness property SLMS correctness rests on.
+//! this ground truth with either of its pair tests (the classic one without
+//! a loop range, the exact one with it) — the analysis may be conservative
+//! (extra edges, `Unknown` distances) but must never miss a real dependence,
+//! which is the soundness property SLMS correctness rests on.
 
 use crate::access::accesses_of_stmt;
 use crate::ddg::{Ddg, DepKind, Distance};
@@ -163,20 +164,28 @@ pub fn ddg_covers(ddg: &Ddg, dep: &GroundDep) -> bool {
 mod tests {
     use super::*;
     use crate::ddg::build_ddg;
+    use crate::exactdep::{DepStats, LoopRange};
     use crate::mi::partition_mis;
     use slc_ast::parse_stmts;
 
     fn check_sound(src: &str) {
         let body = parse_stmts(src).unwrap();
         let mis = partition_mis(&body).unwrap();
-        let ddg = build_ddg(&mis, "i", 1);
         let ground = brute_force_deps(&mis, "i", 4, 24, 8).expect("evaluable loop");
-        for dep in &ground {
-            assert!(
-                ddg_covers(&ddg, dep),
-                "analysis missed {dep:?} in loop:\n{src}\nddg: {:#?}",
-                ddg.edges
-            );
+        let range = LoopRange {
+            init: 4,
+            step: 1,
+            trips: 20,
+        };
+        for range in [None, Some(&range)] {
+            let ddg = build_ddg(&mis, "i", 1, range, &mut DepStats::default()).ddg;
+            for dep in &ground {
+                assert!(
+                    ddg_covers(&ddg, dep),
+                    "analysis missed {dep:?} with range {range:?} in loop:\n{src}\nddg: {:#?}",
+                    ddg.edges
+                );
+            }
         }
     }
 

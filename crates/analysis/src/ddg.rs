@@ -156,48 +156,96 @@ fn orient(edges: &mut Vec<DepEdge>, p: usize, q: usize, xw: bool, yw: bool, d: D
     }
 }
 
+/// A DDG plus the per-pair verdicts (with certificates) that produced its
+/// array edges.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RangedDdg {
+    /// The dependence graph.
+    pub ddg: Ddg,
+    /// One summary per analyzed same-array access pair, in enumeration
+    /// order (MI-major, access-ordinal minor). Empty when the loop range
+    /// was not a compile-time constant.
+    pub pairs: Vec<DepPairSummary>,
+}
+
 /// Build the DDG of a loop body over induction variable `var` with additive
 /// step `step` (±k per iteration).
 ///
-/// Array dependences use the affine distance test; the raw distances are in
-/// units of the induction variable's *value* and are converted here into
-/// *iteration* distances (`d_value / step`; non-divisible distances mean the
-/// two accesses never execute in the same loop and are dropped). Scalar
-/// dependences use the classic positional rule (def before use in the same
-/// iteration → distance 0, otherwise the value crosses to the next
+/// Every same-array access pair with a write gets one of two pair tests:
+///
+/// * `range` is `Some` (the loop range is a compile-time constant, and its
+///   step is `step`): the exact engine ([`crate::exactdep`]), layered GCD →
+///   Banerjee → exact → SAT. Proven-independent pairs contribute no edge,
+///   decided pairs one edge per proven iteration distance, widened and
+///   undecidable pairs the conservative `Unknown` distance. Each verdict
+///   and its certificate is recorded in [`RangedDdg::pairs`], and `stats`
+///   accumulates the `deps.*` counter family.
+/// * `range` is `None`: the classic coefficient test
+///   ([`array_dep_distances`]). Its distances are in units of the induction
+///   variable's *value* and are converted here into *iteration* distances
+///   (`d_value / step`; non-divisible distances mean the two accesses never
+///   execute in the same loop and are dropped). Nothing is recorded.
+///
+/// Scalar dependences use the classic positional rule (def before use in
+/// the same iteration → distance 0, otherwise the value crosses to the next
 /// iteration → distance 1). Calls are barriers: ordered distance-0 edges
 /// against every other MI plus a distance-1 self edge, which prevents any
 /// iteration overlap across the call.
-pub fn build_ddg(mis: &[Mi], var: &str, step: i64) -> Ddg {
+pub fn build_ddg(
+    mis: &[Mi],
+    var: &str,
+    step: i64,
+    range: Option<&LoopRange>,
+    stats: &mut DepStats,
+) -> RangedDdg {
     assert!(step != 0, "loop step must be non-zero");
     let n = mis.len();
     let accesses: Vec<MiAccesses> = mis.iter().map(|m| accesses_of_stmt(&m.stmt)).collect();
     let mut edges = Vec::new();
+    let mut pairs = Vec::new();
 
-    // --- array dependences -------------------------------------------------
     for p in 0..n {
         for q in p..n {
             for (ix, x) in accesses[p].arrays.iter().enumerate() {
                 for (iy, y) in accesses[q].arrays.iter().enumerate() {
-                    if p == q && iy <= ix {
-                        continue; // each unordered pair once within an MI
-                    }
-                    if !x.write && !y.write {
+                    // each unordered pair once within an MI, and only
+                    // same-array pairs with a write
+                    if (p == q && iy <= ix) || !(x.write || y.write) || x.array != y.array {
                         continue;
                     }
-                    let d = match array_dep_distances(x, y, var) {
-                        DepDist::Dist(dv) => {
-                            if dv % step == 0 {
-                                DepDist::Dist(dv / step)
-                            } else {
-                                // The aliasing var values are never both
-                                // visited by this loop.
-                                DepDist::None
+                    let Some(range) = range else {
+                        let d = match array_dep_distances(x, y, var) {
+                            // The aliasing var values are never both
+                            // visited by this loop.
+                            DepDist::Dist(dv) if dv % step != 0 => DepDist::None,
+                            DepDist::Dist(dv) => DepDist::Dist(dv / step),
+                            other => other,
+                        };
+                        orient(&mut edges, p, q, x.write, y.write, d);
+                        continue;
+                    };
+                    let ana = analyze_pair(x, y, var, range, stats);
+                    match &ana.verdict {
+                        DepVerdict::Independent => {}
+                        DepVerdict::Distances(ds) => {
+                            for &d in ds {
+                                orient(&mut edges, p, q, x.write, y.write, DepDist::Dist(d));
                             }
                         }
-                        other => other,
-                    };
-                    orient(&mut edges, p, q, x.write, y.write, d);
+                        DepVerdict::AnyWithWitness | DepVerdict::Undecidable => {
+                            orient(&mut edges, p, q, x.write, y.write, DepDist::Any);
+                        }
+                    }
+                    pairs.push(DepPairSummary {
+                        from_mi: p,
+                        from_ord: ix,
+                        to_mi: q,
+                        to_ord: iy,
+                        array: x.array.clone(),
+                        verdict: ana.verdict,
+                        layer: ana.layer,
+                        certificate: ana.certificate,
+                    });
                 }
             }
         }
@@ -205,11 +253,24 @@ pub fn build_ddg(mis: &[Mi], var: &str, step: i64) -> Ddg {
 
     scalar_and_call_edges(&accesses, var, &mut edges);
 
-    Ddg { n, edges, accesses }
+    RangedDdg {
+        ddg: Ddg { n, edges, accesses },
+        pairs,
+    }
 }
 
-/// The non-array portion of DDG construction, shared by [`build_ddg`] and
-/// [`build_ddg_ranged`]: positional scalar rules plus call barriers.
+/// [`build_ddg`] over a constant loop range, with the exact pair test.
+pub fn build_ddg_ranged(
+    mis: &[Mi],
+    var: &str,
+    range: &LoopRange,
+    stats: &mut DepStats,
+) -> RangedDdg {
+    build_ddg(mis, var, range.step, Some(range), stats)
+}
+
+/// The non-array portion of DDG construction: positional scalar rules plus
+/// call barriers.
 fn scalar_and_call_edges(accesses: &[MiAccesses], var: &str, edges: &mut Vec<DepEdge>) {
     let n = accesses.len();
 
@@ -285,98 +346,34 @@ fn scalar_and_call_edges(accesses: &[MiAccesses], var: &str, edges: &mut Vec<Dep
     }
 }
 
-/// A DDG built by the exact, range-aware engine plus the per-pair verdicts
-/// (with certificates) that produced its array edges.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RangedDdg {
-    /// The dependence graph, structurally identical to [`build_ddg`] output
-    /// wherever the engines agree.
-    pub ddg: Ddg,
-    /// One summary per analyzed same-array access pair, in enumeration
-    /// order (MI-major, access-ordinal minor).
-    pub pairs: Vec<DepPairSummary>,
-}
-
-/// Build the DDG with the exact dependence engine ([`crate::exactdep`]),
-/// available whenever the loop range is a compile-time constant.
-///
-/// Array pairs get the layered GCD → Banerjee → exact → SAT decision
-/// procedure: proven-independent pairs contribute no edge, decided pairs
-/// contribute one edge per proven iteration distance, widened and
-/// undecidable pairs fall back to the conservative `Unknown` distance (the
-/// same shape [`build_ddg`] emits for them). Scalar dependences and call
-/// barriers are identical to [`build_ddg`]. Per-pair verdicts and their
-/// certificates are returned alongside; `stats` accumulates the `deps.*`
-/// counter family.
-pub fn build_ddg_ranged(
-    mis: &[Mi],
-    var: &str,
-    range: &LoopRange,
-    stats: &mut DepStats,
-) -> RangedDdg {
-    let n = mis.len();
-    let accesses: Vec<MiAccesses> = mis.iter().map(|m| accesses_of_stmt(&m.stmt)).collect();
-    let mut edges = Vec::new();
-    let mut pairs = Vec::new();
-
-    for p in 0..n {
-        for q in p..n {
-            for (ix, x) in accesses[p].arrays.iter().enumerate() {
-                for (iy, y) in accesses[q].arrays.iter().enumerate() {
-                    if p == q && iy <= ix {
-                        continue; // each unordered pair once within an MI
-                    }
-                    if !x.write && !y.write {
-                        continue;
-                    }
-                    if x.array != y.array {
-                        continue;
-                    }
-                    let ana = analyze_pair(x, y, var, range, stats);
-                    match &ana.verdict {
-                        DepVerdict::Independent => {}
-                        DepVerdict::Distances(ds) => {
-                            for &d in ds {
-                                orient(&mut edges, p, q, x.write, y.write, DepDist::Dist(d));
-                            }
-                        }
-                        DepVerdict::AnyWithWitness | DepVerdict::Undecidable => {
-                            orient(&mut edges, p, q, x.write, y.write, DepDist::Any);
-                        }
-                    }
-                    pairs.push(DepPairSummary {
-                        from_mi: p,
-                        from_ord: ix,
-                        to_mi: q,
-                        to_ord: iy,
-                        array: x.array.clone(),
-                        verdict: ana.verdict,
-                        layer: ana.layer,
-                        certificate: ana.certificate,
-                    });
-                }
-            }
-        }
-    }
-
-    scalar_and_call_edges(&accesses, var, &mut edges);
-
-    RangedDdg {
-        ddg: Ddg { n, edges, accesses },
-        pairs,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::mi::partition_mis;
     use slc_ast::parse_stmts;
 
-    fn ddg(src: &str) -> Ddg {
+    /// The DDG of `src` over `var` (step 1). Every loop of these tests is
+    /// affine with equal coefficients or plainly non-affine, where both pair
+    /// tests give the same graph: the helper checks that and returns it.
+    fn ddg_over(src: &str, var: &str) -> Ddg {
         let body = parse_stmts(src).unwrap();
         let mis = partition_mis(&body).unwrap();
-        build_ddg(&mis, "i", 1)
+        let mut stats = DepStats::default();
+        let classic = build_ddg(&mis, var, 1, None, &mut stats);
+        assert!(classic.pairs.is_empty());
+        assert_eq!(stats, DepStats::default());
+        let range = LoopRange {
+            init: 4,
+            step: 1,
+            trips: 20,
+        };
+        let exact = build_ddg(&mis, var, 1, Some(&range), &mut stats);
+        assert_eq!(classic.ddg, exact.ddg, "pair tests disagree on {src}");
+        classic.ddg
+    }
+
+    fn ddg(src: &str) -> Ddg {
+        ddg_over(src, "i")
     }
 
     fn has_edge(d: &Ddg, from: usize, to: usize, kind: DepKind, dist: i64) -> bool {
@@ -454,9 +451,7 @@ mod tests {
     fn anti_distance_orientation() {
         // t = a[i][j+1]; a[i][j] = t;  (inner loop j — the §6 interchange
         // example): read of a[i][j+1] then write of a[i][j] next iteration.
-        let body = parse_stmts("t = a[i][j + 1]; a[i][j] = t;").unwrap();
-        let mis = partition_mis(&body).unwrap();
-        let d = build_ddg(&mis, "j", 1);
+        let d = ddg_over("t = a[i][j + 1]; a[i][j] = t;", "j");
         // write in iteration j+1 hits the cell read in iteration j: anti dep
         // read(MI0) → write(MI1) at distance 1.
         assert!(has_edge(&d, 0, 1, DepKind::Anti, 1));
@@ -469,5 +464,33 @@ mod tests {
         // flow s: MI0→MI1 dist 0, anti s: MI1→MI0 dist 1
         assert!(has_edge(&d, 0, 1, DepKind::Flow, 0));
         assert!(has_edge(&d, 1, 0, DepKind::Anti, 1));
+    }
+
+    #[test]
+    fn pair_test_follows_the_range() {
+        // A[2i] vs A[i]: the classic test cannot relate differing
+        // coefficients and answers `Unknown`; the exact engine over
+        // i ∈ [0, 8) proves the distances {0, 1, 2, 3} and records the
+        // verdict with its certificate.
+        let body = parse_stmts("A[2 * i] = 1.0; x = A[i];").unwrap();
+        let mis = partition_mis(&body).unwrap();
+        let mut stats = DepStats::default();
+        let classic = build_ddg(&mis, "i", 1, None, &mut stats);
+        assert!(classic.ddg.has_unknown());
+        assert!(classic.pairs.is_empty());
+        assert_eq!(stats, DepStats::default());
+        let range = LoopRange {
+            init: 0,
+            step: 1,
+            trips: 8,
+        };
+        let exact = build_ddg(&mis, "i", 1, Some(&range), &mut stats);
+        assert!(!exact.ddg.has_unknown());
+        for d in 0..=3 {
+            assert!(has_edge(&exact.ddg, 0, 1, DepKind::Flow, d));
+        }
+        assert_eq!(exact.pairs.len(), 1);
+        assert_eq!(stats.pairs_decided, 1);
+        assert_eq!(build_ddg_ranged(&mis, "i", &range, &mut stats), exact);
     }
 }

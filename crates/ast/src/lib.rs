@@ -42,7 +42,7 @@ pub mod visit;
 pub use expr::{BinOp, CmpOp, Expr, LValue, UnOp};
 pub use intern::{Interner, Symbol};
 pub use lexer::{Lexer, Token};
-pub use loopid::{innermost_loop_ids, LoopId};
+pub use loopid::{innermost_loops, LoopId};
 pub use parser::{parse_expr, parse_program, parse_stmts, ParseError};
 pub use pretty::{to_paper_style, to_source};
 pub use program::{Decl, Program, Ty};

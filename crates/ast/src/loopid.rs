@@ -60,36 +60,37 @@ impl std::fmt::Display for LoopId {
     }
 }
 
-/// Collect the [`LoopId`] of every innermost `for` loop of a statement
-/// list, in the same pre-order the SLMS program driver visits them.
-pub fn innermost_loop_ids(stmts: &[Stmt]) -> Vec<LoopId> {
-    fn walk(stmts: &[Stmt], next: &mut usize, out: &mut Vec<LoopId>) {
+/// Every innermost `for` loop of a statement list (one whose body holds no
+/// other loop), in pre-order. Like the SLMS program driver, the walk enters
+/// `for` bodies that hold loops, both `if` branches and blocks; unlike it,
+/// it also enters `while` bodies and `par` groups.
+pub fn innermost_loops(stmts: &[Stmt]) -> Vec<&ForLoop> {
+    fn walk<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a ForLoop>) {
         for s in stmts {
             match s {
                 Stmt::For(f) => {
                     if f.body.iter().any(Stmt::contains_loop) {
-                        walk(&f.body, next, out);
+                        walk(&f.body, out);
                     } else {
-                        out.push(LoopId::of(f, *next));
-                        *next += 1;
+                        out.push(f);
                     }
                 }
-                Stmt::Block(b) => walk(b, next, out),
+                Stmt::While { body, .. } => walk(body, out),
                 Stmt::If {
                     then_branch,
                     else_branch,
                     ..
                 } => {
-                    walk(then_branch, next, out);
-                    walk(else_branch, next, out);
+                    walk(then_branch, out);
+                    walk(else_branch, out);
                 }
+                Stmt::Block(b) | Stmt::Par(b) => walk(b, out),
                 _ => {}
             }
         }
     }
     let mut out = Vec::new();
-    let mut next = 0;
-    walk(stmts, &mut next, &mut out);
+    walk(stmts, &mut out);
     out
 }
 
@@ -103,8 +104,9 @@ mod tests {
         let p =
             parse_program("float A[8]; int i; for (i = 0; i < 4; i++) { A[i] = 1.0; A[i] = 2.0; }")
                 .unwrap();
-        let ids = innermost_loop_ids(&p.stmts);
-        assert_eq!(ids.len(), 1);
+        let loops = innermost_loops(&p.stmts);
+        assert_eq!(loops.len(), 1);
+        let ids = [LoopId::of(loops[0], 0)];
         assert_eq!(ids[0].to_string(), "for (i = …) [2 stmts]");
         assert_eq!(ids[0].verbose(), "loop#0 for (i = …) [2 stmts]");
     }
@@ -117,7 +119,11 @@ mod tests {
              for (i = 0; i < 8; i++) B[i] = 2.0;",
         )
         .unwrap();
-        let ids = innermost_loop_ids(&p.stmts);
+        let ids: Vec<LoopId> = innermost_loops(&p.stmts)
+            .into_iter()
+            .enumerate()
+            .map(|(k, f)| LoopId::of(f, k))
+            .collect();
         assert_eq!(ids.len(), 2);
         assert_eq!((ids[0].var.as_str(), ids[0].stmt_index), ("j", 0));
         assert_eq!((ids[1].var.as_str(), ids[1].stmt_index), ("i", 1));

@@ -43,8 +43,8 @@ pub use ifconv::{if_convert, needs_if_conversion};
 pub use mii::{constraints_of, cycles_mii, placement_mii, Constraint};
 
 use slc_analysis::{
-    build_ddg, build_ddg_ranged, partition_mis, AnalysisError, Ddg, DepKind, DepPairSummary,
-    DepStats, Distance, LoopRange,
+    build_ddg, partition_mis, AnalysisError, Ddg, DepKind, DepPairSummary, DepStats, Distance,
+    LoopRange,
 };
 use slc_ast::{AssignOp, LValue, LoopId, Program, Stmt};
 use slc_trace::{FromJson, Json, Tracer};
@@ -236,7 +236,8 @@ pub struct SlmsReport {
     pub certificate: Option<slc_exact::OptimalityCertificate>,
     /// Per-pair dependence verdicts (with certificates) of the exact
     /// engine's final analysis of the emitted body. Empty when the loop
-    /// range was not a compile-time constant (legacy test used instead).
+    /// range was not a compile-time constant (the classic pair test, which
+    /// records no verdicts, built the DDG instead).
     pub dep_pairs: Vec<DepPairSummary>,
 }
 
@@ -249,24 +250,15 @@ pub struct SlmsOutput {
     pub report: SlmsReport,
 }
 
-/// Build the loop DDG with the exact, certificate-producing engine when the
-/// loop range is a compile-time constant, falling back to the legacy test
-/// otherwise. Returns the per-pair verdicts alongside (empty on fallback);
-/// `stats` accumulates the `deps.*` counters across calls.
-fn build_loop_ddg(
-    mis: &[slc_analysis::Mi],
-    var: &str,
-    step: i64,
-    range: Option<&LoopRange>,
-    stats: &mut DepStats,
-) -> (Ddg, Vec<DepPairSummary>) {
-    match range {
-        Some(r) => {
-            let rd = build_ddg_ranged(mis, var, r, stats);
-            (rd.ddg, rd.pairs)
-        }
-        None => (build_ddg(mis, var, step), Vec::new()),
-    }
+/// The scheduling constraints of `ddg`, without the scalar anti and output
+/// edges that renaming the `expand` variables removes.
+fn renamed_away(ddg: &Ddg, expand: &[ExpandVar]) -> Vec<Constraint> {
+    constraints_of(ddg, &|e| {
+        matches!(e.kind, DepKind::Anti | DepKind::Output)
+            && e.scalar
+                .as_deref()
+                .is_some_and(|s| expand.iter().any(|v| v.name == s))
+    })
 }
 
 /// Find scalars that expansion may rename: single unconditional plain def,
@@ -445,13 +437,9 @@ fn slms_loop_inner(
         events.push(DiagEvent::SymbolicGuard);
     }
 
-    // Exact dependence engine: available whenever the loop range is fully
-    // constant. `None` keeps the legacy per-pair test.
-    let range = if symbolic {
-        None
-    } else {
-        LoopRange::of_loop(f)
-    };
+    // The exact pair test runs whenever the loop range is fully constant;
+    // `None` (symbolic bounds) selects the classic one.
+    let range = LoopRange::of_loop(f);
     let mut dep_stats = DepStats::default();
 
     // Decomposition loop (§5 step 5).
@@ -459,19 +447,13 @@ fn slms_loop_inner(
     let mut decomposed: Vec<String> = Vec::new();
     let (ii, mis, expand, cons) = loop {
         let mis = partition_mis(&body)?;
-        let (ddg, _) = build_loop_ddg(&mis, &f.var, f.step, range.as_ref(), &mut dep_stats);
+        let ddg = build_ddg(&mis, &f.var, f.step, range.as_ref(), &mut dep_stats).ddg;
         let expand = if cfg.expansion == Expansion::Off || symbolic {
             vec![]
         } else {
             expandable_vars(&body, &ddg, &f.var, &original)
         };
-        let removable = |e: &slc_analysis::DepEdge| -> bool {
-            matches!(e.kind, DepKind::Anti | DepKind::Output)
-                && e.scalar
-                    .as_deref()
-                    .is_some_and(|s| expand.iter().any(|v| v.name == s))
-        };
-        let cons = constraints_of(&ddg, &removable);
+        let cons = renamed_away(&ddg, &expand);
         let placement = placement_mii(&cons, mis.len());
         events.push(DiagEvent::MiiAttempt {
             round: decomposed.len(),
@@ -543,20 +525,14 @@ fn slms_loop_inner(
                 // fixed-placement bound must reproduce the proven II.
                 let permuted: Vec<Stmt> = r.order.iter().map(|&k| mis[k].stmt.clone()).collect();
                 let new_mis = partition_mis(&permuted)?;
-                let (new_ddg, _) =
-                    build_loop_ddg(&new_mis, &f.var, f.step, range.as_ref(), &mut dep_stats);
+                let new_ddg =
+                    build_ddg(&new_mis, &f.var, f.step, range.as_ref(), &mut dep_stats).ddg;
                 let new_expand = if cfg.expansion == Expansion::Off || symbolic {
                     vec![]
                 } else {
                     expandable_vars(&permuted, &new_ddg, &f.var, &original)
                 };
-                let new_removable = |e: &slc_analysis::DepEdge| -> bool {
-                    matches!(e.kind, DepKind::Anti | DepKind::Output)
-                        && e.scalar
-                            .as_deref()
-                            .is_some_and(|s| new_expand.iter().any(|v| v.name == s))
-                };
-                let new_cons = constraints_of(&new_ddg, &new_removable);
+                let new_cons = renamed_away(&new_ddg, &new_expand);
                 if placement_mii(&new_cons, new_mis.len()) == Some(r.ii) {
                     ii = r.ii;
                     mis = new_mis;
@@ -601,15 +577,8 @@ fn slms_loop_inner(
     drop(emit_span);
 
     // Cycle-based MII for the report (recomputed on the final body).
-    let removable = |e: &slc_analysis::DepEdge| -> bool {
-        matches!(e.kind, DepKind::Anti | DepKind::Output)
-            && e.scalar
-                .as_deref()
-                .is_some_and(|s| expand.iter().any(|v| v.name == s))
-    };
-    let (final_ddg, dep_pairs) =
-        build_loop_ddg(&mis, &f.var, f.step, range.as_ref(), &mut dep_stats);
-    let cmii = cycles_mii(&constraints_of(&final_ddg, &removable), mis.len());
+    let final_ddg = build_ddg(&mis, &f.var, f.step, range.as_ref(), &mut dep_stats);
+    let cmii = cycles_mii(&renamed_away(&final_ddg.ddg, &expand), mis.len());
     push_deps_event(events, range.as_ref(), &dep_stats);
     events.push(DiagEvent::Scheduled {
         ii,
@@ -638,13 +607,13 @@ fn slms_loop_inner(
             heuristic_ii: certificate.as_ref().map(|_| heuristic_ii),
             exact_order,
             certificate,
-            dep_pairs,
+            dep_pairs: final_ddg.pairs,
         },
     })
 }
 
 /// Record the accumulated exact-engine counters in the decision trace (one
-/// event per attempt; skipped when the legacy test ran instead).
+/// event per attempt; skipped when the classic pair test ran instead).
 fn push_deps_event(events: &mut Vec<DiagEvent>, range: Option<&LoopRange>, s: &DepStats) {
     if range.is_none() {
         return;

@@ -30,7 +30,7 @@ use slc_analysis::{
 };
 use slc_ast::pretty::{expr_to_string, stmts_to_source};
 use slc_ast::visit::{for_each_expr, walk_expr};
-use slc_ast::{AssignOp, Expr, ForLoop, LValue, Program, Stmt};
+use slc_ast::{innermost_loops, AssignOp, Expr, ForLoop, LValue, Program, Stmt};
 
 /// How serious a lint finding is. Errors affect the `slc verify` exit code;
 /// warnings are reported but do not fail the run.
@@ -219,31 +219,6 @@ fn uninit_scalar_reads(prog: &Program, out: &mut Vec<Lint>) {
 
 // ── L002: alias hazards ────────────────────────────────────────────────
 
-fn innermost_loops<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a ForLoop>) {
-    for s in stmts {
-        match s {
-            Stmt::For(f) => {
-                if f.body.iter().any(Stmt::contains_loop) {
-                    innermost_loops(&f.body, out);
-                } else {
-                    out.push(f);
-                }
-            }
-            Stmt::While { body, .. } => innermost_loops(body, out),
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                innermost_loops(then_branch, out);
-                innermost_loops(else_branch, out);
-            }
-            Stmt::Block(b) | Stmt::Par(b) => innermost_loops(b, out),
-            _ => {}
-        }
-    }
-}
-
 /// True when a subscript pair leaves the iteration distance in this
 /// dimension statically undecidable: a non-linear subscript, or a symbolic
 /// residue (after dropping the induction variable) that may or may not
@@ -265,9 +240,7 @@ fn dim_undecidable(a: &Expr, b: &Expr, var: &str) -> bool {
 }
 
 fn alias_hazards(prog: &Program, out: &mut Vec<Lint>) {
-    let mut loops = Vec::new();
-    innermost_loops(&prog.stmts, &mut loops);
-    for f in loops {
+    for f in innermost_loops(&prog.stmts) {
         let range = LoopRange::of_loop(f);
         let mut seen: HashSet<String> = HashSet::new();
         let accs: Vec<_> = f
@@ -290,7 +263,7 @@ fn alias_hazards(prog: &Program, out: &mut Vec<Lint>) {
                 if !(dist == DepDist::Any || fuzzy_dim) {
                     continue;
                 }
-                // The legacy test gave up on this pair. When the loop range
+                // The classic test gave up on this pair. When the loop range
                 // is constant, ask the exact engine for a precise verdict
                 // before warning: proven-independent or exact-distance pairs
                 // are not hazards, and a dependent-but-wide pair names its
@@ -425,9 +398,7 @@ fn collect_lvalue_subscripts(s: &Stmt, seen: &mut HashSet<String>, out: &mut Vec
 // ── L004: symbolic trip counts ─────────────────────────────────────────
 
 fn symbolic_trip_counts(prog: &Program, out: &mut Vec<Lint>) {
-    let mut loops = Vec::new();
-    innermost_loops(&prog.stmts, &mut loops);
-    for f in loops {
+    for f in innermost_loops(&prog.stmts) {
         if f.trip_count().is_none() {
             out.push(Lint {
                 code: "SLMS-L004",

@@ -35,8 +35,8 @@
 
 use crate::{Violation, VERIFY_SKIP_SYMBOLIC};
 use slc_analysis::{
-    build_ddg, build_ddg_ranged, check_dep_certificate, partition_mis, DepCertificate, DepKind,
-    DepPairSummary, DepStats, DepVerdict, Distance, LoopRange,
+    build_ddg, check_dep_certificate, partition_mis, DepCertificate, DepKind, DepPairSummary,
+    DepStats, DepVerdict, Distance, LoopRange, RangedDdg,
 };
 use slc_ast::pretty::stmts_to_source;
 use slc_ast::visit::{
@@ -608,19 +608,19 @@ pub fn verify_emission(
             };
         }
     };
-    // The dependence obligations use the same engine the driver used: the
-    // exact, certificate-producing analysis whenever the range is constant
-    // (without it, loops pipelined on proven independence would fail here
-    // with spurious unknown-distance edges).
-    let range = LoopRange::of_loop(f);
-    let mut dep_stats = DepStats::default();
-    let (ddg, fresh_pairs) = match &range {
-        Some(r) => {
-            let rd = build_ddg_ranged(&mis, &f.var, r, &mut dep_stats);
-            (rd.ddg, rd.pairs)
-        }
-        None => (build_ddg(&mis, &f.var, f.step), Vec::new()),
+    // The dependence obligations use the same pair test the driver used:
+    // the exact, certificate-producing one, since the range is constant
+    // here (with the classic test, loops pipelined on proven independence
+    // would fail with spurious unknown-distance edges).
+    let range = LoopRange {
+        init,
+        step: s,
+        trips: t_count,
     };
+    let RangedDdg {
+        ddg,
+        pairs: fresh_pairs,
+    } = build_ddg(&mis, &f.var, s, Some(&range), &mut DepStats::default());
     let p_of = |name: &str| -> Option<i64> {
         report
             .renamed
@@ -745,17 +745,15 @@ pub fn verify_emission(
     verify_certificate(report, cfg, &cons, n, ii, &mut v, &mut obligations);
 
     // ---- dependence certificates -------------------------------------------
-    if let Some(r) = &range {
-        verify_dep_certificates(
-            report,
-            &ddg,
-            &f.var,
-            r,
-            &fresh_pairs,
-            &mut v,
-            &mut obligations,
-        );
-    }
+    verify_dep_certificates(
+        report,
+        &ddg,
+        &f.var,
+        &range,
+        &fresh_pairs,
+        &mut v,
+        &mut obligations,
+    );
 
     EmissionVerdict {
         obligations,

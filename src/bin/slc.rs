@@ -805,7 +805,7 @@ fn deps_main(mut args: Args) -> ! {
     use slc::analysis::{
         build_ddg_ranged, check_dep_certificate, partition_mis, DepStats, DepVerdict, LoopRange,
     };
-    use slc::ast::{ForLoop, LoopId, Stmt};
+    use slc::ast::{innermost_loops, LoopId};
 
     let mut all = false;
     let mut json = false;
@@ -818,36 +818,9 @@ fn deps_main(mut args: Args) -> ! {
         }
     }
 
-    fn innermost<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a ForLoop>) {
-        for s in stmts {
-            match s {
-                Stmt::For(f) => {
-                    if f.body.iter().any(Stmt::contains_loop) {
-                        innermost(&f.body, out);
-                    } else {
-                        out.push(f);
-                    }
-                }
-                Stmt::While { body, .. } => innermost(body, out),
-                Stmt::If {
-                    then_branch,
-                    else_branch,
-                    ..
-                } => {
-                    innermost(then_branch, out);
-                    innermost(else_branch, out);
-                }
-                Stmt::Block(b) | Stmt::Par(b) => innermost(b, out),
-                _ => {}
-            }
-        }
-    }
-
     let mut bad = false;
     let mut deps_one = |name: Option<&str>, prog: &slc::ast::Program| {
-        let mut loops = Vec::new();
-        innermost(&prog.stmts, &mut loops);
-        for (idx, f) in loops.into_iter().enumerate() {
+        for (idx, f) in innermost_loops(&prog.stmts).into_iter().enumerate() {
             let id = LoopId::of(f, idx);
             let skip = |why: &str, json: bool| {
                 if json {

@@ -1,11 +1,11 @@
 //! Property-based testing of SLMS: random affine loops → the transformed
 //! program must be bit-identical to the original, under every expansion
 //! mode. Also: the dependence analysis must cover the brute-force oracle on
-//! the same random loops.
+//! the same random loops, with either pair test (classic and exact).
 
 use proptest::prelude::*;
 use slc_analysis::brute::{brute_force_deps, ddg_covers};
-use slc_analysis::{build_ddg, partition_mis};
+use slc_analysis::{build_ddg, partition_mis, DepStats, LoopRange};
 use slc_ast::{parse_program, to_source};
 use slc_core::{slms_program, Expansion, SlmsConfig};
 use slc_sim::astinterp::equivalent;
@@ -174,12 +174,15 @@ proptest! {
         let slc_ast::Stmt::For(f) = &prog.stmts[0] else { unreachable!() };
         // if-conversion-free subset only: guarded stmts are fine (If MIs)
         let Ok(mis) = partition_mis(&f.body) else { return Ok(()); };
-        let ddg = build_ddg(&mis, "i", 1);
-        if let Some(ground) = brute_force_deps(&mis, "i", 4, 24, 10) {
+        let Some(ground) = brute_force_deps(&mis, "i", 4, 24, 10) else { return Ok(()); };
+        // both pair tests of the one builder: classic and exact
+        let range = LoopRange::of_loop(f).expect("constant range");
+        for range in [None, Some(&range)] {
+            let ddg = build_ddg(&mis, "i", 1, range, &mut DepStats::default()).ddg;
             for dep in &ground {
                 prop_assert!(
                     ddg_covers(&ddg, dep),
-                    "missed {dep:?} in:\n{src}"
+                    "missed {dep:?} with range {range:?} in:\n{src}"
                 );
             }
         }
