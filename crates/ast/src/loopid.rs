@@ -61,9 +61,10 @@ impl std::fmt::Display for LoopId {
 }
 
 /// Every innermost `for` loop of a statement list (one whose body holds no
-/// other loop), in pre-order. Like the SLMS program driver, the walk enters
-/// `for` bodies that hold loops, both `if` branches and blocks; unlike it,
-/// it also enters `while` bodies and `par` groups.
+/// other loop), in pre-order: the loops the SLMS program driver visits,
+/// numbered as it numbers them. Like the driver, the walk enters `for`
+/// bodies that hold loops, both `if` branches and blocks, and nothing else
+/// (not `while` bodies, not `par` groups).
 pub fn innermost_loops(stmts: &[Stmt]) -> Vec<&ForLoop> {
     fn walk<'a>(stmts: &'a [Stmt], out: &mut Vec<&'a ForLoop>) {
         for s in stmts {
@@ -75,7 +76,6 @@ pub fn innermost_loops(stmts: &[Stmt]) -> Vec<&ForLoop> {
                         out.push(f);
                     }
                 }
-                Stmt::While { body, .. } => walk(body, out),
                 Stmt::If {
                     then_branch,
                     else_branch,
@@ -84,7 +84,7 @@ pub fn innermost_loops(stmts: &[Stmt]) -> Vec<&ForLoop> {
                     walk(then_branch, out);
                     walk(else_branch, out);
                 }
-                Stmt::Block(b) | Stmt::Par(b) => walk(b, out),
+                Stmt::Block(b) => walk(b, out),
                 _ => {}
             }
         }

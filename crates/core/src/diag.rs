@@ -437,40 +437,6 @@ pub fn render_loop_trace(outcome: &LoopOutcome) -> String {
     out
 }
 
-/// A typed sidecar artifact a pass attaches to its diagnostics — data
-/// that is *about* the transformation but not part of the transformed
-/// program, carried alongside the loop outcomes so downstream consumers
-/// (the verifier, the batch gap report) need not re-run the pass.
-/// Historically passes had no such channel and stuffed everything into
-/// free-form `notes`; artifacts keep the payload structured.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PassArtifact {
-    /// An II-optimality certificate the exact scheduler produced for one
-    /// loop, with the heuristic II for optimality-gap computation.
-    Certificate {
-        /// the loop the certificate covers
-        loop_id: slc_ast::LoopId,
-        /// II of the heuristic (source-order) placement
-        heuristic_ii: i64,
-        /// the re-checkable certificate
-        certificate: slc_exact::OptimalityCertificate,
-    },
-}
-
-impl PassArtifact {
-    /// The optimality gap this artifact witnesses (heuristic II − proven
-    /// optimal II; 0 = the heuristic was optimal).
-    pub fn optimality_gap(&self) -> i64 {
-        match self {
-            PassArtifact::Certificate {
-                heuristic_ii,
-                certificate,
-                ..
-            } => heuristic_ii - certificate.ii,
-        }
-    }
-}
-
 /// Diagnostics of one pass over the program.
 #[derive(Debug, Clone, Default)]
 pub struct PassDiag {
@@ -480,13 +446,15 @@ pub struct PassDiag {
     pub loops: Vec<LoopOutcome>,
     /// free-form structural notes (transform passes)
     pub notes: Vec<String>,
-    /// typed sidecar artifacts (certificates, …)
-    pub artifacts: Vec<PassArtifact>,
     /// wall clock spent inside the pass (non-deterministic; sidecar only)
     pub elapsed_ns: u64,
 }
 
-/// Collector for the diagnostics of a whole pass plan.
+/// Collector for the diagnostics of a whole pass plan. Static verification
+/// verdicts are not part of it: a verified run
+/// (`PassManager::run_with_verify`) returns them beside the sink, one per
+/// scheduling pass, so the diagnostics and `slc explain` read the same with
+/// verification on or off.
 #[derive(Debug, Clone, Default)]
 pub struct DiagSink {
     /// one entry per executed pass, in plan order

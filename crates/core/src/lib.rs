@@ -14,7 +14,8 @@
 //!    expansion or scalar expansion ([`mod@emit`]).
 //!
 //! Entry points: [`slms_loop`] transforms one `for` statement; [`slms_program`]
-//! walks a whole program transforming every eligible innermost loop.
+//! walks a whole program transforming every eligible innermost loop, and
+//! [`slms_program_checked`] is the same walk with a per-loop check.
 //!
 //! Every successful transformation is *observationally identity*: the
 //! emitted statements leave all originally-declared variables (including the
@@ -32,8 +33,7 @@ pub mod ifconv;
 pub mod mii;
 
 pub use diag::{
-    loop_outcome_json, render_loop_trace, slms_error_json, DiagEvent, DiagSink, PassArtifact,
-    PassDiag,
+    loop_outcome_json, render_loop_trace, slms_error_json, DiagEvent, DiagSink, PassDiag,
 };
 pub use emit::{emit, EmitOutput, ExpandVar, Expansion};
 pub use emit_symbolic::emit_symbolic_guarded;
@@ -46,7 +46,7 @@ use slc_analysis::{
     build_ddg, partition_mis, AnalysisError, Ddg, DepKind, DepPairSummary, DepStats, Distance,
     LoopRange,
 };
-use slc_ast::{AssignOp, LValue, LoopId, Program, Stmt};
+use slc_ast::{AssignOp, ForLoop, LValue, LoopId, Program, Stmt};
 use slc_trace::{FromJson, Json, Tracer};
 use std::collections::HashSet;
 
@@ -346,51 +346,27 @@ pub fn slms_loop(
     loop_stmt: &Stmt,
     cfg: &SlmsConfig,
 ) -> Result<SlmsOutput, SlmsError> {
-    slms_loop_traced(prog, loop_stmt, cfg, &mut Vec::new())
-}
-
-/// [`slms_loop`] with a decision trace: every filter verdict, MII round,
-/// decomposition retry and the final schedule (or structured rejection) is
-/// appended to `events`. The transformation result is identical to
-/// [`slms_loop`] — tracing never changes what is emitted.
-pub fn slms_loop_traced(
-    prog: &mut Program,
-    loop_stmt: &Stmt,
-    cfg: &SlmsConfig,
-    events: &mut Vec<DiagEvent>,
-) -> Result<SlmsOutput, SlmsError> {
-    slms_loop_spanned(prog, loop_stmt, cfg, events, &Tracer::disabled())
-}
-
-/// [`slms_loop_traced`] with wall-clock spans: the filter check, the MII /
-/// decomposition iteration and emission each open a span on `tracer`
-/// (category `"slms"`). Spans carry timings only — the decision trace in
-/// `events` and the transformation result are byte-identical whether the
-/// tracer is enabled or not.
-pub fn slms_loop_spanned(
-    prog: &mut Program,
-    loop_stmt: &Stmt,
-    cfg: &SlmsConfig,
-    events: &mut Vec<DiagEvent>,
-    tracer: &Tracer,
-) -> Result<SlmsOutput, SlmsError> {
-    let r = slms_loop_inner(prog, loop_stmt, cfg, events, tracer);
-    if let Err(e) = &r {
-        events.push(DiagEvent::Rejected { error: e.clone() });
-    }
-    r
-}
-
-fn slms_loop_inner(
-    prog: &mut Program,
-    loop_stmt: &Stmt,
-    cfg: &SlmsConfig,
-    events: &mut Vec<DiagEvent>,
-    tracer: &Tracer,
-) -> Result<SlmsOutput, SlmsError> {
     let Stmt::For(f) = loop_stmt else {
         return Err(SlmsError::NotAForLoop);
     };
+    let (out, decls) = schedule_loop(prog, f, cfg, &mut Vec::new(), &Tracer::disabled())?;
+    *prog = decls;
+    Ok(out)
+}
+
+/// Schedule one loop against `prog`'s declarations. Every filter verdict,
+/// MII round, decomposition retry and the final schedule is appended to
+/// `events`; the filter check, the MII / decomposition iteration and
+/// emission each open a span on `tracer` (category `"slms"`). On success
+/// returns the output together with `prog` plus the declarations of the
+/// new temporaries; `prog` itself is never changed.
+fn schedule_loop(
+    prog: &Program,
+    f: &ForLoop,
+    cfg: &SlmsConfig,
+    events: &mut Vec<DiagEvent>,
+    tracer: &Tracer,
+) -> Result<(SlmsOutput, Program), SlmsError> {
     // Work on a scratch program so failed attempts leave no stray decls.
     let mut scratch = prog.clone();
     let original: HashSet<String> = prog.decls.iter().map(|d| d.name.clone()).collect();
@@ -587,12 +563,11 @@ fn slms_loop_inner(
         max_offset: out.max_offset,
     });
 
-    *prog = scratch;
     let (exact_order, certificate) = match exact_info {
         Some((o, c)) => (Some(o), Some(c)),
         None => (None, None),
     };
-    Ok(SlmsOutput {
+    let output = SlmsOutput {
         stmts: out.stmts,
         report: SlmsReport {
             ii,
@@ -609,7 +584,8 @@ fn slms_loop_inner(
             certificate,
             dep_pairs: final_ddg.pairs,
         },
-    })
+    };
+    Ok((output, scratch))
 }
 
 /// Record the accumulated exact-engine counters in the decision trace (one
@@ -658,113 +634,115 @@ pub struct LoopOutcome {
 /// assert!(to_paper_style(&optimized).contains("||")); // parallel kernel rows
 /// ```
 pub fn slms_program(prog: &Program, cfg: &SlmsConfig) -> (Program, Vec<LoopOutcome>) {
-    slms_program_spanned(prog, cfg, &Tracer::disabled())
+    slms_program_checked(prog, cfg, &Tracer::disabled(), &mut |_, _, _| {})
 }
 
-/// [`slms_program`] with wall-clock spans: one span per visited innermost
-/// loop (category `"slms"`, named after the [`LoopId`]) with the per-stage
-/// child spans of [`slms_loop_spanned`] nested inside. The transformed
-/// program and outcomes are byte-identical to [`slms_program`].
-pub fn slms_program_spanned(
+/// A check [`slms_program_checked`] runs on every loop it visits, before
+/// the loop's new declarations are committed. It receives the program as
+/// it stood before the loop (only its declarations: the walk holds the
+/// statements), the loop, and SLMS's result on it.
+pub type LoopCheck<'a> = dyn FnMut(&Program, &ForLoop, &Result<SlmsOutput, SlmsError>) + 'a;
+
+/// [`slms_program`] with wall-clock spans and a per-loop `check`. Each
+/// visited innermost loop opens a span on `tracer` (category `"slms"`,
+/// named after the [`LoopId`]) with the filter, MII / decomposition and
+/// emission spans nested inside. The static schedule verifier passes its
+/// translation validation as the check, so it checks the very statements
+/// the driver splices into the program. Spans and check only observe: the
+/// program and outcomes are those of [`slms_program`].
+pub fn slms_program_checked(
     prog: &Program,
     cfg: &SlmsConfig,
     tracer: &Tracer,
+    check: &mut LoopCheck<'_>,
 ) -> (Program, Vec<LoopOutcome>) {
-    let mut new_prog = prog.clone();
-    let mut outcomes = Vec::new();
-    let stmts = std::mem::take(&mut new_prog.stmts);
-    let mut next_loop = 0usize;
-    let new_stmts = transform_stmts(
-        &mut new_prog,
-        stmts,
+    let mut decls = prog.clone();
+    let stmts = std::mem::take(&mut decls.stmts);
+    let mut walk = Walk {
+        decls,
         cfg,
-        &mut outcomes,
-        &mut next_loop,
         tracer,
-    );
-    new_prog.stmts = new_stmts;
-    (new_prog, outcomes)
+        check,
+        outcomes: Vec::new(),
+    };
+    let stmts = walk.stmts(stmts);
+    let mut out = walk.decls;
+    out.stmts = stmts;
+    (out, walk.outcomes)
 }
 
-fn transform_stmts(
-    prog: &mut Program,
-    stmts: Vec<Stmt>,
-    cfg: &SlmsConfig,
-    outcomes: &mut Vec<LoopOutcome>,
-    next_loop: &mut usize,
-    tracer: &Tracer,
-) -> Vec<Stmt> {
-    let mut out = Vec::new();
-    for s in stmts {
-        match s {
-            Stmt::For(f) => {
-                let is_innermost = !f.body.iter().any(Stmt::contains_loop);
-                if is_innermost {
-                    let id = LoopId::of(&f, *next_loop);
-                    *next_loop += 1;
-                    let stmt = Stmt::For(f);
-                    let mut trace = Vec::new();
-                    let mut span = tracer.span_dyn("slms", || format!("slms {}", id.verbose()));
-                    match slms_loop_spanned(prog, &stmt, cfg, &mut trace, tracer) {
-                        Ok(res) => {
-                            span.arg("transformed", true);
-                            outcomes.push(LoopOutcome {
-                                id,
-                                result: Ok(res.report),
-                                trace,
-                            });
-                            out.extend(res.stmts);
-                        }
-                        Err(e) => {
-                            span.arg("transformed", false);
-                            outcomes.push(LoopOutcome {
-                                id,
-                                result: Err(e),
-                                trace,
-                            });
-                            out.push(stmt);
-                        }
-                    }
-                } else {
-                    let mut f = f;
-                    f.body = transform_stmts(prog, f.body, cfg, outcomes, next_loop, tracer);
+/// The one walk that schedules loops: innermost `for` loops in pre-order,
+/// through `for` bodies, blocks and both `if` branches. `decls` is the
+/// program with its statements taken out; each transformed loop adds its
+/// temporaries' declarations to it.
+struct Walk<'a, 'c> {
+    decls: Program,
+    cfg: &'a SlmsConfig,
+    tracer: &'a Tracer,
+    check: &'a mut LoopCheck<'c>,
+    outcomes: Vec<LoopOutcome>,
+}
+
+impl Walk<'_, '_> {
+    fn stmts(&mut self, stmts: Vec<Stmt>) -> Vec<Stmt> {
+        let mut out = Vec::new();
+        for s in stmts {
+            match s {
+                Stmt::For(mut f) if f.body.iter().any(Stmt::contains_loop) => {
+                    f.body = self.stmts(f.body);
                     out.push(Stmt::For(f));
                 }
-            }
-            Stmt::Block(b) => {
-                out.push(Stmt::Block(transform_stmts(
-                    prog, b, cfg, outcomes, next_loop, tracer,
-                )));
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                out.push(Stmt::If {
+                Stmt::For(f) => self.innermost(f, &mut out),
+                Stmt::Block(b) => out.push(Stmt::Block(self.stmts(b))),
+                Stmt::If {
                     cond,
-                    then_branch: transform_stmts(
-                        prog,
-                        then_branch,
-                        cfg,
-                        outcomes,
-                        next_loop,
-                        tracer,
-                    ),
-                    else_branch: transform_stmts(
-                        prog,
-                        else_branch,
-                        cfg,
-                        outcomes,
-                        next_loop,
-                        tracer,
-                    ),
-                });
+                    then_branch,
+                    else_branch,
+                } => out.push(Stmt::If {
+                    cond,
+                    then_branch: self.stmts(then_branch),
+                    else_branch: self.stmts(else_branch),
+                }),
+                other => out.push(other),
             }
-            other => out.push(other),
         }
+        out
     }
-    out
+
+    /// Schedule one innermost loop, run the check, then commit: the
+    /// emitted statements (or the loop itself) go to `out`.
+    fn innermost(&mut self, f: ForLoop, out: &mut Vec<Stmt>) {
+        let id = LoopId::of(&f, self.outcomes.len());
+        let mut trace = Vec::new();
+        let mut span = self
+            .tracer
+            .span_dyn("slms", || format!("slms {}", id.verbose()));
+        let (result, decls) =
+            match schedule_loop(&self.decls, &f, self.cfg, &mut trace, self.tracer) {
+                Ok((output, decls)) => (Ok(output), Some(decls)),
+                Err(e) => {
+                    trace.push(DiagEvent::Rejected { error: e.clone() });
+                    (Err(e), None)
+                }
+            };
+        span.arg("transformed", result.is_ok());
+        drop(span);
+        (self.check)(&self.decls, &f, &result);
+        if let Some(decls) = decls {
+            self.decls = decls;
+        }
+        let result = match result {
+            Ok(output) => {
+                out.extend(output.stmts);
+                Ok(output.report)
+            }
+            Err(e) => {
+                out.push(Stmt::For(f));
+                Err(e)
+            }
+        };
+        self.outcomes.push(LoopOutcome { id, result, trace });
+    }
 }
 
 impl From<&SlmsConfig> for Json {
@@ -948,14 +926,17 @@ mod tests {
         assert_eq!(heur.report.ii, 3, "source order pays for the recurrence");
         assert_eq!(heur.report.certificate, None);
 
-        let mut prog = parse_program(src).unwrap();
+        let prog = parse_program(src).unwrap();
         let cfg = SlmsConfig {
             apply_filter: false,
             scheduler: SchedulerKind::Exact,
             ..SlmsConfig::default()
         };
         let mut trace = Vec::new();
-        let out = slms_loop_traced(&mut prog, &loop_stmt, &cfg, &mut trace).unwrap();
+        let Stmt::For(f) = &loop_stmt else {
+            unreachable!()
+        };
+        let (out, _) = schedule_loop(&prog, f, &cfg, &mut trace, &Tracer::disabled()).unwrap();
         assert_eq!(out.report.ii, 1, "exact order hides the recurrence");
         assert_eq!(out.report.heuristic_ii, Some(3));
         let order = out.report.exact_order.as_ref().unwrap();

@@ -28,12 +28,13 @@
 //! error: the loop stays, and the reason lands in the diagnostics.
 
 use slc_ast::{Program, Stmt};
-use slc_core::diag::{DiagSink, PassArtifact, PassDiag};
-use slc_core::{slms_program_spanned, SchedulerKind, SlmsConfig};
+use slc_core::diag::{DiagSink, PassDiag};
+use slc_core::{slms_program_checked, SchedulerKind, SlmsConfig};
 use slc_trace::Tracer;
 use slc_transforms::{
     distribute, fuse, interchange, normalize, peel_front, reverse, unroll, TransformError,
 };
+use slc_verify::{slms_program_verified, ProgramVerdict};
 use std::time::Instant;
 
 /// One transformation with its parameters, as named in a plan.
@@ -93,8 +94,8 @@ pub enum PassSpec {
     },
     /// `exact` or `exact:nofilter`: SLMS with the exact (SAT-backed)
     /// scheduler — every small-enough loop additionally gets an
-    /// [`OptimalityCertificate`](slc_exact::OptimalityCertificate), pushed
-    /// into the pass's [`PassArtifact`] channel.
+    /// [`OptimalityCertificate`](slc_exact::OptimalityCertificate) in its
+    /// [`SlmsReport`](slc_core::SlmsReport).
     Exact {
         /// disable the §4 filter for this pass
         no_filter: bool,
@@ -426,14 +427,20 @@ impl Step<'_> {
     }
 
     /// Apply to a program; append diagnostics (and the pass's wall clock)
-    /// to the sink. Leaves `prog` untouched on failure.
-    fn apply(&self, prog: &Program, sink: &mut DiagSink) -> Result<Program, PassError> {
+    /// to the sink and, for a scheduling pass given `verdicts`, its static
+    /// verification verdict. Leaves `prog` untouched on failure.
+    fn apply(
+        &self,
+        prog: &Program,
+        sink: &mut DiagSink,
+        verdicts: Option<&mut Vec<ProgramVerdict>>,
+    ) -> Result<Program, PassError> {
         let mut span = self
             .tracer
             .span_dyn("pass", || format!("pass {}", self.name()));
         let idx = sink.begin_pass(self.name());
         let t0 = Instant::now();
-        let result = self.apply_inner(prog, sink.pass_mut(idx));
+        let result = self.apply_inner(prog, sink.pass_mut(idx), verdicts);
         sink.pass_mut(idx).elapsed_ns = t0.elapsed().as_nanos() as u64;
         if let Err(e) = &result {
             sink.pass_mut(idx).notes.push(format!("FAILED: {e}"));
@@ -470,39 +477,39 @@ impl Step<'_> {
         }
     }
 
-    fn apply_inner(&self, prog: &Program, diag: &mut PassDiag) -> Result<Program, PassError> {
+    fn apply_inner(
+        &self,
+        prog: &Program,
+        diag: &mut PassDiag,
+        verdicts: Option<&mut Vec<ProgramVerdict>>,
+    ) -> Result<Program, PassError> {
         match self.spec {
-            PassSpec::Slms { no_filter } => {
-                let cfg = resolve_slms(self.slms, *no_filter);
-                let (out, outcomes) = slms_program_spanned(prog, &cfg, self.tracer);
-                let ok = outcomes.iter().filter(|o| o.result.is_ok()).count();
-                diag.notes.push(format!(
-                    "{ok} of {} innermost loop(s) pipelined",
-                    outcomes.len()
-                ));
-                diag.loops = outcomes;
-                Ok(out)
-            }
-            PassSpec::Exact { no_filter } => {
-                let cfg = resolve_exact(self.slms, *no_filter);
-                let (out, outcomes) = slms_program_spanned(prog, &cfg, self.tracer);
-                let ok = outcomes.iter().filter(|o| o.result.is_ok()).count();
-                for o in &outcomes {
-                    if let Ok(r) = &o.result {
-                        if let (Some(heuristic_ii), Some(cert)) = (r.heuristic_ii, &r.certificate) {
-                            diag.artifacts.push(PassArtifact::Certificate {
-                                loop_id: o.id.clone(),
-                                heuristic_ii,
-                                certificate: cert.clone(),
-                            });
-                        }
+            PassSpec::Slms { no_filter } | PassSpec::Exact { no_filter } => {
+                let exact = matches!(self.spec, PassSpec::Exact { .. });
+                let cfg = if exact {
+                    resolve_exact(self.slms, *no_filter)
+                } else {
+                    resolve_slms(self.slms, *no_filter)
+                };
+                let (out, outcomes) = match verdicts {
+                    Some(verdicts) => {
+                        let (out, outcomes, verdict) =
+                            slms_program_verified(prog, &cfg, self.tracer);
+                        verdicts.push(verdict);
+                        (out, outcomes)
                     }
+                    None => slms_program_checked(prog, &cfg, self.tracer, &mut |_, _, _| {}),
+                };
+                let ok = outcomes.iter().filter(|o| o.result.is_ok()).count();
+                let mut note = format!("{ok} of {} innermost loop(s) pipelined", outcomes.len());
+                if exact {
+                    let certified = outcomes
+                        .iter()
+                        .filter(|o| o.result.as_ref().is_ok_and(|r| r.certificate.is_some()))
+                        .count();
+                    note += &format!(", {certified} with optimality certificate(s)");
                 }
-                diag.notes.push(format!(
-                    "{ok} of {} innermost loop(s) pipelined, {} with optimality certificate(s)",
-                    outcomes.len(),
-                    diag.artifacts.len()
-                ));
+                diag.notes.push(note);
                 diag.loops = outcomes;
                 Ok(out)
             }
@@ -656,40 +663,26 @@ impl PassManager {
         Ok((out, sink))
     }
 
-    /// Like [`PassManager::run`], but when `verify` is set the program
-    /// state *before* each `slms` pass is handed to the static schedule
-    /// verifier. One [`ProgramVerdict`](slc_verify::ProgramVerdict) per
-    /// `slms` pass is returned in plan order.
+    /// Like [`PassManager::run`], but when `verify` is set each `slms` /
+    /// `exact` pass validates the emission of every loop it schedules (the
+    /// statements this run returns) with the static schedule verifier. One
+    /// [`ProgramVerdict`] per scheduling pass is returned in plan order.
     pub fn run_with_verify(
         &self,
         prog: &Program,
         plan: &PassPlan,
         verify: bool,
-    ) -> Result<(Program, DiagSink, Vec<slc_verify::ProgramVerdict>), PassError> {
+    ) -> Result<(Program, DiagSink, Vec<ProgramVerdict>), PassError> {
         let mut sink = DiagSink::new();
         let mut cur = prog.clone();
         let mut verdicts = Vec::new();
         for spec in &plan.specs {
-            let is_sched = matches!(spec, PassSpec::Slms { .. } | PassSpec::Exact { .. });
-            let pre = (verify && is_sched).then(|| cur.clone());
             let step = Step {
                 spec,
                 slms: &self.slms,
                 tracer: &self.tracer,
             };
-            cur = step.apply(&cur, &mut sink)?;
-            if let Some(pre) = pre {
-                let cfg = match spec {
-                    PassSpec::Slms { no_filter } => resolve_slms(&self.slms, *no_filter),
-                    PassSpec::Exact { no_filter } => resolve_exact(&self.slms, *no_filter),
-                    _ => unreachable!("pre-state is only cloned for scheduling passes"),
-                };
-                verdicts.push(slc_verify::verify_slms_program_spanned(
-                    &pre,
-                    &cfg,
-                    &self.tracer,
-                ));
-            }
+            cur = step.apply(&cur, &mut sink, verify.then_some(&mut verdicts))?;
         }
         Ok((cur, sink, verdicts))
     }
@@ -780,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn exact_plan_fills_the_artifact_channel() {
+    fn exact_plan_notes_its_certificates() {
         let prog = parse_program(
             "float A[32]; float B[32]; float s; float t; int i;\n\
              for (i = 0; i < 16; i++) { t = A[i] * B[i]; s = s + t; }",
@@ -788,19 +781,16 @@ mod tests {
         .unwrap();
         let pm = PassManager::default();
         let (_, sink) = pm.run(&prog, &PassPlan::exact_only()).unwrap();
-        let arts = &sink.passes[0].artifacts;
-        assert_eq!(arts.len(), 1, "notes: {:?}", sink.passes[0].notes);
-        let PassArtifact::Certificate {
-            heuristic_ii,
-            certificate,
-            ..
-        } = &arts[0];
-        assert!(arts[0].optimality_gap() >= 0);
-        assert_eq!(*heuristic_ii - certificate.ii, arts[0].optimality_gap());
-        assert!(sink.passes[0].notes[0].contains("1 with optimality certificate"));
-        // the heuristic plan leaves the sidecar channel empty
+        let pass = &sink.passes[0];
+        assert_eq!(
+            pass.notes,
+            ["1 of 1 innermost loop(s) pipelined, 1 with optimality certificate(s)"]
+        );
+        let r = pass.loops[0].result.as_ref().unwrap();
+        assert_eq!(r.heuristic_ii, Some(r.certificate.as_ref().unwrap().ii));
+        // the heuristic plan's note counts no certificates
         let (_, sink) = pm.run(&prog, &PassPlan::slms_only()).unwrap();
-        assert!(sink.passes[0].artifacts.is_empty());
+        assert_eq!(sink.passes[0].notes, ["1 of 1 innermost loop(s) pipelined"]);
     }
 
     #[test]

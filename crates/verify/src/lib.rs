@@ -34,8 +34,8 @@ pub mod validate;
 pub use lint::{lint_program, Lint, LintSeverity};
 pub use validate::{verify_emission, EmissionVerdict};
 
-use slc_ast::{LoopId, Program, Stmt};
-use slc_core::{slms_loop, DiagEvent, SlmsConfig};
+use slc_ast::{LoopId, Program};
+use slc_core::{slms_program_checked, DiagEvent, LoopOutcome, SlmsConfig};
 use slc_trace::Tracer;
 
 /// Reason string used when an emission is skipped because the loop has
@@ -422,112 +422,74 @@ impl ProgramVerdict {
     }
 }
 
-/// Re-run SLMS over `prog` (deterministically, with `cfg`) and statically
-/// validate every emitted schedule against the §5 placement rules — the
-/// translation-validation entry point. Mirrors the driver's own traversal:
-/// innermost loops in pre-order, with the program's declaration environment
-/// evolving exactly as the driver evolves it.
+/// Run SLMS over `prog` with `cfg` and statically validate every emitted
+/// schedule against the §5 placement rules — the translation-validation
+/// entry point. The driver's own walk schedules each innermost loop once
+/// and hands the emission to [`verify_emission`] before committing it, with
+/// the declarations as they stood before that loop.
 pub fn verify_slms_program(prog: &Program, cfg: &SlmsConfig) -> ProgramVerdict {
     verify_slms_program_spanned(prog, cfg, &Tracer::disabled())
 }
 
-/// [`verify_slms_program`] with wall-clock spans: one span per innermost
-/// loop (category `"verify"`, named after the [`LoopId`]) carrying the
-/// obligation/violation counts as span arguments. The verdict is identical
-/// to [`verify_slms_program`] — spans record timings only.
+/// [`verify_slms_program`] with wall-clock spans: the driver's `"slms"`
+/// spans, plus one span per innermost loop (category `"verify"`, named
+/// after the [`LoopId`]) carrying the obligation/violation counts as span
+/// arguments. The verdict is identical to [`verify_slms_program`] — spans
+/// record timings only.
 pub fn verify_slms_program_spanned(
     prog: &Program,
     cfg: &SlmsConfig,
     tracer: &Tracer,
 ) -> ProgramVerdict {
-    let mut cur = prog.clone();
-    let mut loops = Vec::new();
-    let mut next = 0usize;
-    let stmts = cur.stmts.clone();
-    walk(&mut cur, &stmts, cfg, &mut loops, &mut next, tracer);
-    ProgramVerdict { loops }
+    slms_program_verified(prog, cfg, tracer).2
 }
 
-fn walk(
-    cur: &mut Program,
-    stmts: &[Stmt],
+/// [`slms_program_checked`] with the translation validation of
+/// [`verify_slms_program`] as its check: the transformed program and
+/// outcomes are those of `slms_program`, the verdict that of
+/// `verify_slms_program`, and the spans those of
+/// [`verify_slms_program_spanned`].
+pub fn slms_program_verified(
+    prog: &Program,
     cfg: &SlmsConfig,
-    out: &mut Vec<LoopReport>,
-    next: &mut usize,
     tracer: &Tracer,
-) {
-    for s in stmts {
-        match s {
-            Stmt::For(f) => {
-                let is_innermost = !f.body.iter().any(Stmt::contains_loop);
-                if is_innermost {
-                    let id = LoopId::of(f, *next);
-                    *next += 1;
-                    let mut span = tracer.span_dyn("verify", || format!("verify {}", id.verbose()));
-                    let mut work = cur.clone();
-                    match slms_loop(&mut work, s, cfg) {
-                        Ok(res) => {
-                            let verdict = if f.trip_count().is_none() {
-                                LoopVerdict::Skipped {
-                                    reason: VERIFY_SKIP_SYMBOLIC.into(),
-                                }
-                            } else {
-                                let ev = verify_emission(cur, f, &res.report, &res.stmts, cfg);
-                                if ev.clean() {
-                                    LoopVerdict::Verified {
-                                        obligations: ev.obligations,
-                                    }
-                                } else {
-                                    LoopVerdict::Violated {
-                                        obligations: ev.obligations,
-                                        violations: ev.violations,
-                                    }
-                                }
-                            };
-                            match &verdict {
-                                LoopVerdict::Verified { obligations } => {
-                                    span.arg("obligations", *obligations);
-                                }
-                                LoopVerdict::Violated {
-                                    obligations,
-                                    violations,
-                                } => {
-                                    span.arg("obligations", *obligations);
-                                    span.arg("violations", violations.len());
-                                }
-                                LoopVerdict::Skipped { reason } => {
-                                    span.arg("skipped", reason.as_str());
-                                }
-                            }
-                            *cur = work;
-                            out.push(LoopReport { id, verdict });
-                        }
-                        Err(e) => {
-                            span.arg("skipped", "not transformed");
-                            out.push(LoopReport {
-                                id,
-                                verdict: LoopVerdict::Skipped {
-                                    reason: format!("not transformed: {e}"),
-                                },
-                            });
-                        }
-                    }
-                } else {
-                    walk(cur, &f.body, cfg, out, next, tracer);
+) -> (Program, Vec<LoopOutcome>, ProgramVerdict) {
+    let mut loops = Vec::new();
+    let (out, outcomes) = slms_program_checked(prog, cfg, tracer, &mut |pre, f, result| {
+        let id = LoopId::of(f, loops.len());
+        let mut span = tracer.span_dyn("verify", || format!("verify {}", id.verbose()));
+        let verdict = match result {
+            Err(e) => {
+                span.arg("skipped", "not transformed");
+                LoopVerdict::Skipped {
+                    reason: format!("not transformed: {e}"),
                 }
             }
-            Stmt::Block(b) => walk(cur, b, cfg, out, next, tracer),
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                walk(cur, then_branch, cfg, out, next, tracer);
-                walk(cur, else_branch, cfg, out, next, tracer);
+            Ok(_) if f.trip_count().is_none() => {
+                span.arg("skipped", VERIFY_SKIP_SYMBOLIC);
+                LoopVerdict::Skipped {
+                    reason: VERIFY_SKIP_SYMBOLIC.into(),
+                }
             }
-            _ => {}
-        }
-    }
+            Ok(res) => {
+                let ev = verify_emission(pre, f, &res.report, &res.stmts, cfg);
+                span.arg("obligations", ev.obligations);
+                if ev.clean() {
+                    LoopVerdict::Verified {
+                        obligations: ev.obligations,
+                    }
+                } else {
+                    span.arg("violations", ev.violations.len());
+                    LoopVerdict::Violated {
+                        obligations: ev.obligations,
+                        violations: ev.violations,
+                    }
+                }
+            }
+        };
+        loops.push(LoopReport { id, verdict });
+    });
+    (out, outcomes, ProgramVerdict { loops })
 }
 
 #[cfg(test)]

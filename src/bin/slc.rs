@@ -167,8 +167,30 @@ use slc::sim::astinterp::equivalent;
 use slc::sim::presets;
 use slc::slms::{render_loop_trace, Expansion, SchedulerKind, SlmsConfig};
 use slc::trace::Tracer;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::process::exit;
+
+/// Every `print!`/`println!` of this tool goes through here. A reader that
+/// closes its end early (`slc verify --all | head`) ends the process
+/// quietly with the status a shell reports for SIGPIPE, instead of the
+/// panic std's macros raise.
+fn write_stdout(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(141);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
+
+macro_rules! print {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+macro_rules! println {
+    () => { write_stdout(format_args!("\n")) };
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
 
 // One synopsis per mode. A bad invocation prints its mode's synopsis (the
 // default mode prints all of them) and exits 2.

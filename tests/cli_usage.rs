@@ -1,7 +1,8 @@
 //! Usage contract of the `slc` command line: a bad invocation exits 2
 //! before doing any work, a bad enum value names the valid alternatives,
-//! and unreadable input (a file, or stdin that is not UTF-8) exits 1 with a
-//! message instead of a panic.
+//! unreadable input (a file, or stdin that is not UTF-8) exits 1 with a
+//! message instead of a panic, and a reader that closes stdout early ends
+//! the command without one.
 
 use std::io::Write;
 use std::process::{Command, Output, Stdio};
@@ -109,5 +110,23 @@ fn non_utf8_stdin_exits_one_with_a_message() {
             stderr.contains("cannot read stdin"),
             "slc {mode:?}: stderr:\n{stderr}"
         );
+    }
+}
+
+#[test]
+fn closed_stdout_ends_quietly() {
+    for mode in ["verify", "deps"] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_slc"))
+            .args([mode, "--all"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        // close the read end before the first line is written
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "slc {mode} --all:\n{stderr}");
+        assert_ne!(out.status.code(), Some(101), "slc {mode} --all:\n{stderr}");
     }
 }

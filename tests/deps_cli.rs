@@ -168,3 +168,35 @@ fn lint_bad_flag_exits_two() {
     let out = slc().args(["lint", "--bogus"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
 }
+
+/// One `for` inside a `while`, then the same `for` at top level: the SLMS
+/// driver does not enter `while` bodies, so it visits only the second.
+const WHILE_THEN_FOR: &str = "float A[64]; float B[64]; int c; int i;\n\
+     while (c < 1) { for (i = 0; i < 60; i++) { A[i] = B[i] + 1.0; B[i] = A[i] * 2.0; } \
+     c = c + 1; }\n\
+     for (i = 0; i < 60; i++) { A[i] = B[i] + 1.0; B[i] = A[i] * 2.0; }";
+
+#[test]
+fn innermost_loops_are_the_loops_the_driver_visits() {
+    use slc::ast::{innermost_loops, parse_program, LoopId};
+    use slc::slms::{slms_program, SlmsConfig};
+    let mut programs: Vec<_> = slc::workloads::all().iter().map(|w| w.program()).collect();
+    programs.push(parse_program(WHILE_THEN_FOR).unwrap());
+    for prog in &programs {
+        let ids: Vec<LoopId> = innermost_loops(&prog.stmts)
+            .into_iter()
+            .enumerate()
+            .map(|(k, f)| LoopId::of(f, k))
+            .collect();
+        let (_, outcomes) = slms_program(prog, &SlmsConfig::default());
+        let driver: Vec<LoopId> = outcomes.into_iter().map(|o| o.id).collect();
+        assert_eq!(ids, driver);
+    }
+    // `slc deps` certifies that one loop only: one stats line
+    let path = write_temp("while", WHILE_THEN_FOR);
+    let out = slc().args(["deps", "--json"]).arg(&path).output().unwrap();
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout:\n{stdout}");
+    assert_eq!(stdout.matches("\"pairs_decided\"").count(), 1, "{stdout}");
+    std::fs::remove_file(path).ok();
+}
