@@ -47,7 +47,9 @@
 //! trial drops (every model of the trial falsifies it), settles the
 //! satisfiable trials (the clause is needed) with a model that is checked
 //! before it counts; only the few unsatisfiable trials pay for a fresh
-//! solve. The proof is the one plain [`slc_sat::minimize_core`] returns.
+//! solve, all on one reset solver workspace. The search builds its tables
+//! once per working core and toggles only each trial's dropped clause.
+//! The proof is the one plain [`slc_sat::minimize_core`] returns.
 
 use slc_sat::{brute_force, minimize_core_with, Lit, Outcome, Solver};
 
@@ -514,8 +516,8 @@ impl ExactScheduler {
                 sigma[k] = p;
             }
             let mut search = PlacementSearch::new(n);
-            let core = minimize_core_with(&r.clauses, &r.core, |trial, dropped| {
-                search.find(&r.meta, trial, dropped)
+            let core = minimize_core_with(&r.clauses, &r.core, |trial, dropped, new_core| {
+                search.find(&r.meta, trial, dropped, new_core)
             });
             InfeasibilityProof {
                 ii: r.ii,
@@ -536,6 +538,18 @@ impl ExactScheduler {
             },
             stats,
         })
+    }
+}
+
+/// The position pair a two-MI clause forbids, as `(a, pa, b, pb)`: MI `a`
+/// at `pa` together with MI `b` at `pb`. `None` for the one-MI clauses.
+fn forbidden_pair(clause: ProofClause) -> Option<(usize, usize, usize, usize)> {
+    match clause {
+        ProofClause::SlotDistinct { p, mi1, mi2 } => Some((mi1, p, mi2, p)),
+        ProofClause::DepForbids {
+            from, to, pu, pv, ..
+        } => Some((from, pu, to, pv)),
+        ProofClause::SlotAtLeastOne { .. } | ProofClause::SlotAtMostOne { .. } => None,
     }
 }
 
@@ -568,12 +582,22 @@ const PLACEMENT_NODE_CAP: usize = 2048;
 /// `None` for a trial it refutes or abandons; the minimization then runs
 /// its fresh solve. Its models are checked clause by clause before they
 /// count, so a wrong answer here costs a solve, never a proof.
+///
+/// The `need` and `forbid` tables are built once per working core, when
+/// [`slc_sat::minimize_core_with`] says the core is new; a trial only
+/// toggles its dropped clause out and back in. A pair forbidden by two or
+/// more clauses of the core (a distance-0 `DepForbids` at `pu == pv` and
+/// a `SlotDistinct`, or two dependences between the same MIs) is marked
+/// `shared` and stays forbidden when one of them is dropped.
 struct PlacementSearch {
     n: usize,
     /// MIs the trial requires to be placed.
     need: Vec<bool>,
     /// `forbid[(k·n + p)·n + k2]`: positions of `k2` excluded by `k` at `p`.
     forbid: Vec<u64>,
+    /// The pairs of `forbid` that two or more clauses of the working core
+    /// forbid, indexed the same way.
+    shared: Vec<u64>,
     /// Open positions per MI, one row of `n` per search depth.
     open: Vec<u64>,
     /// Chosen position per MI (`usize::MAX` = unplaced).
@@ -588,6 +612,7 @@ impl PlacementSearch {
             n,
             need: vec![false; n],
             forbid: vec![0; n * n * n],
+            shared: vec![0; n * n * n],
             open: vec![0; (n + 1) * n],
             pos: vec![usize::MAX; n],
             nodes: 0,
@@ -595,48 +620,28 @@ impl PlacementSearch {
     }
 
     /// A model of the `trial` clauses (ids into `meta`), or `None`.
-    /// `dropped` is the clause of the working core the trial leaves out.
-    fn find(&mut self, meta: &[ProofClause], trial: &[usize], dropped: usize) -> Option<Vec<bool>> {
-        let n = self.n;
-        self.nodes = 0;
-        let seed = match meta[dropped] {
-            ProofClause::SlotAtLeastOne { .. } => None,
-            ProofClause::SlotAtMostOne { .. } => return None,
-            ProofClause::SlotDistinct { p, mi1, mi2 } => Some((mi1, p, mi2, p)),
-            ProofClause::DepForbids {
-                from, to, pu, pv, ..
-            } => Some((from, pu, to, pv)),
-        };
-        self.need.fill(false);
-        self.forbid.fill(0);
-        self.pos.fill(usize::MAX);
-        for &id in trial {
-            match meta[id] {
-                ProofClause::SlotAtLeastOne { mi } => self.need[mi] = true,
-                ProofClause::SlotAtMostOne { .. } => {}
-                ProofClause::SlotDistinct { p, mi1, mi2 } => self.exclude(mi1, p, mi2, p),
-                ProofClause::DepForbids {
-                    from, to, pu, pv, ..
-                } => self.exclude(from, pu, to, pv),
-            }
+    /// `dropped` is the clause of the working core the trial leaves out,
+    /// and `new_core` says the working core changed since the last call.
+    fn find(
+        &mut self,
+        meta: &[ProofClause],
+        trial: &[usize],
+        dropped: usize,
+        new_core: bool,
+    ) -> Option<Vec<bool>> {
+        if new_core {
+            self.build(meta, trial.iter().chain([&dropped]));
         }
-        for k in 0..n {
-            self.open[k] = if self.need[k] { (1u64 << n) - 1 } else { 0 };
-        }
-        if let Some((a, pa, b, pb)) = seed {
-            if self.forbid[(a * n + pa) * n + b] & 1 << pb != 0 {
-                return None;
-            }
-            self.pos[a] = pa;
-            self.pos[b] = pb;
-            for k in 0..n {
-                self.open[k] &=
-                    !(self.forbid[(a * n + pa) * n + k] | self.forbid[(b * n + pb) * n + k]);
-            }
-        }
-        if !self.place(0) {
+        let clause = meta[dropped];
+        self.toggle(clause, false);
+        #[cfg(test)]
+        self.assert_tables_match(meta, trial);
+        let placed = self.search(clause);
+        self.toggle(clause, true);
+        if !placed {
             return None;
         }
+        let n = self.n;
         let mut model = vec![false; n * n];
         for (k, &p) in self.pos.iter().enumerate() {
             if p != usize::MAX {
@@ -646,13 +651,96 @@ impl PlacementSearch {
         Some(model)
     }
 
-    /// Record that `a` at `pa` and `b` at `pb` cannot both hold. A pair on
-    /// one MI is never consulted: one position per MI settles `pa ≠ pb`,
-    /// and the model check catches `pa = pb`.
+    /// Rebuild `need`, `forbid` and `shared` over the clauses `ids`.
+    fn build<'a>(&mut self, meta: &[ProofClause], ids: impl Iterator<Item = &'a usize>) {
+        self.need.fill(false);
+        self.forbid.fill(0);
+        self.shared.fill(0);
+        for &id in ids {
+            if let ProofClause::SlotAtLeastOne { mi } = meta[id] {
+                self.need[mi] = true;
+            } else if let Some((a, pa, b, pb)) = forbidden_pair(meta[id]) {
+                self.exclude(a, pa, b, pb);
+            }
+        }
+    }
+
+    /// Take `clause` out of the tables (`on = false`) or put it back. A
+    /// shared pair is never taken out: another clause still forbids it.
+    fn toggle(&mut self, clause: ProofClause, on: bool) {
+        if let ProofClause::SlotAtLeastOne { mi } = clause {
+            self.need[mi] = on;
+        }
+        let Some((a, pa, b, pb)) = forbidden_pair(clause) else {
+            return;
+        };
+        let n = self.n;
+        let (ab, ba) = ((a * n + pa) * n + b, (b * n + pb) * n + a);
+        if on {
+            self.forbid[ab] |= 1 << pb;
+            self.forbid[ba] |= 1 << pa;
+        } else if self.shared[ab] & 1 << pb == 0 {
+            self.forbid[ab] &= !(1 << pb);
+            self.forbid[ba] &= !(1 << pa);
+        }
+    }
+
+    /// Check that the tables kept across trials are the ones a build
+    /// from scratch over the `trial` clauses gives.
+    #[cfg(test)]
+    fn assert_tables_match(&self, meta: &[ProofClause], trial: &[usize]) {
+        let mut scratch = PlacementSearch::new(self.n);
+        scratch.build(meta, trial.iter());
+        assert_eq!(
+            self.need, scratch.need,
+            "kept `need` differs from the trial's"
+        );
+        assert!(
+            self.forbid == scratch.forbid,
+            "kept `forbid` differs from the trial's"
+        );
+    }
+
+    /// Search for a placement of the current tables, seeded with the
+    /// dropped `clause`; true with the positions left in `pos`.
+    fn search(&mut self, clause: ProofClause) -> bool {
+        let n = self.n;
+        self.nodes = 0;
+        if let ProofClause::SlotAtMostOne { .. } = clause {
+            return false;
+        }
+        let seed = forbidden_pair(clause);
+        self.pos.fill(usize::MAX);
+        for k in 0..n {
+            self.open[k] = if self.need[k] { (1u64 << n) - 1 } else { 0 };
+        }
+        if let Some((a, pa, b, pb)) = seed {
+            if self.forbid[(a * n + pa) * n + b] & 1 << pb != 0 {
+                return false;
+            }
+            self.pos[a] = pa;
+            self.pos[b] = pb;
+            for k in 0..n {
+                self.open[k] &=
+                    !(self.forbid[(a * n + pa) * n + k] | self.forbid[(b * n + pb) * n + k]);
+            }
+        }
+        self.place(0)
+    }
+
+    /// Record that `a` at `pa` and `b` at `pb` cannot both hold, and mark
+    /// the pair shared if a clause already forbids it. A pair on one MI is
+    /// never consulted: one position per MI settles `pa ≠ pb`, and the
+    /// model check catches `pa = pb`.
     fn exclude(&mut self, a: usize, pa: usize, b: usize, pb: usize) {
         let n = self.n;
-        self.forbid[(a * n + pa) * n + b] |= 1 << pb;
-        self.forbid[(b * n + pb) * n + a] |= 1 << pa;
+        let (ab, ba) = ((a * n + pa) * n + b, (b * n + pb) * n + a);
+        if self.forbid[ab] & 1 << pb != 0 {
+            self.shared[ab] |= 1 << pb;
+            self.shared[ba] |= 1 << pa;
+        }
+        self.forbid[ab] |= 1 << pb;
+        self.forbid[ba] |= 1 << pa;
     }
 
     /// Place every required, unplaced MI given the open positions in row
@@ -1238,7 +1326,7 @@ mod tests {
             };
 
             let mut sat_trials = 0usize;
-            let plain = minimize_core_with(&clauses, &core, |trial, _| {
+            let plain = minimize_core_with(&clauses, &core, |trial, _, _| {
                 if slc_sat::solve_subset(&clauses, trial).is_sat() {
                     sat_trials += 1;
                 }
@@ -1249,8 +1337,8 @@ mod tests {
             let mut settled = 0usize;
             let mut search = PlacementSearch::new(n);
             let mut nodes = 0usize;
-            let searched = minimize_core_with(&clauses, &core, |trial, dropped| {
-                let model = search.find(&meta, trial, dropped);
+            let searched = minimize_core_with(&clauses, &core, |trial, dropped, new_core| {
+                let model = search.find(&meta, trial, dropped, new_core);
                 nodes += search.nodes;
                 let model = model?;
                 assert!(
@@ -1293,6 +1381,40 @@ mod tests {
             total_nodes, 7604,
             "placement-search nodes over the six refutations"
         );
+    }
+
+    /// A pair two clauses forbid stays forbidden when one is dropped. With
+    /// a distance-0 edge `0 → 1`, `SlotDistinct { p, 0, 1 }` and the
+    /// `DepForbids` at `pu = pv = p` are the same clause. Every clause of
+    /// the whole encoding is dropped in turn from one working core: each
+    /// call checks (in this test build) that the kept tables equal a build
+    /// from scratch over the trial, and answers what a search built for
+    /// that trial alone answers. Dropping either of the duplicate pair
+    /// leaves the pair forbidden, so the seeded search finds no model.
+    #[test]
+    fn placement_tables_keep_a_pair_two_clauses_forbid() {
+        let n = 3;
+        let deps = [dep(0, 1, 0), dep(1, 2, 1), dep(2, 0, 1)];
+        let (_, meta) = ExactScheduler::default().encode(&deps, n, 1);
+        let core: Vec<usize> = (0..meta.len()).collect();
+        let mut kept = PlacementSearch::new(n);
+        let mut duplicates = 0;
+        for (i, &dropped) in core.iter().enumerate() {
+            let trial: Vec<usize> = core.iter().copied().filter(|&id| id != dropped).collect();
+            let answer = kept.find(&meta, &trial, dropped, i == 0);
+            let fresh = PlacementSearch::new(n).find(&meta, &trial, dropped, true);
+            assert_eq!(answer, fresh, "dropping {:?}", meta[dropped]);
+            let still_forbidden = forbidden_pair(meta[dropped]).is_some_and(|pair| {
+                trial
+                    .iter()
+                    .any(|&id| forbidden_pair(meta[id]) == Some(pair))
+            });
+            if still_forbidden {
+                duplicates += 1;
+                assert_eq!(answer, None, "{:?} is still forbidden", meta[dropped]);
+            }
+        }
+        assert_eq!(duplicates, 2 * n, "SlotDistinct and DepForbids at each p");
     }
 
     /// Unknown distances and oversized bodies are out of scope.

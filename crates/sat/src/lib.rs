@@ -17,12 +17,21 @@
 //! **Invariant: the search is a pure function of the clause list.** The
 //! clauses and their order fix every decision, propagation, learned
 //! clause, restart, model, core and [`Stats`] field. A change to how the
-//! solver *represents* its state (origin sets as bitsets over original
-//! clause ids, reused analysis scratch, watch lists compacted in place)
-//! may make it faster but may not alter any of them; the repository's
-//! solver-trajectory golden (`tests/sat_trajectory.rs` at the workspace
-//! root) compares them byte for byte. A [`Solver`] memoizes only its own
-//! outcome; nothing is shared between solvers.
+//! solver *represents* its state may make it faster but may not alter any
+//! of them; the repository's solver-trajectory golden
+//! (`tests/sat_trajectory.rs` at the workspace root) compares them byte
+//! for byte. The representation: every clause's literals in one flat
+//! arena addressed by `u32` offsets, the learned clauses' origin sets
+//! (bitsets over original clause ids) in one slab, one value per
+//! literal, conflict-analysis buffers reused, and watch lists compacted
+//! in place.
+//!
+//! A [`Solver`] memoizes only its own outcome, and nothing is shared
+//! between solvers. One solver can be reused: [`Solver::reset`] clears
+//! every field back to its [`Solver::new`] value and keeps only the
+//! buffers' capacity, so the next instance's search is the one a fresh
+//! solver makes. [`minimize_core_with`] runs all of its sub-solves on one
+//! such workspace.
 //!
 //! ```
 //! use slc_sat::{Lit, Outcome, Solver};
@@ -122,37 +131,51 @@ pub struct Stats {
     pub learned: u64,
 }
 
-/// One stored clause (original or learned).
-struct Clause {
-    lits: Vec<Lit>,
-    /// bitset over the original clause ids a learned clause was resolved
-    /// from (bit `i` of word `i / 64`); empty for an original clause, whose
-    /// origin set is just its own id
-    origins: Vec<u64>,
-}
+/// Value of a literal in [`Solver`]'s per-literal value array.
+const TRUE: u8 = 1;
+const FALSE: u8 = 0;
+const UNDEF: u8 = 2;
+
+/// `reason` of a decision or an unassigned variable.
+const NO_REASON: u32 = u32::MAX;
 
 /// Conflict-driven clause-learning solver. Build with [`Solver::new`],
 /// add clauses, then call [`Solver::solve`] (idempotent — the outcome is
-/// memoized).
+/// memoized). [`Solver::reset`] empties it for the next instance and keeps
+/// its buffers.
 pub struct Solver {
-    clauses: Vec<Clause>,
-    /// ids of original clauses (prefix of `clauses`)
+    /// the literals of every clause, original then learned, back to back
+    lits: Vec<Lit>,
+    /// per clause id: offset of its literals in `lits`, and their count
+    spans: Vec<(u32, u32)>,
+    /// ids of original clauses (prefix of `spans`)
     n_original: usize,
+    /// `u64` words per origin set: one bit per original clause
+    origin_words: usize,
+    /// origin sets of the learned clauses, `origin_words` words each, in
+    /// learning order: the set of original clause ids a learned clause was
+    /// resolved from. An original clause's set is just its own id.
+    origins: Vec<u64>,
     /// indices of active unit clauses, enqueued at level 0
-    units: Vec<usize>,
-    /// watch lists: literal index → clause indices watching it
-    watches: Vec<Vec<usize>>,
-    assigns: Vec<Option<bool>>,
+    units: Vec<u32>,
+    /// watch lists: literal index → clause indices watching it. Lists
+    /// past `2 · num_vars` are empty and kept for reuse.
+    watches: Vec<Vec<u32>>,
+    num_vars: usize,
+    /// value per literal index: `TRUE`, `FALSE` or `UNDEF`
+    vals: Vec<u8>,
     /// saved phase per variable (last assigned polarity; initially false)
     phase: Vec<bool>,
     level: Vec<u32>,
-    reason: Vec<Option<usize>>,
+    /// clause that forced each variable, or `NO_REASON`
+    reason: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
-    root_unsat: Option<Vec<usize>>,
+    /// id of the first empty original clause
+    root_unsat: Option<usize>,
     memo: Option<Outcome>,
     stats: Stats,
     /// conflict-analysis marks, all false between analyses
@@ -163,6 +186,10 @@ pub struct Solver {
     seen0_set: Vec<Var>,
     /// DFS stack of the level-0 reason-chain walk
     stack: Vec<Var>,
+    /// the clause conflict analysis learns (asserting literal first)
+    learnt: Vec<Lit>,
+    /// the origin set conflict analysis or a final core accumulates
+    acc: Vec<u64>,
 }
 
 impl Default for Solver {
@@ -193,11 +220,15 @@ impl Solver {
     /// An empty instance.
     pub fn new() -> Self {
         Solver {
-            clauses: Vec::new(),
+            lits: Vec::new(),
+            spans: Vec::new(),
             n_original: 0,
+            origin_words: 0,
+            origins: Vec::new(),
             units: Vec::new(),
             watches: Vec::new(),
-            assigns: Vec::new(),
+            num_vars: 0,
+            vals: Vec::new(),
             phase: Vec::new(),
             level: Vec::new(),
             reason: Vec::new(),
@@ -213,12 +244,78 @@ impl Solver {
             seen0: Vec::new(),
             seen0_set: Vec::new(),
             stack: Vec::new(),
+            learnt: Vec::new(),
+            acc: Vec::new(),
         }
+    }
+
+    /// Empty the solver for a new instance, keeping its allocations. Every
+    /// field is back to its [`Solver::new`] value (the buffers are only
+    /// cleared), so the next instance's search, outcome and [`Stats`] are
+    /// those of a fresh solver.
+    pub fn reset(&mut self) {
+        // destructured, so a new field cannot be left out of the reset
+        let Solver {
+            lits,
+            spans,
+            n_original,
+            origin_words,
+            origins,
+            units,
+            watches,
+            num_vars,
+            vals,
+            phase,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            qhead,
+            activity,
+            var_inc,
+            root_unsat,
+            memo,
+            stats,
+            seen,
+            seen0,
+            seen0_set,
+            stack,
+            learnt,
+            acc,
+        } = self;
+        for w in &mut watches[..2 * *num_vars] {
+            w.clear();
+        }
+        *num_vars = 0;
+        *n_original = 0;
+        *origin_words = 0;
+        *qhead = 0;
+        *var_inc = 1.0;
+        *root_unsat = None;
+        *memo = None;
+        *stats = Stats::default();
+        lits.clear();
+        spans.clear();
+        origins.clear();
+        units.clear();
+        vals.clear();
+        phase.clear();
+        level.clear();
+        reason.clear();
+        trail.clear();
+        trail_lim.clear();
+        activity.clear();
+        seen.clear();
+        seen0.clear();
+        seen0_set.clear();
+        stack.clear();
+        learnt.clear();
+        acc.clear();
     }
 
     /// Number of variables (highest mentioned + 1).
     pub fn num_vars(&self) -> usize {
-        self.assigns.len()
+        self.num_vars
     }
 
     /// Search statistics so far.
@@ -227,17 +324,34 @@ impl Solver {
     }
 
     fn grow_to(&mut self, v: Var) {
-        while self.assigns.len() <= v {
-            self.assigns.push(None);
-            self.phase.push(false);
-            self.level.push(0);
-            self.reason.push(None);
-            self.activity.push(0.0);
-            self.seen.push(false);
-            self.seen0.push(false);
-            self.watches.push(Vec::new());
-            self.watches.push(Vec::new());
+        if v < self.num_vars {
+            return;
         }
+        let n = v + 1;
+        self.num_vars = n;
+        self.vals.resize(2 * n, UNDEF);
+        self.phase.resize(n, false);
+        self.level.resize(n, 0);
+        self.reason.resize(n, NO_REASON);
+        self.activity.resize(n, 0.0);
+        self.seen.resize(n, false);
+        self.seen0.resize(n, false);
+        if self.watches.len() < 2 * n {
+            self.watches.resize_with(2 * n, Vec::new);
+        }
+    }
+
+    /// The literals of clause `ci`.
+    fn clause(&self, ci: usize) -> &[Lit] {
+        let (start, len) = self.spans[ci];
+        &self.lits[start as usize..][..len as usize]
+    }
+
+    /// Record `lits[start..]` as the next clause.
+    fn push_clause(&mut self, start: usize) {
+        let len = self.lits.len() - start;
+        let start = u32::try_from(start).expect("clause arena exceeds u32 offsets");
+        self.spans.push((start, len as u32));
     }
 
     /// Add a clause (a disjunction of literals) and return its id.
@@ -246,34 +360,42 @@ impl Solver {
     /// trivially unsatisfiable with core `[id]`.
     pub fn add_clause(&mut self, lits: &[Lit]) -> usize {
         assert!(self.memo.is_none(), "add_clause after solve");
-        let id = self.clauses.len();
-        let mut ls: Vec<Lit> = lits.to_vec();
-        ls.sort();
-        ls.dedup();
+        let id = self.spans.len();
+        let start = self.lits.len();
+        self.lits.extend_from_slice(lits);
+        let ls = &mut self.lits[start..];
+        ls.sort_unstable();
+        let mut len = 0;
+        for i in 0..ls.len() {
+            if len == 0 || ls[i] != ls[len - 1] {
+                ls[len] = ls[i];
+                len += 1;
+            }
+        }
+        self.lits.truncate(start + len);
+        let ls = &self.lits[start..];
         let tautology = ls.windows(2).any(|w| w[0].var() == w[1].var());
-        if let Some(&m) = ls.iter().map(|l| l.var()).max().as_ref() {
+        // sorted by literal, so by variable: the last literal's is the max
+        if let Some(m) = ls.last().map(|l| l.var()) {
             self.grow_to(m);
         }
         if !tautology {
-            match ls.len() {
+            match len {
                 0 => {
                     if self.root_unsat.is_none() {
-                        self.root_unsat = Some(vec![id]);
+                        self.root_unsat = Some(id);
                     }
                 }
-                1 => self.units.push(id),
+                1 => self.units.push(id as u32),
                 _ => {
-                    self.watches[ls[0].idx()].push(id);
-                    self.watches[ls[1].idx()].push(id);
+                    self.watches[self.lits[start].idx()].push(id as u32);
+                    self.watches[self.lits[start + 1].idx()].push(id as u32);
                 }
             }
         }
         // tautologies are stored (for id stability) but never attached
-        self.clauses.push(Clause {
-            lits: ls,
-            origins: Vec::new(),
-        });
-        self.n_original = self.clauses.len();
+        self.push_clause(start);
+        self.n_original = self.spans.len();
         id
     }
 
@@ -281,19 +403,16 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    fn lit_value(&self, l: Lit) -> Option<bool> {
-        self.assigns[l.var()].map(|b| b != l.is_neg())
-    }
-
     /// Assign `p` true. Only call when `p` is unassigned.
-    fn enqueue(&mut self, p: Lit, reason: Option<usize>) {
-        debug_assert!(self.lit_value(p).is_none());
+    fn enqueue(&mut self, p: Lit, reason: u32) {
+        debug_assert_eq!(self.vals[p.idx()], UNDEF);
         let v = p.var();
-        self.assigns[v] = Some(!p.is_neg());
+        self.vals[p.idx()] = TRUE;
+        self.vals[p.negate().idx()] = FALSE;
         self.level[v] = self.decision_level();
         self.reason[v] = reason;
         self.trail.push(p);
-        if reason.is_some() {
+        if reason != NO_REASON {
             self.stats.propagations += 1;
         }
     }
@@ -319,43 +438,43 @@ impl Solver {
                     kept += 1;
                     continue;
                 }
-                if self.clauses[ci].lits[0] == false_lit {
-                    self.clauses[ci].lits.swap(0, 1);
+                let (start, len) = self.spans[ci as usize];
+                let c = &mut self.lits[start as usize..][..len as usize];
+                if c[0] == false_lit {
+                    c.swap(0, 1);
                 }
-                let first = self.clauses[ci].lits[0];
-                if self.lit_value(first) == Some(true) {
+                let first = c[0];
+                if self.vals[first.idx()] == TRUE {
                     ws[kept] = ci;
                     kept += 1;
                     continue;
                 }
-                let mut moved = false;
-                for k in 2..self.clauses[ci].lits.len() {
-                    let lk = self.clauses[ci].lits[k];
-                    if self.lit_value(lk) != Some(false) {
-                        self.clauses[ci].lits.swap(1, k);
-                        let w = self.clauses[ci].lits[1];
-                        self.watches[w.idx()].push(ci);
-                        moved = true;
+                let mut moved = None;
+                for k in 2..c.len() {
+                    if self.vals[c[k].idx()] != FALSE {
+                        c.swap(1, k);
+                        moved = Some(c[1]);
                         break;
                     }
                 }
-                if moved {
+                if let Some(w) = moved {
+                    self.watches[w.idx()].push(ci);
                     continue;
                 }
                 ws[kept] = ci;
                 kept += 1;
-                if self.lit_value(first) == Some(false) {
+                if self.vals[first.idx()] == FALSE {
                     // the rest of this watch list is kept untouched
-                    conflict = Some(ci);
+                    conflict = Some(ci as usize);
                 } else {
-                    self.enqueue(first, Some(ci));
+                    self.enqueue(first, ci);
                 }
             }
             ws.truncate(kept);
             self.watches[false_lit.idx()] = ws;
-            if let Some(ci) = conflict {
+            if conflict.is_some() {
                 self.qhead = self.trail.len();
-                return Some(ci);
+                return conflict;
             }
         }
         None
@@ -375,27 +494,30 @@ impl Solver {
         self.var_inc /= 0.95;
     }
 
-    /// An empty origin set: one bit per original clause.
-    fn no_origins(&self) -> Vec<u64> {
-        vec![0; self.n_original.div_ceil(64)]
+    /// Start `acc` as an empty origin set.
+    fn clear_acc(&mut self) {
+        self.acc.clear();
+        self.acc.resize(self.origin_words, 0);
     }
 
-    /// Union clause `ci`'s origin set into `out`.
-    fn add_origins(&self, ci: usize, out: &mut [u64]) {
+    /// Union clause `ci`'s origin set into `acc`.
+    fn add_origins(&mut self, ci: usize) {
         if ci < self.n_original {
-            out[ci / 64] |= 1 << (ci % 64);
+            self.acc[ci / 64] |= 1 << (ci % 64);
         } else {
-            for (o, w) in out.iter_mut().zip(&self.clauses[ci].origins) {
-                *o |= w;
+            let w = self.origin_words;
+            let set = &self.origins[(ci - self.n_original) * w..][..w];
+            for (o, s) in self.acc.iter_mut().zip(set) {
+                *o |= s;
             }
         }
     }
 
-    /// Union the origin closure of a level-0 assigned variable into `out`
+    /// Union the origin closure of a level-0 assigned variable into `acc`
     /// (the reason chain that forced it). Variables already walked since
     /// the last [`Solver::clear_seen0`] are skipped: their origins are in
-    /// `out` already, and union is idempotent.
-    fn level0_origins(&mut self, v0: Var, out: &mut [u64]) {
+    /// `acc` already, and union is idempotent.
+    fn level0_origins(&mut self, v0: Var) {
         let mut stack = std::mem::take(&mut self.stack);
         stack.push(v0);
         while let Some(v) = stack.pop() {
@@ -404,9 +526,10 @@ impl Solver {
             }
             self.seen0[v] = true;
             self.seen0_set.push(v);
-            if let Some(r) = self.reason[v] {
-                self.add_origins(r, out);
-                for &q in &self.clauses[r].lits {
+            let r = self.reason[v];
+            if r != NO_REASON {
+                self.add_origins(r as usize);
+                for &q in self.clause(r as usize) {
                     if q.var() != v && !self.seen0[q.var()] {
                         stack.push(q.var());
                     }
@@ -423,20 +546,25 @@ impl Solver {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learned clause (asserting
-    /// literal first, second-highest-level literal second), the backjump
-    /// level, and the origin set of the resolution.
-    fn analyze(&mut self, mut confl: usize) -> (Vec<Lit>, u32, Vec<u64>) {
+    /// First-UIP conflict analysis. Leaves the learned clause in `learnt`
+    /// (asserting literal first, second-highest-level literal second) and
+    /// the origin set of the resolution in `acc`; returns the backjump
+    /// level.
+    fn analyze(&mut self, mut confl: usize) -> u32 {
         let cur = self.decision_level();
-        let mut learnt: Vec<Lit> = Vec::new();
-        let mut origins = self.no_origins();
+        let mut learnt = std::mem::take(&mut self.learnt);
+        learnt.clear();
+        // slot 0 is the asserting literal, known once the walk ends
+        learnt.push(Lit(0));
+        self.clear_acc();
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut idx = self.trail.len();
         loop {
-            self.add_origins(confl, &mut origins);
-            for k in 0..self.clauses[confl].lits.len() {
-                let q = self.clauses[confl].lits[k];
+            self.add_origins(confl);
+            let (start, len) = self.spans[confl];
+            for k in start as usize..(start + len) as usize {
+                let q = self.lits[k];
                 if Some(q) == p {
                     continue;
                 }
@@ -447,7 +575,7 @@ impl Solver {
                 if self.level[v] == 0 {
                     // globally-false literal, dropped from the learned
                     // clause — but its derivation stays in the origin set
-                    self.level0_origins(v, &mut origins);
+                    self.level0_origins(v);
                     continue;
                 }
                 self.seen[v] = true;
@@ -468,11 +596,13 @@ impl Solver {
             self.seen[pl.var()] = false;
             counter -= 1;
             if counter == 0 {
-                learnt.insert(0, pl.negate());
+                learnt[0] = pl.negate();
                 break;
             }
             p = Some(pl);
-            confl = self.reason[pl.var()].expect("non-UIP literal has a reason");
+            let r = self.reason[pl.var()];
+            debug_assert_ne!(r, NO_REASON, "non-UIP literal has a reason");
+            confl = r as usize;
         }
         // every current-level mark was cleared on the trail walk; the
         // lower-level ones are exactly the rest of the learned clause
@@ -491,7 +621,8 @@ impl Solver {
             learnt.swap(1, mi);
             back = self.level[learnt[1].var()];
         }
-        (learnt, back, origins)
+        self.learnt = learnt;
+        back
     }
 
     fn cancel_until(&mut self, lvl: u32) {
@@ -501,41 +632,44 @@ impl Solver {
                 let p = self.trail.pop().expect("trail above limit");
                 let v = p.var();
                 self.phase[v] = !p.is_neg();
-                self.assigns[v] = None;
-                self.reason[v] = None;
+                self.vals[p.idx()] = UNDEF;
+                self.vals[p.negate().idx()] = UNDEF;
+                self.reason[v] = NO_REASON;
             }
         }
         self.qhead = self.trail.len().min(self.qhead);
     }
 
-    /// Store a learned clause, attach watches, and assert its first
-    /// literal.
-    fn learn(&mut self, lits: Vec<Lit>, origins: Vec<u64>) {
+    /// Store the clause in `learnt` with the origin set in `acc`, attach
+    /// watches, and assert its first literal.
+    fn learn(&mut self) {
         self.stats.learned += 1;
-        let ci = self.clauses.len();
-        let asserting = lits[0];
-        let attach = lits.len() > 1;
-        if attach {
-            self.watches[lits[0].idx()].push(ci);
-            self.watches[lits[1].idx()].push(ci);
+        let ci = self.spans.len() as u32;
+        let asserting = self.learnt[0];
+        if self.learnt.len() > 1 {
+            self.watches[self.learnt[0].idx()].push(ci);
+            self.watches[self.learnt[1].idx()].push(ci);
         }
-        self.clauses.push(Clause { lits, origins });
-        self.enqueue(asserting, Some(ci));
+        let start = self.lits.len();
+        self.lits.extend_from_slice(&self.learnt);
+        self.push_clause(start);
+        self.origins.extend_from_slice(&self.acc);
+        self.enqueue(asserting, ci);
     }
 
     /// Unsat core of a conflict at decision level 0: resolve the conflict
     /// clause against the reason chain of every falsified literal.
     fn final_core(&mut self, confl: usize) -> Vec<usize> {
-        let mut origins = self.no_origins();
-        self.add_origins(confl, &mut origins);
-        for k in 0..self.clauses[confl].lits.len() {
-            let v = self.clauses[confl].lits[k].var();
-            self.level0_origins(v, &mut origins);
+        self.clear_acc();
+        self.add_origins(confl);
+        let (start, len) = self.spans[confl];
+        for k in start as usize..(start + len) as usize {
+            self.level0_origins(self.lits[k].var());
         }
         self.clear_seen0();
         // set bits in ascending order: the sorted core
         let mut core = Vec::new();
-        for (wi, &w) in origins.iter().enumerate() {
+        for (wi, &w) in self.acc.iter().enumerate() {
             let mut w = w;
             while w != 0 {
                 core.push(wi * 64 + w.trailing_zeros() as usize);
@@ -546,12 +680,19 @@ impl Solver {
     }
 
     /// Pick the unassigned variable with the highest activity (ties →
-    /// lowest index).
+    /// lowest index). Activities are never negative, so the first
+    /// unassigned variable beats the `-∞` start.
     fn pick_branch(&self) -> Option<Var> {
-        let mut best: Option<Var> = None;
-        for v in 0..self.num_vars() {
-            if self.assigns[v].is_none() && best.is_none_or(|b| self.activity[v] > self.activity[b])
-            {
+        let mut best = None;
+        let mut top = f64::NEG_INFINITY;
+        for (v, (&a, val)) in self
+            .activity
+            .iter()
+            .zip(self.vals.chunks_exact(2))
+            .enumerate()
+        {
+            if val[0] == UNDEF && a > top {
+                top = a;
                 best = Some(v);
             }
         }
@@ -570,16 +711,18 @@ impl Solver {
     }
 
     fn solve_inner(&mut self) -> Outcome {
-        if let Some(core) = &self.root_unsat {
-            return Outcome::Unsat(core.clone());
+        if let Some(id) = self.root_unsat {
+            return Outcome::Unsat(vec![id]);
         }
+        self.origin_words = self.n_original.div_ceil(64);
         // assert the original unit clauses at level 0
-        for ci in self.units.clone() {
-            let l = self.clauses[ci].lits[0];
-            match self.lit_value(l) {
-                Some(true) => {}
-                Some(false) => return Outcome::Unsat(self.final_core(ci)),
-                None => self.enqueue(l, Some(ci)),
+        for u in 0..self.units.len() {
+            let ci = self.units[u];
+            let l = self.clause(ci as usize)[0];
+            match self.vals[l.idx()] {
+                TRUE => {}
+                FALSE => return Outcome::Unsat(self.final_core(ci as usize)),
+                _ => self.enqueue(l, ci),
             }
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
@@ -595,9 +738,9 @@ impl Solver {
                 if self.decision_level() == 0 {
                     return Outcome::Unsat(self.final_core(confl));
                 }
-                let (learnt, back, origins) = self.analyze(confl);
+                let back = self.analyze(confl);
                 self.cancel_until(back);
-                self.learn(learnt, origins);
+                self.learn();
                 self.decay();
                 since_restart += 1;
             } else if since_restart >= limit {
@@ -609,10 +752,8 @@ impl Solver {
             } else {
                 match self.pick_branch() {
                     None => {
-                        let model: Vec<bool> = self
-                            .assigns
-                            .iter()
-                            .map(|a| a.expect("complete assignment"))
+                        let model = (0..self.num_vars)
+                            .map(|v| self.vals[2 * v] == TRUE)
                             .collect();
                         return Outcome::Sat(model);
                     }
@@ -624,7 +765,7 @@ impl Solver {
                         } else {
                             Lit::neg(v)
                         };
-                        self.enqueue(lit, None);
+                        self.enqueue(lit, NO_REASON);
                     }
                 }
             }
@@ -693,7 +834,13 @@ pub fn brute_force(num_vars: usize, clauses: &[Vec<Lit>]) -> Option<Vec<bool>> {
 /// Solve only the clauses in `keep` (ids into `clauses`); the returned
 /// core is mapped back to ids in the original space.
 pub fn solve_subset(clauses: &[Vec<Lit>], keep: &[usize]) -> Outcome {
-    let mut s = Solver::new();
+    solve_subset_on(&mut Solver::new(), clauses, keep)
+}
+
+/// [`solve_subset`] on the workspace `s`, which is reset first; the
+/// outcome is the one a fresh solver gives.
+fn solve_subset_on(s: &mut Solver, clauses: &[Vec<Lit>], keep: &[usize]) -> Outcome {
+    s.reset();
     for &id in keep {
         s.add_clause(&clauses[id]);
     }
@@ -708,57 +855,131 @@ pub fn solve_subset(clauses: &[Vec<Lit>], keep: &[usize]) -> Outcome {
 }
 
 /// Deletion-based unsat-core minimization: drop each clause of `core` in
-/// turn (in ascending id order) and solve the remainder from scratch with
-/// [`solve_subset`]. A satisfiable remainder means the dropped clause is
-/// needed and the loop moves on; an unsatisfiable one replaces the working
-/// core with the sub-solve's own core, which may shrink it by more than
-/// the dropped clause. The result is a *minimal* core (no single clause
-/// can be removed), though not necessarily a minimum one. `core` must be
-/// an unsat core of `clauses`. This is [`minimize_core_with`] with no
-/// model finder, and the oracle it is tested against.
+/// turn (in ascending id order) and solve the remainder with
+/// [`solve_subset`]'s fresh search. A satisfiable remainder means the
+/// dropped clause is needed and the loop moves on; an unsatisfiable one
+/// replaces the working core with the sub-solve's own core, which may
+/// shrink it by more than the dropped clause. The result is a *minimal*
+/// core (no single clause can be removed), though not necessarily a
+/// minimum one. `core` must be an unsat core of `clauses`. This is
+/// [`minimize_core_with`] with no model finder, and the oracle it is
+/// tested against.
 pub fn minimize_core(clauses: &[Vec<Lit>], core: &[usize]) -> Vec<usize> {
-    minimize_core_with(clauses, core, |_, _| None)
+    minimize_core_with(clauses, core, |_, _, _| None)
 }
 
 /// [`minimize_core`] with a cheap way to settle satisfiable trials. Before
-/// each sub-solve, `find` is asked for a model of the trial (clause ids
-/// into `clauses`, ascending) and told the id of the clause the trial
-/// drops from the working core. The working core is always
-/// unsatisfiable, so every model of the trial falsifies the dropped
-/// clause: a finder may start its search from that. When `find` returns a
-/// model that [`check_model`] accepts on every clause of the trial, the
-/// trial is satisfiable and no solver runs. Otherwise, a rejected model or
-/// `None`, the trial is solved from scratch exactly as in
-/// [`minimize_core`]. A checked model proves the verdict the solver would
-/// have reached, and every unsatisfiable trial still takes the solver's
-/// core, so the result is `minimize_core`'s whatever `find` returns; only
-/// the number of sub-solves changes.
+/// each sub-solve, `find(trial, dropped, new_core)` is asked for a model
+/// of the trial (clause ids into `clauses`, ascending). `dropped` is the
+/// id of the clause the trial leaves out of the working core, so the
+/// working core is `trial` plus `dropped`. `new_core` is true when that
+/// core differs from the previous call's: on the first trial, and on the
+/// first after an unsatisfiable trial replaced the core. Between two such
+/// calls a finder may keep tables built over the core and toggle only
+/// `dropped`. The working core is always unsatisfiable, so every model of
+/// the trial falsifies the dropped clause: a finder may start its search
+/// from that. When `find` returns a model that [`check_model`] accepts on
+/// every clause of the trial, the trial is satisfiable and no solver runs.
+/// Otherwise, a rejected model or `None`, the trial is solved exactly as
+/// in [`minimize_core`]. A checked model proves the verdict the solver
+/// would have reached, and every unsatisfiable trial still takes the
+/// solver's core, so the result is `minimize_core`'s whatever `find`
+/// returns; only the number of sub-solves changes.
+///
+/// Every sub-solve runs on one [`Solver`] workspace, [`Solver::reset`]
+/// before each trial. A reset solver is a fresh one with its buffers
+/// kept, so each sub-solve makes the search a new solver would make.
+/// What the loop did is added to this thread's [`minimize_counts`].
 pub fn minimize_core_with<F>(clauses: &[Vec<Lit>], core: &[usize], mut find: F) -> Vec<usize>
 where
-    F: FnMut(&[usize], usize) -> Option<Vec<bool>>,
+    F: FnMut(&[usize], usize, bool) -> Option<Vec<bool>>,
 {
     let mut cur: Vec<usize> = core.to_vec();
     cur.sort_unstable();
     let mut trial = Vec::with_capacity(cur.len());
+    let mut workspace = Solver::new();
+    let mut counts = MinimizeCounts::default();
+    let mut new_core = true;
     let mut i = 0;
     while i < cur.len() {
         trial.clear();
         trial.extend(cur[..i].iter().chain(&cur[i + 1..]));
-        let settled = find(&trial, cur[i])
+        counts.trials += 1;
+        let settled = find(&trial, cur[i], new_core)
             .is_some_and(|m| trial.iter().all(|&id| satisfies(&m, &clauses[id])));
+        new_core = false;
         if settled {
+            counts.settled += 1;
             i += 1;
             continue;
         }
-        match solve_subset(clauses, &trial) {
+        counts.solves += 1;
+        match solve_subset_on(&mut workspace, clauses, &trial) {
             Outcome::Unsat(smaller) => {
                 // the sub-solve may shrink the core further for free
+                counts.unsat += 1;
                 cur = smaller;
+                new_core = true;
             }
             Outcome::Sat(_) => i += 1,
         }
     }
+    MINIMIZE_COUNTS.with(|c| c.set(c.get() + counts));
     cur
+}
+
+/// Work done by [`minimize_core_with`] (and so [`minimize_core`]): a
+/// deterministic count, never a time. `trials = settled + solves`; a
+/// finder that settles every satisfiable trial leaves `solves = unsat`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MinimizeCounts {
+    /// trials of the deletion loop: one per visit of a working-core clause
+    pub trials: u64,
+    /// trials settled by a finder's checked model, with no solve
+    pub settled: u64,
+    /// trials solved by a fresh sub-solve
+    pub solves: u64,
+    /// sub-solves that were unsatisfiable and replaced the working core
+    pub unsat: u64,
+}
+
+impl std::ops::Add for MinimizeCounts {
+    type Output = MinimizeCounts;
+
+    fn add(self, o: MinimizeCounts) -> MinimizeCounts {
+        MinimizeCounts {
+            trials: self.trials + o.trials,
+            settled: self.settled + o.settled,
+            solves: self.solves + o.solves,
+            unsat: self.unsat + o.unsat,
+        }
+    }
+}
+
+/// The counts between an earlier reading of the same thread and this one.
+impl std::ops::Sub for MinimizeCounts {
+    type Output = MinimizeCounts;
+
+    fn sub(self, earlier: MinimizeCounts) -> MinimizeCounts {
+        MinimizeCounts {
+            trials: self.trials - earlier.trials,
+            settled: self.settled - earlier.settled,
+            solves: self.solves - earlier.solves,
+            unsat: self.unsat - earlier.unsat,
+        }
+    }
+}
+
+thread_local! {
+    static MINIMIZE_COUNTS: std::cell::Cell<MinimizeCounts> =
+        const { std::cell::Cell::new(MinimizeCounts { trials: 0, settled: 0, solves: 0, unsat: 0 }) };
+}
+
+/// The [`MinimizeCounts`] of every minimization this thread has run. Take
+/// a reading before and after a piece of work and subtract the two to
+/// count that work alone.
+pub fn minimize_counts() -> MinimizeCounts {
+    MINIMIZE_COUNTS.with(std::cell::Cell::get)
 }
 
 #[cfg(test)]

@@ -109,8 +109,9 @@ fn minimizes_to_a_minimal_subset(clauses: &[Vec<Lit>], start: &[usize]) -> TestC
 /// solver's own cores on these instances are nearly always minimal
 /// already, and a minimal core has no unsatisfiable trial to get wrong.
 /// One more finder checks what it is told: `dropped` is exactly the
-/// working-core clause the trial leaves out, and every model of the trial
-/// falsifies it.
+/// working-core clause the trial leaves out, every model of the trial
+/// falsifies it, and `new_core` is true exactly when the working core is
+/// not the previous call's.
 fn finders_never_change_the_core(clauses: &[Vec<Lit>]) -> TestCaseResult {
     if brute_force(8, clauses).is_some() {
         return Ok(());
@@ -122,13 +123,13 @@ fn finders_never_change_the_core(clauses: &[Vec<Lit>]) -> TestCaseResult {
         brute_force(8, &subset)
     };
     let guess = |trial: &[usize]| model_of(trial).unwrap_or_else(|| vec![false; 8]);
-    prop_assert_eq!(minimize_core_with(clauses, &core, |_, _| None), plain);
+    prop_assert_eq!(minimize_core_with(clauses, &core, |_, _, _| None), plain);
     prop_assert_eq!(
-        minimize_core_with(clauses, &core, |trial, _| model_of(trial)),
+        minimize_core_with(clauses, &core, |trial, _, _| model_of(trial)),
         plain
     );
     prop_assert_eq!(
-        minimize_core_with(clauses, &core, |trial, _| {
+        minimize_core_with(clauses, &core, |trial, _, _| {
             let mut m = guess(trial);
             m[trial.len() % 8] ^= true;
             Some(m)
@@ -136,11 +137,13 @@ fn finders_never_change_the_core(clauses: &[Vec<Lit>]) -> TestCaseResult {
         plain
     );
     prop_assert_eq!(
-        minimize_core_with(clauses, &core, |trial, _| Some(guess(trial)[..4].to_vec())),
+        minimize_core_with(clauses, &core, |trial, _, _| Some(
+            guess(trial)[..4].to_vec()
+        )),
         plain
     );
     prop_assert_eq!(
-        minimize_core_with(clauses, &core, |_, _| Some(vec![true; 8])),
+        minimize_core_with(clauses, &core, |_, _, _| Some(vec![true; 8])),
         plain
     );
 
@@ -148,8 +151,15 @@ fn finders_never_change_the_core(clauses: &[Vec<Lit>]) -> TestCaseResult {
     // trial keeps it, a refuted one takes the sub-solve's core, as
     // `minimize_core` does) and compare
     let mut working = core.clone();
+    let mut previous: Option<Vec<usize>> = None;
     let mut bad: Option<String> = None;
-    let told = minimize_core_with(clauses, &core, |trial, dropped| {
+    let told = minimize_core_with(clauses, &core, |trial, dropped, new_core| {
+        if bad.is_none() && new_core != (previous.as_ref() != Some(&working)) {
+            bad = Some(format!(
+                "working core {working:?} after {previous:?}: told new_core = {new_core}"
+            ));
+        }
+        previous = Some(working.clone());
         let missing: Vec<usize> = working
             .iter()
             .copied()
@@ -181,6 +191,118 @@ fn finders_never_change_the_core(clauses: &[Vec<Lit>]) -> TestCaseResult {
     Ok(())
 }
 
+/// PHP(n+1, n): n+1 pigeons, n holes, variable `i·n + j` = pigeon `i`
+/// sits in hole `j`. Unsatisfiable, and hard for resolution.
+fn pigeonhole(n: usize) -> Vec<Vec<Lit>> {
+    let p = |i: usize, j: usize| i * n + j;
+    let mut clauses: Vec<Vec<Lit>> = (0..=n)
+        .map(|i| (0..n).map(|j| Lit::pos(p(i, j))).collect())
+        .collect();
+    for j in 0..n {
+        for i1 in 0..=n {
+            for i2 in i1 + 1..=n {
+                clauses.push(vec![Lit::neg(p(i1, j)), Lit::neg(p(i2, j))]);
+            }
+        }
+    }
+    clauses
+}
+
+/// The exact scheduler's `(n, ii)` placement encoding, as `slc-exact`
+/// builds it: variable `k·n + p` = MI `k` at position `p`; each MI takes
+/// at least one and at most one position, each position at most one MI,
+/// and each dependence `(from, to, d)` forbids every position pair that
+/// violates it (`p_from < p_to` at distance 0, `p_from − p_to ≤ ii·d`
+/// otherwise). Edges are folded into range; a backward edge gets
+/// distance ≥ 1 and a self edge is dropped, as in the scheduler.
+fn placement_encoding(n: usize, ii: i64, edges: &[(usize, usize, i64)]) -> Vec<Vec<Lit>> {
+    let x = |k: usize, p: usize| k * n + p;
+    let mut clauses: Vec<Vec<Lit>> = Vec::new();
+    for k in 0..n {
+        clauses.push((0..n).map(|p| Lit::pos(x(k, p))).collect());
+        for p in 0..n {
+            for q in p + 1..n {
+                clauses.push(vec![Lit::neg(x(k, p)), Lit::neg(x(k, q))]);
+            }
+        }
+    }
+    for p in 0..n {
+        for k1 in 0..n {
+            for k2 in k1 + 1..n {
+                clauses.push(vec![Lit::neg(x(k1, p)), Lit::neg(x(k2, p))]);
+            }
+        }
+    }
+    for &(from, to, d) in edges {
+        let (from, to) = (from % n, to % n);
+        if from == to {
+            continue;
+        }
+        let d = if from < to { d } else { d.max(1) };
+        for pu in 0..n {
+            for pv in 0..n {
+                let violating = if d == 0 {
+                    pu >= pv
+                } else {
+                    pu as i64 - pv as i64 > ii * d
+                };
+                if violating {
+                    clauses.push(vec![Lit::neg(x(from, pu)), Lit::neg(x(to, pv))]);
+                }
+            }
+        }
+    }
+    clauses
+}
+
+/// One instance of the reuse differential: random 3-CNF over 30
+/// variables from sparse to past the satisfiability threshold, a
+/// pigeonhole formula, or an exact-scheduler placement encoding.
+fn instance_strategy() -> impl Strategy<Value = Vec<Vec<Lit>>> {
+    let lit = |(v, neg): (usize, bool)| if neg { Lit::neg(v) } else { Lit::pos(v) };
+    prop_oneof![
+        proptest::collection::vec(
+            (
+                (0..30usize, any::<bool>()),
+                (0..30usize, any::<bool>()),
+                (0..30usize, any::<bool>())
+            ),
+            10..140
+        )
+        .prop_map(move |cs| cs
+            .into_iter()
+            .map(|(a, b, c)| vec![lit(a), lit(b), lit(c)])
+            .collect()),
+        (2..6usize).prop_map(pigeonhole),
+        (
+            3..8usize,
+            1..7i64,
+            proptest::collection::vec((0..8usize, 0..8usize, 0..3i64), 2..16)
+        )
+            .prop_map(|(n, ii, edges)| placement_encoding(n, ii.min(n as i64 - 1), &edges)),
+    ]
+}
+
+/// One [`Solver`] workspace, [`Solver::reset`] between instances, gives
+/// every instance of a sequence the outcome (model or core) and all five
+/// `Stats` fields a fresh [`Solver::new`] gives it. The instances differ
+/// in variable and clause count, so the reset workspace is exercised with
+/// more and with fewer variables and origin words than it last held.
+fn reused_workspace_matches_fresh(instances: &[Vec<Vec<Lit>>]) -> TestCaseResult {
+    let mut workspace = Solver::new();
+    for (i, clauses) in instances.iter().enumerate() {
+        workspace.reset();
+        let mut fresh = Solver::new();
+        for c in clauses {
+            prop_assert_eq!(workspace.add_clause(c), fresh.add_clause(c));
+        }
+        prop_assert_eq!(workspace.num_vars(), fresh.num_vars());
+        prop_assert_eq!(workspace.solve(), fresh.solve(), "instance {}", i);
+        prop_assert_eq!(workspace.stats(), fresh.stats(), "instance {}", i);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 300, ..ProptestConfig::default() })]
 
@@ -197,6 +319,13 @@ proptest! {
     #[test]
     fn minimized_cores_stay_unsat(clauses in cnf_strategy(8)) {
         minimized_core_is_minimal(&clauses)?;
+    }
+
+    #[test]
+    fn reset_workspace_solves_like_a_fresh_solver(
+        instances in proptest::collection::vec(instance_strategy(), 1..6)
+    ) {
+        reused_workspace_matches_fresh(&instances)?;
     }
 }
 
@@ -221,6 +350,14 @@ proptest! {
     #[ignore]
     fn minimize_core_with_any_finder_equals_minimize_core_long(clauses in cnf_strategy(8)) {
         finders_never_change_the_core(&clauses)?;
+    }
+
+    #[test]
+    #[ignore]
+    fn reset_workspace_solves_like_a_fresh_solver_long(
+        instances in proptest::collection::vec(instance_strategy(), 1..6)
+    ) {
+        reused_workspace_matches_fresh(&instances)?;
     }
 }
 

@@ -188,3 +188,49 @@ fn exact_beats_heuristic_on_a_constructed_recurrence() {
     let verdict = verify_slms_program(&prog, &ecfg);
     assert!(verdict.clean(), "{}", verdict.render());
 }
+
+/// Proof-core minimization over one exact-scheduled sweep of the corpus
+/// (every workload, default settings), counted by
+/// [`minimize_counts`](slc::sat::minimize_counts): trials, trials the
+/// placement search settled, and fresh sub-solves. Every sub-solve must
+/// be of an unsatisfiable trial, so the placement search left no
+/// satisfiable trial to the solver. kernel10_diff_predict makes the
+/// corpus's one refutation (its 398-clause proof is `exact.proof_clauses`
+/// in `BENCH_counters.json`). The counts are pinned, so a finder that
+/// stops settling trials, or a minimization that solves more often, fails
+/// here by a number.
+#[test]
+fn minimization_solves_only_unsatisfiable_trials_on_the_corpus() {
+    let cfg = SlmsConfig {
+        scheduler: SchedulerKind::Exact,
+        ..SlmsConfig::default()
+    };
+    let mut total = slc::sat::MinimizeCounts::default();
+    let mut kernel10 = None;
+    for w in slc::workloads::all() {
+        let before = slc::sat::minimize_counts();
+        slms_program(&w.program(), &cfg);
+        let c = slc::sat::minimize_counts() - before;
+        assert_eq!(c.trials, c.settled + c.solves, "{}: {c:?}", w.name);
+        assert_eq!(
+            c.solves, c.unsat,
+            "{}: a satisfiable trial reached the solver",
+            w.name
+        );
+        if w.name == "kernel10_diff_predict" {
+            kernel10 = Some(c);
+        }
+        total = total + c;
+    }
+    let kernel10 = kernel10.expect("kernel10_diff_predict is in the corpus");
+    println!("kernel10_diff_predict: {kernel10:?}\ncorpus: {total:?}");
+    assert_eq!(
+        total, kernel10,
+        "kernel10 makes the corpus's only refutation"
+    );
+    assert_eq!(
+        (total.trials, total.settled, total.solves),
+        (416, 398, 18),
+        "trials, settled trials, fresh sub-solves"
+    );
+}
